@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,24 @@ def test_generate_deterministic_and_jobs_invariant(small_model):
         assert np.array_equal(x.theta_gt, y.theta_gt)
     for x, y in zip(a, c):
         assert np.array_equal(x.image.pixels, y.image.pixels)
+
+
+# SHA-256 of a tiny seeded train + test set (ids, 8-bit pixels, theta_gt,
+# theta_init). Renderer and set-generation changes must keep it; a change
+# that moves it on purpose names the new value and the reason.
+GOLDEN_SET_SHA256 = "32ef05be8b33b84b302f7e5908ddd78d2f4be488a167b8ffd74e2427a9cf7434"
+
+
+def test_seeded_sets_match_golden_digest(small_model):
+    pc = ProtocolConfig(seed=9, n_shape=1, **SMALL_PC)
+    h = hashlib.sha256()
+    for mode in ("train", "test"):
+        for s in generate_set(small_model, pc, mode):
+            h.update(s.id.encode())
+            h.update(np.rint(s.image.pixels * 255.0).astype(np.uint8).tobytes())
+            h.update(s.theta_gt.astype("<f8").tobytes())
+            h.update(s.theta_init.astype("<f8").tobytes())
+    assert h.hexdigest() == GOLDEN_SET_SHA256
 
 
 def test_train_and_test_share_surface_texture(small_model):
