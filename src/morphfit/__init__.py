@@ -4,8 +4,7 @@ descriptors, with a synthetic data pipeline for desk-scale experiments."""
 
 __version__ = "0.1.0"
 
-from .camera import CameraConfig, PoseParams, build_modelview, project_points, \
-    pose_from_landmarks_rough
+from .camera import CameraConfig, pose_from_landmarks_rough, project_points, to_camera
 from .cascade import CascadeRegressor, FitError, FitResult, ParamScale, TrainConfig, \
     WeakRegressor, fit, load_regressor, param_layout, predict_update, save_regressor, \
     train_cascade, train_stage

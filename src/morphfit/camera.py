@@ -4,7 +4,7 @@ Conventions (pinned by the regression tests, do not change silently):
   * right-handed model/camera space, y up, camera at the origin looking
     down -z; visible points have camera z < 0
   * rotation order: roll (z) first, then pitch (x), then yaw (y),
-    then translation -- modelview = T * Ry * Rx * Rz
+    then translation: p_cam = Ry Rx Rz p + t
   * angles are degrees everywhere in the public API
   * screen origin is the top-left pixel corner area, u right, v down:
     u = cx + f*x/(-z), v = cy - f*y/(-z)
@@ -16,30 +16,6 @@ import numpy as np
 
 
 @dataclass
-class PoseParams:
-    rx: float = 0.0  # pitch, degrees
-    ry: float = 0.0  # yaw
-    rz: float = 0.0  # roll
-    tx: float = 0.0  # mm
-    ty: float = 0.0
-    tz: float = 0.0
-
-    def as_array(self):
-        return np.array([self.rx, self.ry, self.rz, self.tx, self.ty, self.tz])
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.rx, self.ry, self.rz, self.tx, self.ty, self.tz])):
-            raise ValueError("pose parameters must be finite")
-
-    @staticmethod
-    def from_array(values):
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
-        if v.shape[0] < 6:
-            raise ValueError("pose needs 6 values [rx ry rz tx ty tz]")
-        return PoseParams(*v[:6])
-
-
-@dataclass
 class CameraConfig:
     focal: float = 1500.0  # pixels
     width: int = 640
@@ -48,14 +24,16 @@ class CameraConfig:
     cy: float = None
 
     def __post_init__(self):
-        if self.focal <= 0:
-            raise ValueError("focal must be positive")
+        if not (np.isfinite(self.focal) and self.focal > 0):
+            raise ValueError("focal must be finite and positive")
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be at least 1x1")
         if self.cx is None:
             self.cx = self.width / 2.0
         if self.cy is None:
             self.cy = self.height / 2.0
+        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
+            raise ValueError("principal point must be finite")
 
 
 def rot_x(deg):
@@ -81,37 +59,28 @@ def rotation_from_angles(rx, ry, rz):
     return rot_y(ry) @ rot_x(rx) @ rot_z(rz)
 
 
-def build_modelview(pose):
-    """4x4 modelview T * Ry * Rx * Rz for the given pose."""
-    m = np.eye(4)
-    m[:3, :3] = rotation_from_angles(pose.rx, pose.ry, pose.rz)
-    m[:3, 3] = [pose.tx, pose.ty, pose.tz]
-    return m
-
-
-def transform_points(points, modelview):
-    """Apply a 4x4 to (n, 4) homogeneous points; returns (n, 3) camera space.
-
-    Points are dehomogenized first, so any nonzero homogeneous scale gives
-    the same result. A zero w component is rejected.
-    """
+def to_camera(points, pose):
+    """Camera-space coordinates of (n, 3) model points (mm) under
+    pose = [rx ry rz tx ty tz] (degrees, mm): R @ p + t, R = Ry Rx Rz."""
+    pose = np.asarray(pose, dtype=np.float64).reshape(-1)
+    if pose.shape != (6,):
+        raise ValueError("pose needs 6 values [rx ry rz tx ty tz]")
+    if not np.all(np.isfinite(pose)):
+        raise ValueError("pose parameters must be finite")
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError("points must be (n, 4) homogeneous")
-    w = pts[:, 3]
-    if np.any(w == 0):
-        raise ValueError("point at infinity (w = 0)")
-    xyz = pts[:, :3] / w[:, None]
-    return xyz @ modelview[:3, :3].T + modelview[:3, 3]
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must be (n, 3)")
+    return pts @ rotation_from_angles(*pose[:3]).T + pose[3:]
 
 
 def project_points(points, pose, cam):
-    """Project (n, 4) homogeneous model points to pixel coordinates.
+    """Project (n, 3) model points to pixel coordinates.
 
     Returns (uv, valid): uv is (n, 2); rows with camera z >= -1e-6 (at or
-    behind the camera plane) are NaN and flagged invalid.
+    behind the camera plane) are NaN and flagged invalid. A non-finite
+    pose raises ValueError.
     """
-    pc = transform_points(points, build_modelview(pose))
+    pc = to_camera(points, pose)
     depth = -pc[:, 2]
     valid = depth > 1e-6
     uv = np.full((pc.shape[0], 2), np.nan)
@@ -127,14 +96,12 @@ def pose_from_landmarks_rough(points2d, points3d, cam):
     Depth comes from the ratio of bounding-box extents through the pinhole,
     x/y translation from centroid back-projection; all angles are left at
     zero. Good enough to land inside the trained cascade's basin; not an
-    accurate pose.
+    accurate pose. Returns the pose vector [0 0 0 tx ty tz].
     """
     uv = np.asarray(points2d, dtype=np.float64).reshape(-1, 2)
     pts = np.asarray(points3d, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] not in (3, 4):
-        raise ValueError("points3d must be (n, 3) or (n, 4)")
-    if pts.shape[1] == 4:
-        pts = pts[:, :3] / pts[:, 3:4]
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points3d must be (n, 3)")
     if uv.shape[0] != pts.shape[0] or uv.shape[0] < 4:
         raise ValueError("need at least 4 matching 2D/3D points")
 
@@ -153,4 +120,4 @@ def pose_from_landmarks_rough(points2d, points3d, cam):
     cx3, cy3 = pts[:, 0].mean(), pts[:, 1].mean()
     tx = (cu - cam.cx) * depth / cam.focal - cx3
     ty = (cam.cy - cv) * depth / cam.focal - cy3
-    return PoseParams(0.0, 0.0, 0.0, tx, ty, tz)
+    return np.array([0.0, 0.0, 0.0, tx, ty, tz])

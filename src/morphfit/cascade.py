@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import DEFAULT_PATCH_SIZE, FeatureError, assemble_feature
-from .util import TokenReader, atomic_write_text, fmt_row, parallel_map
+from .util import TokenReader, atomic_write, fmt_row, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -34,15 +34,17 @@ class FitError(RuntimeError):
 @dataclass
 class ParamScale:
     mean: np.ndarray
-    std: np.ndarray  # strictly positive
+    std: np.ndarray  # finite, strictly positive
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
         self.std = np.asarray(self.std, dtype=np.float64).reshape(-1)
         if self.mean.shape != self.std.shape:
             raise ValueError("scale mean/std length mismatch")
-        if np.any(self.std <= 0):
-            raise ValueError("scale std must be strictly positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("scale mean must be finite")
+        if not np.all(np.isfinite(self.std) & (self.std > 0)):
+            raise ValueError("scale std must be finite and strictly positive")
 
     @staticmethod
     def from_targets(deltas):
@@ -216,11 +218,17 @@ class FitResult:
 
 
 def fit(img, theta_init, reg, model, cam, patch_size=DEFAULT_PATCH_SIZE):
-    """Apply every cascade stage to refine theta_init on one image."""
+    """Apply every cascade stage to refine theta_init on one image.
+
+    A non-finite theta_init is a ValueError; a stage whose update leaves
+    theta non-finite raises FitError for that stage.
+    """
     theta = np.asarray(theta_init, dtype=np.float64).reshape(-1).copy()
     if theta.shape[0] != reg.param_dim:
         raise ValueError("theta_init length %d != cascade layout %d"
                          % (theta.shape[0], reg.param_dim))
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta_init must be finite")
     traj = [theta.copy()]
     for i, wr in enumerate(reg.stages):
         try:
@@ -228,6 +236,8 @@ def fit(img, theta_init, reg, model, cam, patch_size=DEFAULT_PATCH_SIZE):
         except FeatureError as e:
             raise FitError(i, str(e)) from e
         theta = theta + predict_update(wr, f, reg.scale)
+        if not np.all(np.isfinite(theta)):
+            raise FitError(i, "update made the parameters non-finite")
         traj.append(theta.copy())
     return FitResult(theta=theta, trajectory=np.stack(traj))
 
@@ -252,7 +262,7 @@ def save_regressor(reg, path):
         lines.extend(fmt_row(row) for row in wr.A)
         lines.append("b:")
         lines.append(fmt_row(wr.b))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_regressor(path):

@@ -18,14 +18,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .camera import CameraConfig, PoseParams, project_points, pose_from_landmarks_rough
+from .camera import CameraConfig, project_points, pose_from_landmarks_rough
 from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
 from .posit import Correspondences, euler_from_rotation, posit
 from .shape_model import load_model, make_procedural_model, save_model, select_landmarks
 from .synth import ProtocolConfig, generate_set, load_dataset, subseed, write_dataset
-from .util import atomic_write_text, fmt_float
+from .util import atomic_write, fmt_float
 
 
 class UsageError(Exception):
@@ -53,7 +53,7 @@ def _write_manifest(path, command, args, seed, inputs, outputs, timings, started
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
     }
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _now():
@@ -173,9 +173,8 @@ def cmd_fit(args):
         theta0 = _parse_inline_theta(args.init, reg.param_dim)
     else:
         uv, pts = _read_point_rows(args.init_landmarks)
-        pose = pose_from_landmarks_rough(uv, pts, cam)
         theta0 = np.zeros(reg.param_dim)
-        theta0[:6] = pose.as_array()
+        theta0[:6] = pose_from_landmarks_rough(uv, pts, cam)
     if args.init_noise:
         rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
         theta0 = theta0.copy()
@@ -188,7 +187,7 @@ def cmd_fit(args):
     lines = ["stage," + ",".join(reg.layout)]
     for i, row in enumerate(result.trajectory):
         lines.append("%d," % i + ",".join(fmt_float(v) for v in row))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, ("\n".join(lines) + "\n").encode())
 
     print("final theta: " + " ".join("%s=%.4g" % (n, v)
                                      for n, v in zip(reg.layout, result.theta)))
@@ -246,7 +245,7 @@ def cmd_posit(args):
         lines = ["rx,ry,rz,tx,ty,tz,iters,converged",
                  ",".join(fmt_float(v) for v in (rx, ry, rz, tx, ty, tz))
                  + ",%d,%d" % (res.iters, int(res.converged))]
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        atomic_write(args.out, ("\n".join(lines) + "\n").encode())
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
               % (rx, ry, rz, tx, ty, tz, res.iters))
         outputs = {"pose": args.out}
@@ -264,13 +263,13 @@ def cmd_posit(args):
             alpha = np.zeros(model.num_modes)
             alpha[:s.theta_gt.shape[0] - 6] = s.theta_gt[6:]
             pts3d = select_landmarks(model, alpha)
-            uv, valid = project_points(pts3d, PoseParams.from_array(s.theta_gt[:6]), cam)
+            uv, valid = project_points(pts3d, s.theta_gt[:6], cam)
             if not valid.all():
                 continue
             if args.noise_px > 0:
                 rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
                 uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
-            corr = Correspondences(points2d=uv, points3d=pts3d[:, :3],
+            corr = Correspondences(points2d=uv, points3d=pts3d,
                                    focal=cam.focal, cx=cam.cx, cy=cam.cy)
             res = posit(corr, max_iters=args.max_iters, tol=args.tol)
             rx, ry, rz = euler_from_rotation(res.rotation)
@@ -282,7 +281,7 @@ def cmd_posit(args):
         if not errs:
             raise RuntimeError("no sample produced a valid POSIT estimate")
         mae = float(np.mean(np.stack(errs)))
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
+        atomic_write(args.out, ("\n".join(lines) + "\n").encode())
         print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
               % (len(errs), args.noise_px, mae))
         outputs = {"report": args.out, "mae_deg": mae}

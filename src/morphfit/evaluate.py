@@ -15,7 +15,7 @@ import numpy as np
 
 from .cascade import FitError, fit
 from .features import DEFAULT_PATCH_SIZE
-from .util import atomic_write_text, parallel_map
+from .util import atomic_write, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -131,21 +131,28 @@ def write_report(report, path):
         lines.append("%d,%.17g,%.17g,%d,%s" % (
             stage, report.mae_per_stage[stage], report.cosine_per_stage[stage],
             report.n_samples, report.regime))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_report(path):
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
+    if not lines:
+        raise ValueError("%s: empty report file" % path)
     if lines[0] != "stage,mae_deg,shape_cosine,n_samples,regime":
-        raise ValueError("unexpected report header")
+        raise ValueError("%s: unexpected report header" % path)
     mae, cos = [], []
     n_samples, regime = 0, ""
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
-        mae.append(float(parts[1]))
-        cos.append(float(parts[2]))
-        n_samples = int(parts[3])
+        if len(parts) != 5:
+            raise ValueError("%s: row %d has %d fields, expected 5" % (path, row, len(parts)))
+        try:
+            mae.append(float(parts[1]))
+            cos.append(float(parts[2]))
+            n_samples = int(parts[3])
+        except ValueError as e:
+            raise ValueError("%s: row %d: %s" % (path, row, e)) from None
         regime = parts[4]
     return EvalReport(regime=regime, n_samples=n_samples,
                       mae_per_stage=np.array(mae), cosine_per_stage=np.array(cos))

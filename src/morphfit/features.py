@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import atomic_write_bytes
+from .util import atomic_write
 
 DESCRIPTOR_SIZE = 128
 _CLAMP = 0.2
@@ -139,7 +139,7 @@ def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE):
     contribute a zero descriptor; if every landmark fails, the model is
     entirely behind the camera and a FeatureError is raised.
     """
-    from .camera import PoseParams, project_points
+    from .camera import project_points
     from .shape_model import select_landmarks
 
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
@@ -149,7 +149,7 @@ def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE):
     alpha[:theta.shape[0] - 6] = theta[6:]
 
     pts3d = select_landmarks(model, alpha)
-    uv, valid = project_points(pts3d, PoseParams.from_array(theta[:6]), cam)
+    uv, valid = project_points(pts3d, theta[:6], cam)
     if not np.any(valid):
         raise FeatureError("all landmark projections failed")
 
@@ -167,7 +167,7 @@ def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE):
 def write_pgm(img, path):
     data = np.rint(img.pixels * 255.0).astype(np.uint8)
     header = b"P5\n%d %d\n255\n" % (img.width, img.height)
-    atomic_write_bytes(path, header + data.tobytes())
+    atomic_write(path, header + data.tobytes())
 
 
 def _read_pgm_token(buf, pos):
@@ -192,17 +192,22 @@ def read_pgm(path):
         buf = f.read()
     magic, pos = _read_pgm_token(buf, 0)
     if magic != b"P5":
-        raise ValueError("not a binary PGM (P5) file")
+        raise ValueError("%s: not a binary PGM (P5) file" % path)
     fields = []
-    for _ in range(3):
+    for name in ("width", "height", "maxval"):
         tok, pos = _read_pgm_token(buf, pos)
+        if not tok.isdigit():
+            raise ValueError("%s: bad or missing PGM %s %r"
+                             % (path, name, tok.decode("latin-1")))
         fields.append(int(tok))
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError("%s: PGM size %dx%d is empty" % (path, width, height))
     if not 1 <= maxval <= 255:
-        raise ValueError("unsupported PGM maxval %d" % maxval)
+        raise ValueError("%s: unsupported PGM maxval %d" % (path, maxval))
     pos += 1  # single whitespace after maxval
     raster = buf[pos:pos + width * height]
     if len(raster) != width * height:
-        raise ValueError("truncated PGM raster")
+        raise ValueError("%s: truncated PGM raster" % path)
     px = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
     return GrayImage(width=width, height=height, pixels=px.reshape(height, width))

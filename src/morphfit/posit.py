@@ -4,14 +4,13 @@ scaled-orthographic solves with perspective correction.
 The solve runs in the usual computer-vision frame (x right, y down,
 z forward, depths positive). Results are converted back to this
 package's camera convention (y up, camera looking down -z) before they
-are returned, so angles are directly comparable with PoseParams.
+are returned, so angles are directly comparable with the pose vectors
+[rx ry rz tx ty tz] that camera.project_points takes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .camera import rotation_from_angles
 
 
 class DegenerateGeometryError(ValueError):
@@ -29,10 +28,8 @@ class Correspondences:
     def __post_init__(self):
         self.points2d = np.asarray(self.points2d, dtype=np.float64).reshape(-1, 2)
         self.points3d = np.asarray(self.points3d, dtype=np.float64)
-        if self.points3d.ndim != 2 or self.points3d.shape[1] not in (3, 4):
-            raise ValueError("points3d must be (n, 3) or (n, 4)")
-        if self.points3d.shape[1] == 4:
-            self.points3d = self.points3d[:, :3] / self.points3d[:, 3:4]
+        if self.points3d.ndim != 2 or self.points3d.shape[1] != 3:
+            raise ValueError("points3d must be (n, 3)")
         if self.points2d.shape[0] != self.points3d.shape[0]:
             raise ValueError("2D/3D point counts differ")
         if self.points2d.shape[0] < 4:
@@ -132,8 +129,3 @@ def euler_from_rotation(rot):
         ry = np.arctan2(r[0, 2], r[2, 2])
         rz = np.arctan2(r[1, 0], r[1, 1])
     return np.degrees(rx), np.degrees(ry), np.degrees(rz)
-
-
-def rotation_from_euler(rx, ry, rz):
-    """Inverse of euler_from_rotation (degrees)."""
-    return rotation_from_angles(rx, ry, rz)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import TokenReader, atomic_write_text, fmt_row
+from .util import TokenReader, atomic_write, fmt_row
 
 LANDMARK_COUNT = 17
 
@@ -79,10 +79,8 @@ def instance_shape(model, alpha):
 
 
 def select_landmarks(model, alpha):
-    """Landmark vertices of the instance, as (n, 4) homogeneous points in mm."""
-    verts = instance_shape(model, alpha).reshape(-1, 3)
-    pts = verts[model.landmark_ids]
-    return np.hstack([pts, np.ones((pts.shape[0], 1))])
+    """Landmark vertices of the instance, as (n, 3) points in mm."""
+    return instance_shape(model, alpha).reshape(-1, 3)[model.landmark_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ def save_model(model, path):
     lines.extend(fmt_row(row) for row in model.basis)
     lines.append("tris:")
     lines.extend("%d %d %d" % tuple(t) for t in model.triangles)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_model(path):

@@ -14,15 +14,15 @@ Everything is deterministic given the seeds.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import CameraConfig, PoseParams, build_modelview
+from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_image
 from .shape_model import instance_shape
-from .util import atomic_write_text, fmt_float, parallel_map
+from .util import atomic_write, fmt_float, parallel_map
 
 
 class RenderError(RuntimeError):
@@ -105,18 +105,13 @@ def render(model, theta, rc):
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     alpha = np.zeros(model.num_modes)
     alpha[:theta.shape[0] - 6] = theta[6:]
-    pose = PoseParams.from_array(theta[:6])
     cam = rc.cam
 
     verts = instance_shape(model, alpha).reshape(-1, 3)
-    mv = build_modelview(pose)
-    vc = verts @ mv[:3, :3].T + mv[:3, 3]
+    uv, visible = project_points(verts, theta[:6], cam)
+    u, v = uv[:, 0], uv[:, 1]
+    vc = to_camera(verts, theta[:6])
     depth = -vc[:, 2]
-    visible = depth > 1e-6
-    u = np.full(len(verts), np.nan)
-    v = np.full(len(verts), np.nan)
-    u[visible] = cam.cx + cam.focal * vc[visible, 0] / depth[visible]
-    v[visible] = cam.cy - cam.focal * vc[visible, 1] / depth[visible]
 
     h, w = cam.height, cam.width
     img = 0.1 + 0.8 * noise_image(w, h, rc.background_scale, rc.background_seed)
@@ -277,8 +272,8 @@ def write_dataset(path, samples, pc):
     for s in samples:
         write_pgm(s.image, os.path.join(path, "images", s.id + ".pgm"))
     n_shape = pc.n_shape
-    atomic_write_text(os.path.join(path, "labels.csv"), _csv_lines(samples, "gt", n_shape))
-    atomic_write_text(os.path.join(path, "inits.csv"), _csv_lines(samples, "init", n_shape))
+    atomic_write(os.path.join(path, "labels.csv"), _csv_lines(samples, "gt", n_shape).encode())
+    atomic_write(os.path.join(path, "inits.csv"), _csv_lines(samples, "init", n_shape).encode())
     fields = [
         ("range_deg", fmt_float(pc.range_deg)),
         ("step_train", fmt_float(pc.step_train)),
@@ -293,41 +288,47 @@ def write_dataset(path, samples, pc):
         ("n_shape", str(pc.n_shape)),
         ("seed", str(pc.seed)),
     ]
-    atomic_write_text(os.path.join(path, "protocol.txt"),
-                      "\n".join("%s %s" % kv for kv in fields) + "\n")
+    atomic_write(os.path.join(path, "protocol.txt"),
+                 ("\n".join("%s %s" % kv for kv in fields) + "\n").encode())
 
 
 def load_protocol(path):
+    fname = os.path.join(path, "protocol.txt")
     values = {}
-    with open(os.path.join(path, "protocol.txt")) as f:
+    with open(fname) as f:
         for line in f:
-            if line.strip():
-                key, val = line.split(None, 1)
-                values[key] = val.strip()
-    return ProtocolConfig(
-        range_deg=float(values["range_deg"]),
-        step_train=float(values["step_train"]),
-        step_test=float(values["step_test"]),
-        trans_sigma=float(values["trans_sigma"]),
-        tz=float(values["tz"]),
-        focal=float(values["focal"]),
-        width=int(values["width"]),
-        height=int(values["height"]),
-        backgrounds=int(values["backgrounds"]),
-        init_offset=float(values["init_offset"]),
-        n_shape=int(values["n_shape"]),
-        seed=int(values["seed"]),
-    )
+            parts = line.split(None, 1)
+            if len(parts) == 1:
+                raise ValueError("%s: field %r has no value" % (fname, parts[0]))
+            if parts:
+                values[parts[0]] = parts[1].strip()
+    kwargs = {}
+    for f in fields(ProtocolConfig):
+        if f.name not in values:
+            raise ValueError("%s: missing field %r" % (fname, f.name))
+        try:
+            kwargs[f.name] = f.type(values[f.name])  # every field is an int or a float
+        except ValueError as e:
+            raise ValueError("%s: field %r: %s" % (fname, f.name, e)) from None
+    return ProtocolConfig(**kwargs)
 
 
 def _read_csv(path):
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
+    if not lines:
+        raise ValueError("%s: empty file" % path)
     header = lines[0].split(",")
     rows = {}
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
-        rows[parts[0]] = np.array([float(x) for x in parts[1:]])
+        if len(parts) != len(header):
+            raise ValueError("%s: row %d has %d fields, header has %d"
+                             % (path, row, len(parts), len(header)))
+        try:
+            rows[parts[0]] = np.array([float(x) for x in parts[1:]])
+        except ValueError as e:
+            raise ValueError("%s: row %d: %s" % (path, row, e)) from None
     return header, rows
 
 

@@ -18,21 +18,8 @@ def fmt_row(values):
     return " ".join(fmt_float(v) for v in values)
 
 
-def atomic_write_text(path, text):
-    path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path, data):
+def atomic_write(path, data):
+    """Write bytes to path atomically; text callers encode first."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix="~")

@@ -16,7 +16,7 @@ import pytest
 from test_cascade import gd_ridge_oracle
 from test_features import oracle_descriptor
 
-from morphfit import CameraConfig, Correspondences, PoseParams, TrainConfig, \
+from morphfit import CameraConfig, Correspondences, TrainConfig, \
     euler_from_rotation, extract_descriptor, make_procedural_model, posit, \
     project_points, save_model, save_regressor, select_landmarks, train_cascade, \
     train_stage
@@ -125,11 +125,11 @@ def _posit_mae(model, samples, cam, noise_px, seed):
     errs = []
     for s in samples:
         pts3d = select_landmarks(model, np.zeros(model.num_modes))
-        uv, ok = project_points(pts3d, PoseParams.from_array(s.theta_gt[:6]), cam)
+        uv, ok = project_points(pts3d, s.theta_gt[:6], cam)
         assert ok.all()
         if noise_px > 0:
             uv = uv + rng.normal(0.0, noise_px, uv.shape)
-        res = posit(Correspondences(points2d=uv, points3d=pts3d[:, :3],
+        res = posit(Correspondences(points2d=uv, points3d=pts3d,
                                     focal=cam.focal, cx=cam.cx, cy=cam.cy))
         angles = euler_from_rotation(res.rotation)
         errs.append(np.abs(np.array(angles) - s.theta_gt[:3]))
@@ -209,10 +209,11 @@ def test_criterion_7_descriptor_oracle():
 
 def test_criterion_8_projection_oracle():
     cam = CameraConfig(focal=1500.0, width=640, height=480)
-    uv1, _ = project_points(np.array([[0.0, 0.0, 0.0, 1.0]]), PoseParams(tz=-1200.0), cam)
-    uv2, _ = project_points(np.array([[10.0, 0.0, 0.0, 1.0]]), PoseParams(tz=-1200.0), cam)
-    uv3, _ = project_points(np.array([[10.0, 0.0, 0.0, 1.0]]),
-                            PoseParams(rz=180.0, tz=-1200.0), cam)
+    ahead = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
+    rolled = np.array([0.0, 0.0, 180.0, 0.0, 0.0, -1200.0])
+    uv1, _ = project_points(np.array([[0.0, 0.0, 0.0]]), ahead, cam)
+    uv2, _ = project_points(np.array([[10.0, 0.0, 0.0]]), ahead, cam)
+    uv3, _ = project_points(np.array([[10.0, 0.0, 0.0]]), rolled, cam)
     hand = max(np.abs(uv1[0] - [320.0, 240.0]).max(),
                np.abs(uv2[0] - [332.5, 240.0]).max(),
                np.abs(uv3[0] - [307.5, 240.0]).max())

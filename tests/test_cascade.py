@@ -102,6 +102,13 @@ def test_param_scale_round_trip_and_guard():
     np.testing.assert_array_equal(s2.std, [1.0, 1.0])
 
 
+def test_param_scale_rejects_non_finite():
+    for mean, std in (([np.nan], [1.0]), ([np.inf], [1.0]), ([0.0], [np.nan]),
+                      ([0.0], [np.inf]), ([0.0], [0.0])):
+        with pytest.raises(ValueError):
+            ParamScale(mean=mean, std=std)
+
+
 @pytest.fixture(scope="module")
 def mini_training(small_model_mod, small_cam_mod):
     pc = ProtocolConfig(range_deg=20.0, step_train=20.0, step_test=20.0,
@@ -187,6 +194,24 @@ def test_fit_reports_failing_stage(mini_training, small_model_mod):
         fit(samples[0].image, np.zeros(7), reg, small_model_mod, pc.camera())
 
 
+def test_fit_fails_loudly_on_non_finite_theta(mini_training, small_model_mod):
+    samples, pc = mini_training
+    p = 6
+    nan_update = WeakRegressor(A=np.zeros((p, 17 * 128)), b=np.full(p, np.nan))
+    s = samples[0]
+    for n_stages in (1, 2):
+        reg = CascadeRegressor(stages=[nan_update] * n_stages,
+                               scale=ParamScale(np.zeros(p), np.ones(p)),
+                               feature_dim=17 * 128, layout=param_layout(0))
+        with pytest.raises(FitError) as exc:
+            fit(s.image, s.theta_init, reg, small_model_mod, pc.camera(), patch_size=32)
+        assert exc.value.stage == 0
+    bad_init = s.theta_init.copy()
+    bad_init[4] = np.inf
+    with pytest.raises(ValueError):
+        fit(s.image, bad_init, reg, small_model_mod, pc.camera(), patch_size=32)
+
+
 def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, caplog):
     import logging
     from morphfit.synth import TrainingSample
@@ -245,6 +270,22 @@ def test_mfr_rejects_unknown_version(tmp_path):
     bad.write_text(text + "1.5\n")
     with pytest.raises(ValueError):
         load_regressor(bad)
+
+
+def test_mfr_rejects_non_finite_scale(tmp_path):
+    p = 2
+    reg = CascadeRegressor(
+        stages=[WeakRegressor(A=np.ones((p, 3)), b=np.zeros(p))],
+        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=["rx", "ry"])
+    path = tmp_path / "reg.mfr"
+    save_regressor(reg, path)
+    lines = path.read_text().splitlines()
+    std_row = lines.index("scale:") + 2
+    assert lines[std_row] == "1 1"
+    lines[std_row] = "nan 1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="std"):
+        load_regressor(path)
 
 
 def test_cascade_regressor_validates_dimensions():

@@ -146,14 +146,14 @@ def test_fit_init_noise_is_seeded(workspace, tmp_path):
 
 
 def test_fit_from_landmark_csv(workspace, tmp_path):
-    from morphfit import CameraConfig, PoseParams, project_points, select_landmarks
+    from morphfit import CameraConfig, project_points, select_landmarks
     from morphfit.synth import load_dataset
     samples, pc = load_dataset(workspace["test"])
     s = samples[0]
     model = load_model(workspace["model"])
     cam = CameraConfig(focal=500.0, width=160, height=120)
     pts3d = select_landmarks(model, np.zeros(model.num_modes))
-    uv, ok = project_points(pts3d, PoseParams.from_array(s.theta_gt[:6]), cam)
+    uv, ok = project_points(pts3d, s.theta_gt[:6], cam)
     lm_path = str(tmp_path / "landmarks.csv")
     with open(lm_path, "w") as f:
         f.write("u,v,X,Y,Z\n")
@@ -188,10 +188,10 @@ def test_eval_both_regimes(workspace, tmp_path):
 
 
 def test_posit_single_pose(workspace, tmp_path):
-    from morphfit import CameraConfig, PoseParams, project_points, select_landmarks
+    from morphfit import CameraConfig, project_points, select_landmarks
     model = load_model(workspace["model"])
     cam = CameraConfig(focal=1500.0, width=640, height=480)
-    pose = PoseParams(rx=10.0, ry=-15.0, rz=4.0, tz=-1200.0)
+    pose = np.array([10.0, -15.0, 4.0, 0.0, 0.0, -1200.0])
     pts3d = select_landmarks(model, np.zeros(model.num_modes))
     uv, _ = project_points(pts3d, pose, cam)
     path = str(tmp_path / "pts.csv")

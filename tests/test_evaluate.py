@@ -105,6 +105,38 @@ def test_fixed_regime_stage0_is_eleven(tiny_eval_setup):
     assert rep.mae_per_stage[0] == pytest.approx(11.0)
 
 
+def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
+    from morphfit import GrayImage
+    from morphfit.synth import TrainingSample
+    model, pc, samples = tiny_eval_setup
+    # a huge update overflows to inf on textured images; a blank image has
+    # all-zero descriptors, so its update stays finite
+    huge = WeakRegressor(A=np.full((6, 17 * 128), 1e308), b=np.zeros(6))
+    reg = CascadeRegressor(stages=[huge, huge], scale=ParamScale(np.zeros(6), np.ones(6)),
+                           feature_dim=17 * 128, layout=param_layout(0))
+    blank = TrainingSample(image=GrayImage(width=160, height=120, pixels=np.zeros((120, 160))),
+                           theta_gt=samples[0].theta_gt, theta_init=samples[0].theta_init,
+                           id="blank")
+    with np.errstate(over="ignore"):
+        rep = evaluate(list(samples) + [blank], reg, model, pc.camera(), regime="uniform")
+    assert rep.n_samples == 1
+    assert rep.n_failures == len(samples)
+    assert np.all(np.isfinite(rep.mae_per_stage))
+
+
+def test_read_report_rejects_empty_and_short_rows(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="report.csv.*empty"):
+        read_report(path)
+    path.write_text("stage,mae_deg,shape_cosine,n_samples,regime\n0,1.5,nan\n")
+    with pytest.raises(ValueError, match="report.csv.*row 1"):
+        read_report(path)
+    path.write_text("stage,mae_deg,shape_cosine,n_samples,regime\n0,x,nan,3,uniform\n")
+    with pytest.raises(ValueError, match="report.csv.*row 1"):
+        read_report(path)
+
+
 def test_report_round_trip(tmp_path, tiny_eval_setup):
     model, pc, samples = tiny_eval_setup
     zero = WeakRegressor(A=np.zeros((6, 17 * 128)), b=np.zeros(6))

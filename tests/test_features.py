@@ -204,6 +204,16 @@ def test_pgm_rejects_garbage(tmp_path):
         read_pgm(p)
 
 
+def test_pgm_header_errors_name_file_and_field(tmp_path):
+    p = tmp_path / "bad.pgm"
+    for data, field in ((b"P5\n4 x\n255\n", "height"), (b"P5\n4", "height"),
+                        (b"P5\n", "width"), (b"P5\n4 4\n", "maxval"),
+                        (b"P5\n0 4\n255\n", "empty")):
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match="bad.pgm.*" + field):
+            read_pgm(p)
+
+
 def test_pgm_handles_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")

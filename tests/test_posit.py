@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from morphfit import CameraConfig, Correspondences, DegenerateGeometryError, PoseParams, \
-    euler_from_rotation, make_procedural_model, posit, project_points, select_landmarks
+from morphfit import CameraConfig, Correspondences, DegenerateGeometryError, \
+    euler_from_rotation, make_procedural_model, posit, project_points, select_landmarks, \
+    to_camera
 from morphfit.camera import rotation_from_angles
 
 CAM = CameraConfig(focal=1500.0, width=640, height=480)
@@ -12,7 +13,7 @@ def exact_correspondences(model, pose, cam=CAM):
     pts3d = select_landmarks(model, np.zeros(model.num_modes))
     uv, ok = project_points(pts3d, pose, cam)
     assert ok.all()
-    return Correspondences(points2d=uv, points3d=pts3d[:, :3], focal=cam.focal,
+    return Correspondences(points2d=uv, points3d=pts3d, focal=cam.focal,
                            cx=cam.cx, cy=cam.cy)
 
 
@@ -52,14 +53,14 @@ def test_euler_rejects_non_rotation():
 def test_posit_recovers_exact_pose(small_model):
     rng = np.random.default_rng(31)
     for _ in range(10):
-        pose = PoseParams(rx=rng.uniform(-30, 30), ry=rng.uniform(-30, 30),
-                          rz=rng.uniform(-20, 20), tx=rng.uniform(-20, 20),
-                          ty=rng.uniform(-20, 20), tz=-1200.0)
+        pose = np.array([rng.uniform(-30, 30), rng.uniform(-30, 30),
+                         rng.uniform(-20, 20), rng.uniform(-20, 20),
+                         rng.uniform(-20, 20), -1200.0])
         res = posit(exact_correspondences(small_model, pose))
         assert res.converged
         rx, ry, rz = euler_from_rotation(res.rotation)
-        np.testing.assert_allclose([rx, ry, rz], [pose.rx, pose.ry, pose.rz], atol=0.01)
-        np.testing.assert_allclose(res.translation, [pose.tx, pose.ty, pose.tz], atol=0.5)
+        np.testing.assert_allclose([rx, ry, rz], pose[:3], atol=0.01)
+        np.testing.assert_allclose(res.translation, pose[3:], atol=0.5)
         assert np.max(np.abs(res.rotation.T @ res.rotation - np.eye(3))) <= 1e-9
         assert abs(np.linalg.det(res.rotation) - 1.0) <= 1e-9
 
@@ -67,21 +68,20 @@ def test_posit_recovers_exact_pose(small_model):
 def test_posit_orthographic_limit(small_model):
     # exact scaled-orthographic projections at extreme distance: one
     # perspective-correction round recovers the pose
-    pose = PoseParams(rx=12.0, ry=-18.0, rz=7.0, tz=-1.0e6)
-    pts3d = select_landmarks(small_model, np.zeros(small_model.num_modes))[:, :3]
-    r = rotation_from_angles(pose.rx, pose.ry, pose.rz)
-    pc = pts3d @ r.T + [pose.tx, pose.ty, pose.tz]
+    pose = np.array([12.0, -18.0, 7.0, 0.0, 0.0, -1.0e6])
+    pts3d = select_landmarks(small_model, np.zeros(small_model.num_modes))
+    pc = to_camera(pts3d, pose)
     z0 = -pc[0, 2]
     uv = np.stack([CAM.cx + CAM.focal * pc[:, 0] / z0,
                    CAM.cy - CAM.focal * pc[:, 1] / z0], axis=1)
     res = posit(Correspondences(points2d=uv, points3d=pts3d, focal=CAM.focal,
                                 cx=CAM.cx, cy=CAM.cy), max_iters=1)
     rx, ry, rz = euler_from_rotation(res.rotation)
-    np.testing.assert_allclose([rx, ry, rz], [pose.rx, pose.ry, pose.rz], atol=0.1)
+    np.testing.assert_allclose([rx, ry, rz], pose[:3], atol=0.1)
 
 
 def test_posit_scale_invariance(small_model):
-    pose = PoseParams(rx=8.0, ry=-14.0, rz=5.0, tz=-1200.0)
+    pose = np.array([8.0, -14.0, 5.0, 0.0, 0.0, -1200.0])
     corr = exact_correspondences(small_model, pose)
     res1 = posit(corr)
     for c in (10.0, 0.01):
@@ -94,7 +94,7 @@ def test_posit_scale_invariance(small_model):
 
 def test_posit_noise_degrades_but_runs(small_model):
     rng = np.random.default_rng(32)
-    pose = PoseParams(rx=10.0, ry=20.0, rz=0.0, tz=-1200.0)
+    pose = np.array([10.0, 20.0, 0.0, 0.0, 0.0, -1200.0])
     corr = exact_correspondences(small_model, pose)
     noisy = Correspondences(points2d=corr.points2d + rng.normal(0, 5, corr.points2d.shape),
                             points3d=corr.points3d, focal=corr.focal,
@@ -118,7 +118,7 @@ def test_posit_rejects_degenerate_geometry():
 
 def test_posit_nonconvergence_flagged(small_model):
     rng = np.random.default_rng(34)
-    pose = PoseParams(rx=10.0, ry=5.0, rz=0.0, tz=-1200.0)
+    pose = np.array([10.0, 5.0, 0.0, 0.0, 0.0, -1200.0])
     corr = exact_correspondences(small_model, pose)
     noisy = Correspondences(points2d=corr.points2d + rng.normal(0, 3, corr.points2d.shape),
                             points3d=corr.points3d, focal=corr.focal,
@@ -131,7 +131,7 @@ def test_posit_nonconvergence_flagged(small_model):
 
 def test_posit_on_full_scale_model():
     model = make_procedural_model(42, 500, 10)
-    pose = PoseParams(rx=-25.0, ry=30.0, rz=0.0, tx=2.0, ty=-1.5, tz=-1200.0)
+    pose = np.array([-25.0, 30.0, 0.0, 2.0, -1.5, -1200.0])
     res = posit(exact_correspondences(model, pose))
     rx, ry, rz = euler_from_rotation(res.rotation)
     np.testing.assert_allclose([rx, ry, rz], [-25.0, 30.0, 0.0], atol=0.01)

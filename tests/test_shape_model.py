@@ -70,7 +70,7 @@ def test_select_landmarks_identity_row():
     m = tiny_model(rng)
     m.landmark_ids = np.array([0])
     pts = select_landmarks(m, np.zeros(3))
-    np.testing.assert_array_equal(pts, [[m.mean[0], m.mean[1], m.mean[2], 1.0]])
+    np.testing.assert_array_equal(pts, [[m.mean[0], m.mean[1], m.mean[2]]])
 
 
 def test_select_landmarks_order_and_gather():
@@ -80,9 +80,9 @@ def test_select_landmarks_order_and_gather():
     pts = select_landmarks(m, alpha)
     verts = instance_shape(m, alpha).reshape(-1, 3)
     # brute-force row gather
+    assert pts.shape == (5, 3)
     for row, lid in zip(pts, m.landmark_ids):
-        np.testing.assert_array_equal(row[:3], verts[lid])
-        assert row[3] == 1.0
+        np.testing.assert_array_equal(row, verts[lid])
     # permuting landmark ids permutes rows identically
     perm = np.array([3, 1, 4, 0, 2])
     m2 = ShapeModel(vertex_count=m.vertex_count, mean=m.mean, basis=m.basis,

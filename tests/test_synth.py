@@ -179,6 +179,32 @@ def test_dataset_round_trip(tmp_path, small_model):
         np.testing.assert_allclose(s.image.pixels, orig.image.pixels, atol=1e-12)
 
 
+def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    out = tmp_path / "ds"
+    write_dataset(out, generate_set(small_model, pc, "train")[:2], pc)
+    labels = (out / "labels.csv").read_text()
+    protocol = (out / "protocol.txt").read_text()
+
+    (out / "labels.csv").write_text("")
+    with pytest.raises(ValueError, match="labels.csv.*empty"):
+        load_dataset(out)
+    (out / "labels.csv").write_text(labels.replace(",-1200", "", 1))
+    with pytest.raises(ValueError, match="labels.csv.*row 1"):
+        load_dataset(out)
+    (out / "labels.csv").write_text(labels)
+
+    (out / "protocol.txt").write_text(protocol.replace("focal ", "focus ", 1))
+    with pytest.raises(ValueError, match="protocol.txt.*missing field 'focal'"):
+        load_dataset(out)
+    (out / "protocol.txt").write_text(protocol.replace("width 160", "width many", 1))
+    with pytest.raises(ValueError, match="protocol.txt.*'width'"):
+        load_dataset(out)
+    (out / "protocol.txt").write_text(protocol + "seed\n")
+    with pytest.raises(ValueError, match="protocol.txt.*'seed' has no value"):
+        load_dataset(out)
+
+
 def test_protocol_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(range_deg=30.0, step_train=7.0)
