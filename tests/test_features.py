@@ -195,22 +195,15 @@ def test_pgm_round_trip(tmp_path):
 
 
 def test_pgm_rejects_garbage(tmp_path):
+    # every error names the file and the problem
     p = tmp_path / "bad.pgm"
-    p.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
-    with pytest.raises(ValueError):
-        read_pgm(p)
-    p.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(ValueError):
-        read_pgm(p)
-
-
-def test_pgm_header_errors_name_file_and_field(tmp_path):
-    p = tmp_path / "bad.pgm"
-    for data, field in ((b"P5\n4 x\n255\n", "height"), (b"P5\n4", "height"),
-                        (b"P5\n", "width"), (b"P5\n4 4\n", "maxval"),
-                        (b"P5\n0 4\n255\n", "empty")):
+    for data, problem in ((b"P2\n2 2\n255\n0 0 0 0\n", "P5"),
+                          (b"P5\n4 4\n255\n\x00\x00", "truncated"),
+                          (b"P5\n4 x\n255\n", "height"), (b"P5\n4", "height"),
+                          (b"P5\n", "width"), (b"P5\n4 4\n", "maxval"),
+                          (b"P5\n0 4\n255\n", "empty")):
         p.write_bytes(data)
-        with pytest.raises(ValueError, match="bad.pgm.*" + field):
+        with pytest.raises(ValueError, match="bad.pgm.*" + problem):
             read_pgm(p)
 
 
