@@ -68,7 +68,7 @@ class WeakRegressor:
     b: np.ndarray  # (p,)
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
+        self.A = np.ascontiguousarray(self.A, dtype=np.float64)  # C order, as MFR1 loads
         self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if self.A.ndim != 2 or self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A must be (p, F) with b of length p")
@@ -128,10 +128,10 @@ def train_stage(features, deltas, lam):
     dm = d.mean(axis=0)
     fc = f - fm
     dc = d - dm
-    gram = fc.T @ fc
-    gram[np.diag_indices_from(gram)] += lam
-    a_t = np.linalg.solve(gram, fc.T @ dc)
-    a = a_t.T
+    # fc = U diag(s) Vt (thin, any M and F): A = dc' U diag(s / (s^2 + lam)) Vt
+    u, s, vt = np.linalg.svd(fc, full_matrices=False)
+    gain = np.divide(s, s * s + lam, out=np.zeros_like(s), where=s > 0)
+    a = ((u.T @ dc) * gain[:, None]).T @ vt
     return WeakRegressor(A=a, b=dm - a @ fm)
 
 

@@ -4,12 +4,18 @@ Each descriptor summarizes a square window around a (possibly fractional)
 pixel location as a 4x4 grid of cells with 8 orientation bins per cell:
 128 values, L2-normalized, clamped at 0.2 and renormalized. No scale
 pyramid, no dominant-orientation alignment, no keypoint detection.
+Binning is dense, HOG style (Dalal & Triggs, CVPR 2005): one call builds 8
+soft-binned gradient-magnitude planes over the bounding box of its windows.
+The Gaussian and bilinear cell weights are separable, so each descriptor is
+Wr . planes[:, window] . Wc^T, with Wr and Wc the 4 x patch_size weights.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .camera import project_points
+from .shape_model import select_landmarks
 from .util import atomic_write
 
 DESCRIPTOR_SIZE = 128
@@ -22,7 +28,7 @@ DEFAULT_PATCH_SIZE = 96
 
 
 class FeatureError(RuntimeError):
-    """No usable landmark projections: feature vector cannot be assembled."""
+    """No landmark window reads the image: feature vector cannot be assembled."""
 
 
 @dataclass
@@ -43,120 +49,108 @@ class GrayImage:
         return GrayImage(width=px.shape[1], height=px.shape[0], pixels=px)
 
 
-def _window_gradients(img, x0, y0, size):
-    """Gradients over an integer window [x0, x0+size) x [y0, y0+size).
-
-    Central differences on a zero-padded copy of the image, so reads that
-    fall outside the raster contribute 0 intensity.
+def _orientation_planes(img, x0, y0, x1, y1):
+    """(8, y1-y0, x1-x0) planes over the box [x0, x1) x [y0, y1), which lies
+    in the image grown by one pixel: the central-difference gradient magnitude
+    of the zero-padded image, split linearly between the 2 nearest of 8 bins.
+    Updates run in place and temporaries go early: fresh box-sized arrays
+    cost more than the arithmetic, and raise the process's peak memory.
     """
-    h, w = img.pixels.shape
-    patch = np.zeros((size + 2, size + 2))
-    ys0, ys1 = max(0, y0 - 1), min(h, y0 + size + 1)
-    xs0, xs1 = max(0, x0 - 1), min(w, x0 + size + 1)
-    if ys0 < ys1 and xs0 < xs1:
-        patch[ys0 - (y0 - 1):ys1 - (y0 - 1), xs0 - (x0 - 1):xs1 - (x0 - 1)] = \
-            img.pixels[ys0:ys1, xs0:xs1]
-    gx = patch[1:-1, 2:] - patch[1:-1, :-2]
-    gy = patch[2:, 1:-1] - patch[:-2, 1:-1]
-    return gx, gy
+    pad = np.zeros((y1 - y0 + 2, x1 - x0 + 2))
+    ya, xa = max(y0 - 1, 0), max(x0 - 1, 0)
+    src = img.pixels[ya:y1 + 1, xa:x1 + 1]
+    pad[ya - y0 + 1:ya - y0 + 1 + src.shape[0], xa - x0 + 1:xa - x0 + 1 + src.shape[1]] = src
+    gx = pad[1:-1, 2:] - pad[1:-1, :-2]
+    gy = pad[2:, 1:-1] - pad[:-2, 1:-1]
+    del pad
+    fo = np.arctan2(gy, gx).ravel()
+    fo *= 4.0 / np.pi
+    n = fo.shape[0]
+    idx = np.floor(fo)
+    fo -= idx  # the share of the upper bin
+    idx = (idx.astype(np.int64) & 7) * n + np.arange(n)  # lower bin mod 8, then pixel
+    gx *= gx
+    gx += np.square(gy, out=gy)
+    del gy
+    mag = np.sqrt(gx, out=gx).ravel()
+    planes = np.zeros(8 * n)
+    planes[idx] = mag * (1.0 - fo)
+    fo *= mag
+    idx += n
+    idx %= 8 * n
+    planes[idx] = fo
+    return planes.reshape(8, y1 - y0, x1 - x0)
 
 
-def extract_descriptor(img, center, patch_size=DEFAULT_PATCH_SIZE):
-    """128-vector descriptor of the patch_size window centered at `center`.
-
-    The window covers integer pixels whose offset from the center lies in
-    [-patch_size/2, patch_size/2). Gradient votes are weighted by a
-    Gaussian (sigma = patch_size/2) and spread bilinearly over the 4x4
-    cell grid and linearly over the two nearest of 8 orientation bins.
-    Textureless windows give the zero vector.
+def _descriptors(img, centers, patch_size):
+    """(n, 128) descriptors of the windows at `centers` (n, 2), and the mask
+    of windows that read the raster: gradients are nonzero only on the image
+    grown by one pixel. The other windows (NaN centers too) get the zero
+    vector and are left out of the planes' box, which is clipped to it.
     """
     patch_size = int(patch_size)
     if patch_size <= 0 or patch_size % 4 != 0:
         raise ValueError("patch_size must be a positive multiple of 4")
-    cx, cy = float(center[0]), float(center[1])
+    h, w = img.pixels.shape
     half = patch_size / 2.0
-    x0 = int(np.ceil(cx - half))
-    y0 = int(np.ceil(cy - half))
+    corners = np.ceil(centers - half)
+    reads = np.all((corners < [w + 1, h + 1]) & (corners + patch_size > -1), axis=1)
+    out = np.zeros((centers.shape[0], DESCRIPTOR_SIZE))
+    idx = np.flatnonzero(reads)
+    if not idx.size:
+        return out, reads
+    bx0, by0 = np.maximum(corners[idx].min(axis=0), -1).astype(np.int64)
+    bx1, by1 = np.minimum(corners[idx].max(axis=0) + patch_size, [w + 1, h + 1]).astype(np.int64)
+    planes = _orientation_planes(img, bx0, by0, bx1, by1)
+    # Wc, Wr of every window, (n, x/y, cell, pixel): Gaussian x bilinear
+    offsets = (corners[idx, :, None] + np.arange(patch_size) - centers[idx, :, None])[:, :, None]
+    dist = np.abs((offsets + half) / (patch_size / 4.0) - 0.5 - np.arange(4.0)[:, None])
+    weights = np.exp(-offsets ** 2 / (2.0 * half ** 2)) * np.maximum(0.0, 1.0 - dist)
+    for (wc, wr), i in zip(weights, idx):
+        x0, y0 = corners[i].astype(np.int64)
+        xa, xb = max(x0, bx0), min(x0 + patch_size, bx1)
+        ya, yb = max(y0, by0), min(y0 + patch_size, by1)
+        window = planes[:, ya - by0:yb - by0, xa - bx0:xb - bx0]
+        hist = wr[:, ya - y0:yb - y0] @ (window @ wc[:, xa - x0:xb - x0].T)
+        norm = np.linalg.norm(hist)
+        if norm >= 1e-12:
+            desc = np.minimum(hist.transpose(1, 2, 0).ravel() / norm, _CLAMP)
+            out[i] = desc / np.linalg.norm(desc)
+    return out, reads
 
-    gx, gy = _window_gradients(img, x0, y0, patch_size)
-    mag = np.hypot(gx, gy)
-    if not np.any(mag > 0):
-        return np.zeros(DESCRIPTOR_SIZE)
-    ang = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
 
-    # Offsets of each sample from the window center.
-    ox = (x0 + np.arange(patch_size)) - cx
-    oy = (y0 + np.arange(patch_size)) - cy
-    oxg, oyg = np.meshgrid(ox, oy)
-
-    sigma = patch_size / 2.0
-    weight = np.exp(-(oxg ** 2 + oyg ** 2) / (2.0 * sigma ** 2))
-    vote = (mag * weight).ravel()
-
-    cell = patch_size / 4.0
-    rbin = ((oyg + half) / cell - 0.5).ravel()
-    cbin = ((oxg + half) / cell - 0.5).ravel()
-    obin = (ang * (8.0 / (2.0 * np.pi))).ravel()
-
-    r0 = np.floor(rbin).astype(np.int64)
-    c0 = np.floor(cbin).astype(np.int64)
-    o0 = np.floor(obin).astype(np.int64) % 8
-    fr = rbin - np.floor(rbin)
-    fc = cbin - np.floor(cbin)
-    fo = obin - np.floor(obin)
-
-    idx_parts = []
-    w_parts = []
-    for dr in (0, 1):
-        rr = r0 + dr
-        wr = fr if dr else 1.0 - fr
-        for dc in (0, 1):
-            cc = c0 + dc
-            wc = fc if dc else 1.0 - fc
-            ok = (rr >= 0) & (rr < 4) & (cc >= 0) & (cc < 4)
-            for do in (0, 1):
-                oo = (o0 + do) % 8
-                wo = fo if do else 1.0 - fo
-                idx_parts.append(((rr * 4 + cc) * 8 + oo)[ok])
-                w_parts.append((vote * wr * wc * wo)[ok])
-    hist = np.bincount(np.concatenate(idx_parts),
-                       weights=np.concatenate(w_parts),
-                       minlength=DESCRIPTOR_SIZE)
-
-    norm = np.linalg.norm(hist)
-    if norm < 1e-12:
-        return np.zeros(DESCRIPTOR_SIZE)
-    desc = hist / norm
-    desc = np.minimum(desc, _CLAMP)
-    return desc / np.linalg.norm(desc)
+def extract_descriptor(img, center, patch_size=DEFAULT_PATCH_SIZE):
+    """128-vector descriptor of the patch_size window centered at `center`:
+    the integer pixels whose offset from the center lies in
+    [-patch_size/2, patch_size/2), weighted by a Gaussian (sigma =
+    patch_size/2). Textureless and off-image windows give the zero vector.
+    """
+    center = np.asarray(center, dtype=np.float64).reshape(1, 2)
+    if not np.all(np.isfinite(center)):
+        raise ValueError("descriptor center must be finite")
+    return _descriptors(img, center, patch_size)[0][0]
 
 
 def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE):
     """Concatenated landmark descriptors for parameter vector theta.
 
     theta is [rx ry rz tx ty tz alpha...]; missing trailing shape
-    coefficients are treated as zero. Landmarks that fail to project
-    contribute a zero descriptor; if every landmark fails, the model is
-    entirely behind the camera and a FeatureError is raised.
+    coefficients are treated as zero. Landmarks that fail to project or whose
+    window lies off the image contribute a zero descriptor; if all do (the
+    model is behind the camera or off the image), FeatureError is raised.
     """
-    from .camera import project_points
-    from .shape_model import select_landmarks
-
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape[0] < 6 or theta.shape[0] > 6 + model.num_modes:
         raise ValueError("theta must have 6..6+K entries")
     alpha = np.zeros(model.num_modes)
     alpha[:theta.shape[0] - 6] = theta[6:]
 
-    pts3d = select_landmarks(model, alpha)
-    uv, valid = project_points(pts3d, theta[:6], cam)
+    uv, valid = project_points(select_landmarks(model, alpha), theta[:6], cam)
     if not np.any(valid):
         raise FeatureError("all landmark projections failed")
-
-    blocks = np.zeros((pts3d.shape[0], DESCRIPTOR_SIZE))
-    for i in range(pts3d.shape[0]):
-        if valid[i]:
-            blocks[i] = extract_descriptor(img, uv[i], patch_size)
+    blocks, reads = _descriptors(img, uv, patch_size)
+    if not np.any(reads):
+        raise FeatureError("no landmark window overlaps the image")
     return blocks.reshape(-1)
 
 
@@ -209,5 +203,7 @@ def read_pgm(path):
     raster = buf[pos:pos + width * height]
     if len(raster) != width * height:
         raise ValueError("%s: truncated PGM raster" % path)
-    px = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
-    return GrayImage(width=width, height=height, pixels=px.reshape(height, width))
+    px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if px.max() > maxval:
+        raise ValueError("%s: PGM sample exceeds maxval %d" % (path, maxval))
+    return GrayImage(width=width, height=height, pixels=px / maxval)

@@ -48,6 +48,9 @@ class ShapeModel:
         k = self.basis.shape[1]
         if self.sigmas.shape != (k,):
             raise ValueError("sigmas length must equal mode count")
+        for name in ("mean", "basis", "sigmas"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite" % name)
         norms = np.linalg.norm(self.basis, axis=0)
         if k and np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("basis columns must be unit norm")

@@ -212,6 +212,19 @@ def test_fit_fails_loudly_on_non_finite_theta(mini_training, small_model_mod):
         fit(s.image, bad_init, reg, small_model_mod, pc.camera(), patch_size=32)
 
 
+def test_fit_fails_loudly_when_windows_leave_the_image(mini_training, small_model_mod):
+    # stage 0 moves the face 1e9 mm sideways; stage 1 finds no window on the image
+    samples, pc = mini_training
+    p = 6
+    shove = WeakRegressor(A=np.zeros((p, 17 * 128)), b=[0, 0, 0, 1e9, 0, 0])
+    reg = CascadeRegressor(stages=[shove, shove], scale=ParamScale(np.zeros(p), np.ones(p)),
+                           feature_dim=17 * 128, layout=param_layout(0))
+    with pytest.raises(FitError, match="no landmark window overlaps the image") as exc:
+        fit(samples[0].image, samples[0].theta_init, reg, small_model_mod, pc.camera(),
+            patch_size=32)
+    assert exc.value.stage == 1
+
+
 def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, caplog):
     import logging
     from morphfit.synth import TrainingSample
@@ -226,6 +239,14 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
     assert any("behind" in rec.getMessage() for rec in caplog.records)
     # the survivors still trained a full-size stage
     assert reg.stages[0].A.shape == (6, 17 * 128)
+    # samples whose every landmark window lies off the image are dropped too
+    off_image = TrainingSample(image=samples[0].image, theta_gt=samples[0].theta_gt,
+                               theta_init=np.array([0, 0, 0, 1e9, 0, -1200.0]),
+                               id="off_image")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
+        train_cascade(list(samples) + [off_image], cfg)
+    assert any("off_image" in rec.getMessage() for rec in caplog.records)
     # all samples failing is a hard error
     with pytest.raises(RuntimeError):
         train_cascade([behind], cfg)
@@ -253,6 +274,19 @@ def test_mfr_round_trip_bit_exact(tmp_path, mini_training, small_model_mod):
         assert np.array_equal(a.b, b.b)
     save_regressor(back, tmp_path / "reg2.mfr")
     assert (tmp_path / "reg.mfr").read_bytes() == (tmp_path / "reg2.mfr").read_bytes()
+
+
+def test_fit_with_fresh_and_reloaded_cascade_identical(tmp_path, mini_training,
+                                                       small_model_mod):
+    samples, pc = mini_training
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, patch_size=32)
+    reg = train_cascade(samples, cfg)
+    save_regressor(reg, tmp_path / "reg.mfr")
+    back = load_regressor(tmp_path / "reg.mfr")
+    for s in samples:
+        fresh = fit(s.image, s.theta_init, reg, small_model_mod, pc.camera(), patch_size=32)
+        loaded = fit(s.image, s.theta_init, back, small_model_mod, pc.camera(), patch_size=32)
+        assert np.array_equal(fresh.trajectory, loaded.trajectory)
 
 
 def test_mfr_rejects_unknown_version(tmp_path):

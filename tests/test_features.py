@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import quantized_noise_image
 from morphfit import CameraConfig, FeatureError, GrayImage, ShapeModel, assemble_feature, \
-    extract_descriptor, read_pgm, write_pgm
+    extract_descriptor, project_points, read_pgm, write_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,70 @@ def test_assemble_order_length_and_zero_blocks():
     assert np.array_equal(f, assemble_feature(img, theta, model, cam, patch_size=32))
 
 
+def pinned_landmark_model(uv, cam, depth=1200.0):
+    """Rigid model whose landmarks project to the pixel positions `uv`
+    under the pose [0 0 0 0 0 -depth]."""
+    uv = np.asarray(uv, dtype=np.float64)
+    pts = np.zeros((uv.shape[0], 3))
+    pts[:, 0] = (uv[:, 0] - cam.cx) * depth / cam.focal
+    pts[:, 1] = -(uv[:, 1] - cam.cy) * depth / cam.focal
+    return ShapeModel(vertex_count=uv.shape[0], mean=pts.reshape(-1),
+                      basis=np.zeros((pts.size, 0)), sigmas=[],
+                      landmark_ids=np.arange(uv.shape[0]))
+
+
+AHEAD = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
+
+
+def test_assemble_blocks_equal_single_descriptors_at_edges():
+    rng = np.random.default_rng(16)
+    cam = CameraConfig(focal=500.0, width=160, height=120)
+    img = quantized_noise_image(rng, 160, 120)
+    centers = [(80.3, 60.7),                                   # inside
+               (2.5, 60.2), (158.2, 59.9), (80.1, 1.5), (79.6, 118.6),  # edges
+               (0.4, 0.2), (159.7, 0.3), (0.1, 119.9), (159.5, 119.5),  # corners
+               (-16.5, 60.0), (176.0, 60.0),  # only the one-pixel gradient margin
+               (-40.0, 60.0), (220.0, 60.0), (80.0, -60.0)]  # entirely off-raster
+    model = pinned_landmark_model(centers, cam)
+    f = assemble_feature(img, AHEAD, model, cam, patch_size=32)
+    blocks = f.reshape(len(centers), 128)
+    # the projection returns the centers up to round-off; compare at its output
+    uv, _ = project_points(model.mean.reshape(-1, 3), AHEAD, cam)
+    np.testing.assert_allclose(uv, centers, atol=1e-12)
+    for block, center in zip(blocks, uv):
+        single = extract_descriptor(img, center, 32)
+        np.testing.assert_array_equal(block, single)
+        np.testing.assert_allclose(single, oracle_descriptor(img, center, 32), atol=1e-9)
+    assert all(np.linalg.norm(b) == pytest.approx(1.0, abs=1e-9) for b in blocks[:11])
+    assert not np.any(blocks[11:])
+
+
+def test_far_off_landmark_gives_zero_block_without_large_allocation():
+    rng = np.random.default_rng(17)
+    cam = CameraConfig(focal=500.0, width=160, height=120)
+    img = quantized_noise_image(rng, 160, 120)
+    model = pinned_landmark_model([(70.2, 50.9), (1e7, 60.0)], cam)
+    tracemalloc.start()
+    try:
+        f = assemble_feature(img, AHEAD, model, cam, patch_size=96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(f[:128], extract_descriptor(img, (70.2, 50.9), 96))
+    assert np.linalg.norm(f[:128]) > 0 and not np.any(f[128:])
+    # a box reaching u = 1e7 would take > 50 GB; planes over the whole
+    # image and its one-pixel margin take 8 * 162 * 122 * 8 B = 1.3 MB
+    assert peak < 8 * 1024 * 1024
+
+
+def test_assemble_fails_when_no_window_overlaps_the_image():
+    cam = CameraConfig(focal=500.0, width=160, height=120)
+    img = GrayImage(width=160, height=120, pixels=np.full((120, 160), 0.5))
+    model = pinned_landmark_model([(-60.0, 60.0), (300.0, 60.0)], cam)
+    with pytest.raises(FeatureError, match="no landmark window overlaps the image"):
+        assemble_feature(img, AHEAD, model, cam, patch_size=32)
+
+
 def test_assemble_rejects_bad_theta_and_behind_camera():
     cam = CameraConfig(focal=1500.0, width=640, height=480)
     img = GrayImage(width=640, height=480, pixels=np.zeros((480, 640)))
@@ -201,7 +267,8 @@ def test_pgm_rejects_garbage(tmp_path):
                           (b"P5\n4 4\n255\n\x00\x00", "truncated"),
                           (b"P5\n4 x\n255\n", "height"), (b"P5\n4", "height"),
                           (b"P5\n", "width"), (b"P5\n4 4\n", "maxval"),
-                          (b"P5\n0 4\n255\n", "empty")):
+                          (b"P5\n0 4\n255\n", "empty"),
+                          (b"P5\n2 1\n100\n\x00\xff", "exceeds maxval")):
         p.write_bytes(data)
         with pytest.raises(ValueError, match="bad.pgm.*" + problem):
             read_pgm(p)
@@ -212,3 +279,29 @@ def test_pgm_handles_comments(tmp_path):
     p.write_bytes(b"P5\n# a comment\n2 1\n255\n\x00\xff")
     img = read_pgm(p)
     np.testing.assert_allclose(img.pixels, [[0.0, 1.0]])
+
+
+def _pgm_bytes(width, height, maxval, seed):
+    raster = np.random.default_rng(seed).integers(0, maxval + 1, width * height)
+    return b"P5\n%d %d\n%d\n" % (width, height, maxval) + raster.astype(np.uint8).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 6), height=st.integers(1, 6), maxval=st.integers(1, 255),
+       seed=st.integers(0, 2 ** 16), cut=st.integers(0, 64),
+       edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=4))
+def test_pgm_truncated_or_corrupt_raises_only_value_error(tmp_path_factory, width, height,
+                                                          maxval, seed, cut, edits):
+    data = bytearray(_pgm_bytes(width, height, maxval, seed))
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    p = tmp_path_factory.mktemp("pgm") / "fuzz.pgm"
+    p.write_bytes(bytes(data[:len(data) - cut]))
+    try:
+        img = read_pgm(p)
+    except ValueError as e:
+        assert "fuzz.pgm" in str(e)
+        return
+    # an accepted file decodes to its full raster, scaled into [0, 1]
+    assert img.pixels.shape == (img.height, img.width)
+    assert np.all((img.pixels >= 0.0) & (img.pixels <= 1.0))

@@ -166,3 +166,22 @@ def test_mfm_rejects_unknown_version(tmp_path):
     bad.write_text(text + "0.0\n")
     with pytest.raises(ValueError):
         load_model(bad)
+
+
+def test_mfm_rejects_non_finite_values(tmp_path):
+    m = make_procedural_model(9, 70, 3)
+    path = tmp_path / "model.mfm"
+    save_model(m, path)
+    lines = path.read_text().splitlines()
+    mean_row = lines.index("mean:") + 1
+    sigma_row = lines.index("sigmas:") + 1
+    basis_row = lines.index("basis:") + 1
+    bad = tmp_path / "bad.mfm"
+    for row, name in ((sigma_row, "sigmas"), (mean_row, "mean"), (basis_row, "basis")):
+        edited = list(lines)
+        values = edited[row].split()
+        edited[row] = " ".join(["nan"] * len(values) if name == "sigmas"
+                               else ["nan"] + values[1:])
+        bad.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError, match=name + " must be finite"):
+            load_model(bad)
