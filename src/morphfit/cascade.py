@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import DEFAULT_PATCH_SIZE, FeatureError, assemble_feature
+from .features import FeatureError, assemble_feature
 from .util import TokenReader, atomic_write, fmt_row, parallel_map
 
 log = logging.getLogger(__name__)
@@ -99,15 +99,16 @@ class CascadeRegressor:
         return len(self.stages)
 
 
-def relative_lambda(features_centered, factor=2.0):
-    """Scale-free ridge default: factor * trace(Fc' Fc) / feature_dim.
+# Keeps each stage from interpolating the training set when samples are
+# scarcer than feature dimensions, so later stages still see informative
+# residuals.
+LAMBDA_FACTOR = 2.0
 
-    The factor keeps each stage from interpolating the training set when
-    samples are scarcer than feature dimensions, so later stages still see
-    informative residuals.
-    """
+
+def relative_lambda(features_centered):
+    """Scale-free ridge default: LAMBDA_FACTOR * trace(Fc' Fc) / feature_dim."""
     fc = np.asarray(features_centered, dtype=np.float64)
-    return factor * float(np.sum(fc * fc)) / fc.shape[1]
+    return LAMBDA_FACTOR * float(np.sum(fc * fc)) / fc.shape[1]
 
 
 def train_stage(features, deltas, lam):
@@ -149,7 +150,6 @@ class TrainConfig:
     cam: object
     stages: int = 3
     lam: float = None  # None -> relative_lambda per stage
-    patch_size: int = DEFAULT_PATCH_SIZE
     jobs: int = 1
 
 
@@ -170,8 +170,7 @@ def train_cascade(samples, config):
 
     def assemble(i):
         try:
-            return assemble_feature(samples[i].image, thetas[i], config.model,
-                                    config.cam, config.patch_size)
+            return assemble_feature(samples[i].image, thetas[i], config.model, config.cam)
         except FeatureError:
             return None
 
@@ -217,7 +216,7 @@ class FitResult:
     trajectory: np.ndarray  # (n_stages + 1, p), row 0 = initialization
 
 
-def fit(img, theta_init, reg, model, cam, patch_size=DEFAULT_PATCH_SIZE):
+def fit(img, theta_init, reg, model, cam):
     """Apply every cascade stage to refine theta_init on one image.
 
     A non-finite theta_init is a ValueError; a stage whose update leaves
@@ -232,7 +231,7 @@ def fit(img, theta_init, reg, model, cam, patch_size=DEFAULT_PATCH_SIZE):
     traj = [theta.copy()]
     for i, wr in enumerate(reg.stages):
         try:
-            f = assemble_feature(img, theta, model, cam, patch_size)
+            f = assemble_feature(img, theta, model, cam)
         except FeatureError as e:
             raise FitError(i, str(e)) from e
         theta = theta + predict_update(wr, f, reg.scale)

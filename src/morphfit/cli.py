@@ -1,9 +1,10 @@
 """Command-line pipeline: model generation, dataset synthesis, training,
 fitting, evaluation, and the POSIT baseline.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. Every command
-writes a JSON run manifest next to its primary output recording the
-arguments, resolved seeds, inputs/outputs, and wall-clock timings. All
+Exit codes: 0 success, 1 runtime failure, 2 usage error. `main` runs
+every command: it resolves the seed, calls the command, and writes the JSON
+run manifest next to the command's primary output, recording the
+arguments, resolved seed, inputs/outputs, and wall-clock timings. All
 randomness flows from one --seed (or MORPHFIT_SEED) through named
 sub-streams; outputs are byte-identical for any --jobs value.
 """
@@ -33,55 +34,31 @@ class UsageError(Exception):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("MORPHFIT_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
-
-
-def _write_manifest(path, command, args, seed, inputs, outputs, timings, started):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": outputs,
-        "timings_s": {k: round(v, 6) for k, v in timings.items()},
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-    }
-    atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-
-
-def _now():
-    return datetime.now(timezone.utc).isoformat()
+    except ValueError:
+        raise UsageError("MORPHFIT_SEED must be an integer, got %r" % env) from None
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, seed), does its work and returns
+# (manifest path, inputs, outputs, timings of its own phases)
 # ---------------------------------------------------------------------------
 
-def cmd_make_model(args):
-    started = _now()
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_make_model(args, seed):
     model = make_procedural_model(seed, args.vertices, args.modes)
     save_model(model, args.out)
-    timings = {"total": time.perf_counter() - t0}
-    _write_manifest(args.out + ".manifest.json", "make-model", args, seed,
-                    {}, {"model": args.out}, timings, started)
     print("wrote model: %d vertices, %d modes, %d landmarks -> %s"
           % (model.vertex_count, model.num_modes, len(model.landmark_ids), args.out))
-    return 0
+    return args.out + ".manifest.json", {}, {"model": args.out}, {}
 
 
-def cmd_synth(args):
-    started = _now()
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_synth(args, seed):
     model = load_model(args.model)
     pc = ProtocolConfig(
         range_deg=args.range_deg,
@@ -93,36 +70,25 @@ def cmd_synth(args):
     samples = generate_set(model, pc, args.mode, jobs=args.jobs)
     t_write = time.perf_counter()
     write_dataset(args.out, samples, pc)
-    t1 = time.perf_counter()
-    timings = {"render": t_write - t_render, "write": t1 - t_write, "total": t1 - t0}
-    _write_manifest(os.path.join(args.out, "manifest.json"), "synth", args, seed,
-                    {"model": args.model}, {"dataset": args.out, "n_samples": len(samples)},
-                    timings, started)
+    timings = {"render": t_write - t_render, "write": time.perf_counter() - t_write}
     print("wrote %d samples to %s" % (len(samples), args.out))
-    return 0
+    return (os.path.join(args.out, "manifest.json"), {"model": args.model},
+            {"dataset": args.out, "n_samples": len(samples)}, timings)
 
 
-def cmd_train(args):
-    started = _now()
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_train(args, seed):
     model = load_model(args.model)
     samples, pc = load_dataset(args.data)
     config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages,
                          lam=getattr(args, "lambda"), jobs=args.jobs)
     reg = train_cascade(samples, config)
     save_regressor(reg, args.out)
-    t1 = time.perf_counter()
     for i, res in enumerate(reg.train_residuals):
         print("stage %d: residual %.6g" % (i, res))
-    timings = {"total": t1 - t0}
-    _write_manifest(args.out + ".manifest.json", "train", args, seed,
-                    {"dataset": args.data, "model": args.model},
-                    {"regressor": args.out, "train_residuals": reg.train_residuals},
-                    timings, started)
     print("wrote regressor (%d stages, pdim %d, fdim %d) -> %s"
           % (reg.n_stages, reg.param_dim, reg.feature_dim, args.out))
-    return 0
+    return (args.out + ".manifest.json", {"dataset": args.data, "model": args.model},
+            {"regressor": args.out, "train_residuals": reg.train_residuals}, {})
 
 
 def _parse_inline_theta(text, pdim):
@@ -158,10 +124,7 @@ def _read_point_rows(path):
     return arr[:, :2], arr[:, 2:]
 
 
-def cmd_fit(args):
-    started = _now()
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_fit(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
     img = read_pgm(args.image)
@@ -192,19 +155,13 @@ def cmd_fit(args):
     print("final theta: " + " ".join("%s=%.4g" % (n, v)
                                      for n, v in zip(reg.layout, result.theta)))
     print("fit runtime: %.1f ms" % (fit_seconds * 1000.0))
-    timings = {"fit": fit_seconds, "total": time.perf_counter() - t0}
-    _write_manifest(args.out + ".manifest.json", "fit", args, seed,
-                    {"image": args.image, "model": args.model, "regressor": args.regressor},
-                    {"trajectory": args.out,
-                     "theta": [float(v) for v in result.theta]},
-                    timings, started)
-    return 0
+    return (args.out + ".manifest.json",
+            {"image": args.image, "model": args.model, "regressor": args.regressor},
+            {"trajectory": args.out, "theta": [float(v) for v in result.theta]},
+            {"fit": fit_seconds})
 
 
-def cmd_eval(args):
-    started = _now()
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_eval(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
     samples, pc = load_dataset(args.data)
@@ -220,17 +177,12 @@ def cmd_eval(args):
         print("regime %s (n=%d): mae per stage %s" % (
             regime, report.n_samples,
             " ".join("%.3f" % m for m in report.mae_per_stage)))
-    timings = {"total": time.perf_counter() - t0}
-    _write_manifest(os.path.join(args.out, "manifest.json"), "eval", args, seed,
-                    {"dataset": args.data, "model": args.model,
-                     "regressor": args.regressor}, outputs, timings, started)
-    return 0
+    return (os.path.join(args.out, "manifest.json"),
+            {"dataset": args.data, "model": args.model, "regressor": args.regressor},
+            outputs, {})
 
 
-def cmd_posit(args):
-    started = _now()
-    t0 = time.perf_counter()
-    seed = _resolve_seed(args)
+def cmd_posit(args, seed):
     if (args.points is None) == (args.data is None):
         raise UsageError("exactly one of --points / --data is required")
 
@@ -250,7 +202,6 @@ def cmd_posit(args):
               % (rx, ry, rz, tx, ty, tz, res.iters))
         outputs = {"pose": args.out}
         inputs = {"points": args.points}
-        mae = None
     else:
         if args.model is None:
             raise UsageError("--data requires --model")
@@ -286,11 +237,7 @@ def cmd_posit(args):
               % (len(errs), args.noise_px, mae))
         outputs = {"report": args.out, "mae_deg": mae}
         inputs = {"dataset": args.data, "model": args.model}
-
-    timings = {"total": time.perf_counter() - t0}
-    _write_manifest(args.out + ".manifest.json", "posit", args, seed,
-                    inputs, outputs, timings, started)
-    return 0
+    return args.out + ".manifest.json", inputs, outputs, {}
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +248,19 @@ def build_parser():
     p = argparse.ArgumentParser(prog="morphfit",
                                 description="3D shape-model fitting via cascaded regression")
     sub = p.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1)
 
-    mm = sub.add_parser("make-model", help="generate the procedural shape model")
+    mm = sub.add_parser("make-model", parents=[seeded],
+                        help="generate the procedural shape model")
     mm.add_argument("--out", required=True)
     mm.add_argument("--vertices", type=int, default=500)
     mm.add_argument("--modes", type=int, default=10)
-    mm.add_argument("--seed", type=int, default=None)
     mm.set_defaults(func=cmd_make_model)
 
-    sy = sub.add_parser("synth", help="render a train or test dataset")
+    sy = sub.add_parser("synth", parents=[seeded, jobs], help="render a train or test dataset")
     sy.add_argument("--model", required=True)
     sy.add_argument("--out", required=True)
     sy.add_argument("--mode", choices=["train", "test"], default="train")
@@ -321,21 +272,17 @@ def build_parser():
     sy.add_argument("--height", type=int, default=480)
     sy.add_argument("--backgrounds", type=int, default=5)
     sy.add_argument("--shape-modes", type=int, default=0)
-    sy.add_argument("--seed", type=int, default=None)
-    sy.add_argument("--jobs", type=int, default=1)
     sy.set_defaults(func=cmd_synth)
 
-    tr = sub.add_parser("train", help="train a cascade on a dataset")
+    tr = sub.add_parser("train", parents=[seeded, jobs], help="train a cascade on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--model", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--stages", type=int, default=3)
     tr.add_argument("--lambda", type=float, default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--jobs", type=int, default=1)
     tr.set_defaults(func=cmd_train)
 
-    ft = sub.add_parser("fit", help="fit pose/shape to one image")
+    ft = sub.add_parser("fit", parents=[seeded], help="fit pose/shape to one image")
     ft.add_argument("--image", required=True)
     ft.add_argument("--model", required=True)
     ft.add_argument("--regressor", required=True)
@@ -347,20 +294,19 @@ def build_parser():
     ft.add_argument("--init-noise", type=float, default=0.0,
                     help="perturb initial angles uniformly within +/- this many degrees")
     ft.add_argument("--focal", type=float, default=1500.0)
-    ft.add_argument("--seed", type=int, default=None)
     ft.set_defaults(func=cmd_fit)
 
-    ev = sub.add_parser("eval", help="per-stage error curves over a dataset")
+    ev = sub.add_parser("eval", parents=[seeded, jobs],
+                        help="per-stage error curves over a dataset")
     ev.add_argument("--data", required=True)
     ev.add_argument("--model", required=True)
     ev.add_argument("--regressor", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--regime", choices=["uniform", "fixed", "both"], default="uniform")
-    ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--jobs", type=int, default=1)
     ev.set_defaults(func=cmd_eval)
 
-    po = sub.add_parser("posit", help="POSIT baseline from 2D/3D correspondences")
+    po = sub.add_parser("posit", parents=[seeded],
+                        help="POSIT baseline from 2D/3D correspondences")
     po.add_argument("--points", default=None, help="CSV of u,v,X,Y,Z rows")
     po.add_argument("--data", default=None, help="dataset directory for batch mode")
     po.add_argument("--model", default=None)
@@ -371,16 +317,33 @@ def build_parser():
     po.add_argument("--height", type=int, default=480)
     po.add_argument("--max-iters", type=int, default=100)
     po.add_argument("--tol", type=float, default=1e-5)
-    po.add_argument("--seed", type=int, default=None)
     po.set_defaults(func=cmd_posit)
 
     return p
 
 
 def main(argv=None):
+    """Run one command and write its manifest; returns the exit code."""
     args = build_parser().parse_args(argv)
+    started = datetime.now(timezone.utc).isoformat()
+    t0 = time.perf_counter()
     try:
-        return args.func(args) or 0
+        seed = _resolve_seed(args)
+        path, inputs, outputs, timings = args.func(args, seed)
+        timings["total"] = time.perf_counter() - t0
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+            "seed": seed,
+            "inputs": inputs,
+            "outputs": outputs,
+            "timings_s": {k: round(v, 6) for k, v in timings.items()},
+            "started": started,
+            "finished": datetime.now(timezone.utc).isoformat(),
+        }
+        atomic_write(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+        return 0
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import FitError, fit
-from .features import DEFAULT_PATCH_SIZE
 from .util import atomic_write, parallel_map
 
 log = logging.getLogger(__name__)
@@ -71,8 +70,7 @@ def initial_theta(sample, regime, init_offset=11.0):
     raise ValueError("unknown regime %r" % regime)
 
 
-def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0,
-             jobs=1, patch_size=None):
+def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0, jobs=1):
     """Run the cascade on every sample and aggregate per-stage metrics.
 
     Per-sample fit failures are counted and excluded, not fatal.
@@ -83,12 +81,10 @@ def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0,
     n_stages = reg.n_stages
     n_shape = reg.param_dim - 6
 
-    patch = DEFAULT_PATCH_SIZE if patch_size is None else patch_size
-
     def run(sample):
         theta0 = initial_theta(sample, regime, init_offset)
         try:
-            return fit(sample.image, theta0, reg, model, cam, patch).trajectory
+            return fit(sample.image, theta0, reg, model, cam).trajectory
         except FitError as e:
             log.warning("sample %s failed: %s", sample.id, e)
             return None

@@ -34,21 +34,23 @@ def subseed(*parts):
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+LIGHT_DIR = (0.4, 0.5, 1.0)   # camera space, fixed
+# Surface albedo = a long-wavelength oriented component plus isotropic
+# detail. The long component keeps descriptor responses near-linear over
+# large landmark displacements; the anisotropy (streaks along y) gives
+# the in-plane rotation a strong orientation-histogram signature.
+TEXTURE_SCALE = 60.0          # mm, oriented component lattice
+TEXTURE_ANISO = (1.0, 0.3, 1.0)
+TEXTURE_DETAIL_SCALE = 12.0   # mm, isotropic detail lattice
+TEXTURE_DETAIL_WEIGHT = 0.5
+BACKGROUND_SCALE = 18.0       # px
+
+
 @dataclass
 class RenderConfig:
     cam: CameraConfig
     texture_seed: int = 0
     background_seed: int = 0
-    light_dir: tuple = (0.4, 0.5, 1.0)   # camera space, fixed
-    # Surface albedo = a long-wavelength oriented component plus isotropic
-    # detail. The long component keeps descriptor responses near-linear over
-    # large landmark displacements; the anisotropy (streaks along y) gives
-    # the in-plane rotation a strong orientation-histogram signature.
-    texture_scale: float = 60.0          # mm, oriented component lattice
-    texture_aniso: tuple = (1.0, 0.3, 1.0)
-    texture_detail_scale: float = 12.0   # mm, isotropic detail lattice
-    texture_detail_weight: float = 0.5
-    background_scale: float = 18.0       # px
 
 
 @dataclass
@@ -114,7 +116,7 @@ def render(model, theta, rc):
     depth = -vc[:, 2]
 
     h, w = cam.height, cam.width
-    img = 0.1 + 0.8 * noise_image(w, h, rc.background_scale, rc.background_seed)
+    img = 0.1 + 0.8 * noise_image(w, h, BACKGROUND_SCALE, rc.background_seed)
     zbuf = np.full((h, w), np.inf)
     owner = np.full((h, w), -1, dtype=np.int64)
     bary = np.zeros((h, w, 3))
@@ -163,7 +165,7 @@ def render(model, theta, rc):
     # Shading pass: texture anchored to the mean-shape surface, Gouraud
     # Lambertian shading (smooth per-vertex normals) from a light fixed in
     # camera space.
-    light = np.asarray(rc.light_dir, dtype=np.float64)
+    light = np.asarray(LIGHT_DIR, dtype=np.float64)
     light = light / np.linalg.norm(light)
     face_n = np.cross(vc[tris[:, 1]] - vc[tris[:, 0]], vc[tris[:, 2]] - vc[tris[:, 0]])
     fn = np.linalg.norm(face_n, axis=1)
@@ -180,10 +182,10 @@ def render(model, theta, rc):
     hit_tris = owner[rows, cols]
     lam = bary[rows, cols]
     surf = np.einsum("ni,nij->nj", lam, mean_pts[tris[hit_tris]])
-    dw = rc.texture_detail_weight
-    albedo = (1.0 - dw) * fbm3(surf * np.asarray(rc.texture_aniso),
-                               rc.texture_scale, rc.texture_seed, octaves=1) \
-        + dw * fbm3(surf, rc.texture_detail_scale, rc.texture_seed + 777, octaves=2)
+    dw = TEXTURE_DETAIL_WEIGHT
+    albedo = (1.0 - dw) * fbm3(surf * np.asarray(TEXTURE_ANISO),
+                               TEXTURE_SCALE, rc.texture_seed, octaves=1) \
+        + dw * fbm3(surf, TEXTURE_DETAIL_SCALE, rc.texture_seed + 777, octaves=2)
     tex = 0.35 + 0.6 * albedo
     shade = np.einsum("ni,ni->n", lam, vert_shade[tris[hit_tris]])
     img[rows, cols] = tex * shade
@@ -274,22 +276,9 @@ def write_dataset(path, samples, pc):
     n_shape = pc.n_shape
     atomic_write(os.path.join(path, "labels.csv"), _csv_lines(samples, "gt", n_shape).encode())
     atomic_write(os.path.join(path, "inits.csv"), _csv_lines(samples, "init", n_shape).encode())
-    fields = [
-        ("range_deg", fmt_float(pc.range_deg)),
-        ("step_train", fmt_float(pc.step_train)),
-        ("step_test", fmt_float(pc.step_test)),
-        ("trans_sigma", fmt_float(pc.trans_sigma)),
-        ("tz", fmt_float(pc.tz)),
-        ("focal", fmt_float(pc.focal)),
-        ("width", str(pc.width)),
-        ("height", str(pc.height)),
-        ("backgrounds", str(pc.backgrounds)),
-        ("init_offset", fmt_float(pc.init_offset)),
-        ("n_shape", str(pc.n_shape)),
-        ("seed", str(pc.seed)),
-    ]
-    atomic_write(os.path.join(path, "protocol.txt"),
-                 ("\n".join("%s %s" % kv for kv in fields) + "\n").encode())
+    fmt = {float: fmt_float, int: str}  # every field is one or the other
+    lines = ["%s %s" % (f.name, fmt[f.type](getattr(pc, f.name))) for f in fields(pc)]
+    atomic_write(os.path.join(path, "protocol.txt"), ("\n".join(lines) + "\n").encode())
 
 
 def load_protocol(path):

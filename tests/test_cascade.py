@@ -133,9 +133,9 @@ def test_single_stage_cascade_equals_train_stage(mini_training, small_model_mod)
     from morphfit import assemble_feature
     samples, pc = mini_training
     cam = pc.camera()
-    cfg = TrainConfig(model=small_model_mod, cam=cam, stages=1, lam=0.7, patch_size=32)
+    cfg = TrainConfig(model=small_model_mod, cam=cam, stages=1, lam=0.7)
     reg = train_cascade(samples, cfg)
-    feats = np.stack([assemble_feature(s.image, s.theta_init, small_model_mod, cam, 32)
+    feats = np.stack([assemble_feature(s.image, s.theta_init, small_model_mod, cam)
                       for s in samples])
     deltas = np.stack([s.theta_gt - s.theta_init for s in samples])
     scale = ParamScale.from_targets(deltas)
@@ -147,7 +147,7 @@ def test_single_stage_cascade_equals_train_stage(mini_training, small_model_mod)
 
 def test_training_residuals_non_increasing(mini_training, small_model_mod):
     samples, pc = mini_training
-    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=3, patch_size=32)
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=3)
     reg = train_cascade(samples, cfg)
     assert len(reg.train_residuals) == 3
     assert all(b <= a for a, b in zip(reg.train_residuals, reg.train_residuals[1:]))
@@ -155,13 +155,13 @@ def test_training_residuals_non_increasing(mini_training, small_model_mod):
 
 def test_training_deterministic(mini_training, small_model_mod):
     samples, pc = mini_training
-    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, patch_size=32)
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2)
     r1 = train_cascade(samples, cfg)
     r2 = train_cascade(samples, cfg)
     for a, b in zip(r1.stages, r2.stages):
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
     # jobs > 1 gives identical results
-    cfg4 = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, patch_size=32, jobs=3)
+    cfg4 = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, jobs=3)
     r3 = train_cascade(samples, cfg4)
     for a, b in zip(r1.stages, r3.stages):
         assert np.array_equal(a.A, b.A) and np.array_equal(a.b, b.b)
@@ -174,7 +174,7 @@ def test_identity_cascade_fit(mini_training, small_model_mod):
     reg = CascadeRegressor(stages=[zero, zero], scale=ParamScale(np.zeros(p), np.ones(p)),
                            feature_dim=17 * 128, layout=param_layout(0))
     s = samples[0]
-    res = fit(s.image, s.theta_init, reg, small_model_mod, pc.camera(), patch_size=32)
+    res = fit(s.image, s.theta_init, reg, small_model_mod, pc.camera())
     np.testing.assert_array_equal(res.theta, s.theta_init)
     assert res.trajectory.shape == (3, 6)
     np.testing.assert_array_equal(res.trajectory[0], s.theta_init)
@@ -188,7 +188,7 @@ def test_fit_reports_failing_stage(mini_training, small_model_mod):
                            feature_dim=17 * 128, layout=param_layout(0))
     behind = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2000.0])
     with pytest.raises(FitError) as exc:
-        fit(samples[0].image, behind, reg, small_model_mod, pc.camera(), patch_size=32)
+        fit(samples[0].image, behind, reg, small_model_mod, pc.camera())
     assert exc.value.stage == 0
     with pytest.raises(ValueError):
         fit(samples[0].image, np.zeros(7), reg, small_model_mod, pc.camera())
@@ -204,12 +204,12 @@ def test_fit_fails_loudly_on_non_finite_theta(mini_training, small_model_mod):
                                scale=ParamScale(np.zeros(p), np.ones(p)),
                                feature_dim=17 * 128, layout=param_layout(0))
         with pytest.raises(FitError) as exc:
-            fit(s.image, s.theta_init, reg, small_model_mod, pc.camera(), patch_size=32)
+            fit(s.image, s.theta_init, reg, small_model_mod, pc.camera())
         assert exc.value.stage == 0
     bad_init = s.theta_init.copy()
     bad_init[4] = np.inf
     with pytest.raises(ValueError):
-        fit(s.image, bad_init, reg, small_model_mod, pc.camera(), patch_size=32)
+        fit(s.image, bad_init, reg, small_model_mod, pc.camera())
 
 
 def test_fit_fails_loudly_when_windows_leave_the_image(mini_training, small_model_mod):
@@ -220,8 +220,7 @@ def test_fit_fails_loudly_when_windows_leave_the_image(mini_training, small_mode
     reg = CascadeRegressor(stages=[shove, shove], scale=ParamScale(np.zeros(p), np.ones(p)),
                            feature_dim=17 * 128, layout=param_layout(0))
     with pytest.raises(FitError, match="no landmark window overlaps the image") as exc:
-        fit(samples[0].image, samples[0].theta_init, reg, small_model_mod, pc.camera(),
-            patch_size=32)
+        fit(samples[0].image, samples[0].theta_init, reg, small_model_mod, pc.camera())
     assert exc.value.stage == 1
 
 
@@ -233,7 +232,7 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
                             theta_gt=samples[0].theta_gt,
                             theta_init=np.array([0, 0, 0, 0, 0, 2000.0]),
                             id="behind")
-    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=1, patch_size=32)
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=1)
     with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
         reg = train_cascade(list(samples) + [behind], cfg)
     assert any("behind" in rec.getMessage() for rec in caplog.records)
@@ -260,7 +259,7 @@ def test_relative_lambda_scale_free():
 
 def test_mfr_round_trip_bit_exact(tmp_path, mini_training, small_model_mod):
     samples, pc = mini_training
-    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, patch_size=32)
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2)
     reg = train_cascade(samples, cfg)
     path = tmp_path / "reg.mfr"
     save_regressor(reg, path)
@@ -279,13 +278,13 @@ def test_mfr_round_trip_bit_exact(tmp_path, mini_training, small_model_mod):
 def test_fit_with_fresh_and_reloaded_cascade_identical(tmp_path, mini_training,
                                                        small_model_mod):
     samples, pc = mini_training
-    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, patch_size=32)
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2)
     reg = train_cascade(samples, cfg)
     save_regressor(reg, tmp_path / "reg.mfr")
     back = load_regressor(tmp_path / "reg.mfr")
     for s in samples:
-        fresh = fit(s.image, s.theta_init, reg, small_model_mod, pc.camera(), patch_size=32)
-        loaded = fit(s.image, s.theta_init, back, small_model_mod, pc.camera(), patch_size=32)
+        fresh = fit(s.image, s.theta_init, reg, small_model_mod, pc.camera())
+        loaded = fit(s.image, s.theta_init, back, small_model_mod, pc.camera())
         assert np.array_equal(fresh.trajectory, loaded.trajectory)
 
 

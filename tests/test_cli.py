@@ -6,15 +6,22 @@ import sys
 import numpy as np
 import pytest
 
+import morphfit
 from morphfit import load_model, load_regressor, read_pgm
 from morphfit.cli import main
 from morphfit.evaluate import read_report
 
+# the directory this process imports morphfit from, so the child does too
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(morphfit.__file__)))
 
-def run_cli(*args):
-    """Invoke the CLI in a subprocess; returns (exit code, stdout, stderr)."""
+
+def run_cli(*args, **env):
+    """Invoke the CLI in a subprocess with `env` added to this process's
+    environment; returns (exit code, stdout, stderr)."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "morphfit.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -35,7 +42,7 @@ def workspace(tmp_path_factory):
                  "--grid-step", "10", *common]) == 0
     reg_path = str(root / "cascade.mfr")
     assert main(["train", "--data", train_dir, "--model", model_path,
-                 "--out", reg_path, "--stages", "2"]) == 0
+                 "--out", reg_path, "--stages", "2", "--seed", "7"]) == 0
     return {"root": root, "model": model_path, "train": train_dir,
             "test": test_dir, "reg": reg_path}
 
@@ -74,6 +81,12 @@ def test_usage_errors_exit_2(workspace, tmp_path):
         "--model", workspace["model"], "--regressor", workspace["reg"],
         "--out", str(tmp_path / "out.csv"), "--init", "1,2,3")
     assert code == 2
+    # a seed from the environment that is not an integer; nothing is written
+    out = tmp_path / "m.mfm"
+    code, _, err = run_cli("make-model", "--out", str(out), MORPHFIT_SEED="abc")
+    assert code == 2
+    assert "MORPHFIT_SEED" in err and "'abc'" in err
+    assert not out.exists()
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -216,13 +229,46 @@ def test_posit_malformed_csv_exits_2(tmp_path):
 
 
 def test_seed_env_fallback(workspace, tmp_path):
-    env = dict(os.environ, MORPHFIT_SEED="5")
     out_env = str(tmp_path / "ds_env")
-    proc = subprocess.run(
-        [sys.executable, "-m", "morphfit.cli", "synth", "--out", out_env,
-         "--mode", "test", "--grid-step", "10", "--model", workspace["model"],
-         "--range-deg", "20", "--focal", "500", "--width", "160", "--height", "120"],
-        capture_output=True, env=env)
-    assert proc.returncode == 0
+    code, _, _ = run_cli(
+        "synth", "--out", out_env, "--mode", "test", "--grid-step", "10",
+        "--model", workspace["model"], "--range-deg", "20", "--focal", "500",
+        "--width", "160", "--height", "120", MORPHFIT_SEED="5")
+    assert code == 0
     assert open(os.path.join(out_env, "labels.csv")).read() == \
         open(os.path.join(workspace["test"], "labels.csv")).read()
+
+
+def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("MORPHFIT_SEED", "13")
+    img_path = os.path.join(workspace["test"], "images",
+                            sorted(os.listdir(os.path.join(workspace["test"], "images")))[0])
+    fit_out = str(tmp_path / "traj.csv")
+    assert main(["fit", "--image", img_path, "--model", workspace["model"],
+                 "--regressor", workspace["reg"], "--out", fit_out,
+                 "--init", "0,0,0,0,0,-1200", "--focal", "500", "--seed", "11"]) == 0
+    eval_out = str(tmp_path / "reports")
+    assert main(["eval", "--data", workspace["test"], "--model", workspace["model"],
+                 "--regressor", workspace["reg"], "--out", eval_out]) == 0
+    posit_out = str(tmp_path / "posit.csv")
+    assert main(["posit", "--data", workspace["test"], "--model", workspace["model"],
+                 "--out", posit_out, "--seed", "17"]) == 0
+
+    expected = [  # (manifest, command, resolved seed); eval's seed comes from the environment
+        (workspace["model"] + ".manifest.json", "make-model", 3),
+        (os.path.join(workspace["train"], "manifest.json"), "synth", 5),
+        (os.path.join(workspace["test"], "manifest.json"), "synth", 5),
+        (workspace["reg"] + ".manifest.json", "train", 7),
+        (fit_out + ".manifest.json", "fit", 11),
+        (os.path.join(eval_out, "manifest.json"), "eval", 13),
+        (posit_out + ".manifest.json", "posit", 17),
+    ]
+    keys = {"command", "version", "config", "seed", "inputs", "outputs", "timings_s",
+            "started", "finished"}
+    for path, command, seed in expected:
+        manifest = json.loads(open(path).read())
+        assert set(manifest) == keys, path
+        assert manifest["command"] == manifest["config"]["command"] == command
+        assert manifest["seed"] == seed, path
+        assert manifest["timings_s"]["total"] >= 0
+        assert "func" not in manifest["config"]

@@ -5,8 +5,8 @@ import pytest
 
 from morphfit import ShapeModel, read_pgm, write_pgm
 from morphfit.noise import noise_image
-from morphfit.synth import ProtocolConfig, RenderConfig, RenderError, generate_set, \
-    load_dataset, render, write_dataset
+from morphfit.synth import BACKGROUND_SCALE, ProtocolConfig, RenderConfig, RenderError, \
+    generate_set, load_dataset, render, write_dataset
 
 SMALL_PC = dict(range_deg=20.0, step_train=20.0, step_test=10.0, backgrounds=2,
                 width=160, height=120, focal=500.0)
@@ -25,7 +25,7 @@ def test_render_foreground_present_and_inside(small_model, small_cam):
     rc = RenderConfig(cam=small_cam, texture_seed=1, background_seed=2)
     img = render(small_model, theta, rc)
     # pixels still equal to the untouched background are not foreground
-    bg = noise_image(small_cam.width, small_cam.height, rc.background_scale, 2)
+    bg = noise_image(small_cam.width, small_cam.height, BACKGROUND_SCALE, 2)
     bg = np.rint(np.clip(0.1 + 0.8 * bg, 0.0, 1.0) * 255.0) / 255.0
     fg = img.pixels != bg
     assert fg.sum() > 300
