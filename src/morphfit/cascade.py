@@ -72,6 +72,9 @@ class WeakRegressor:
         self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if self.A.ndim != 2 or self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A must be (p, F) with b of length p")
+        for name in ("A", "b"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite" % name)
 
 
 @dataclass
@@ -265,31 +268,14 @@ def save_regressor(reg, path):
 
 
 def load_regressor(path):
-    with open(path, "r") as f:
-        text = f.read()
-    r = TokenReader(text)
-    magic, version = r.take(2)
-    if magic != "MFR" or version != "1":
-        raise ValueError("not an MFR1 regressor file (got %r %r)" % (magic, version))
-    r.expect("stages")
-    n = r.take_ints(1)[0]
-    r.expect("pdim")
-    p = r.take_ints(1)[0]
-    r.expect("fdim")
-    fdim = r.take_ints(1)[0]
-    r.expect("layout")
-    layout = r.take(p)
-    r.expect("scale:")
-    mean = r.take_floats(p)
-    std = r.take_floats(p)
-    stages = []
-    for _ in range(n):
-        r.expect("A:")
-        a = np.array(r.take_floats(p * fdim)).reshape(p, fdim)
-        r.expect("b:")
-        b = np.array(r.take_floats(p))
-        stages.append(WeakRegressor(A=a, b=b))
-    if not r.at_end():
-        raise ValueError("trailing data in regressor file")
-    return CascadeRegressor(stages=stages, scale=ParamScale(mean=mean, std=std),
-                            feature_dim=fdim, layout=layout)
+    r = TokenReader(path, "MFR")
+    n = r.count("stages")
+    p = r.count("pdim")
+    fdim = r.count("fdim")
+    layout = r.take("layout", p)
+    scale = r.make("scale", ParamScale, mean=r.array("scale:", float, p),
+                   std=r.array(None, float, p))
+    stages = [r.make("stage %d" % i, WeakRegressor, A=r.array("A:", float, p, fdim),
+                     b=r.array("b:", float, p)) for i in range(n)]
+    r.finish()
+    return CascadeRegressor(stages=stages, scale=scale, feature_dim=fdim, layout=layout)

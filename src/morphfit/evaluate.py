@@ -129,26 +129,3 @@ def write_report(report, path):
             report.n_samples, report.regime))
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
-
-def read_report(path):
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise ValueError("%s: empty report file" % path)
-    if lines[0] != "stage,mae_deg,shape_cosine,n_samples,regime":
-        raise ValueError("%s: unexpected report header" % path)
-    mae, cos = [], []
-    n_samples, regime = 0, ""
-    for row, ln in enumerate(lines[1:], 1):
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ValueError("%s: row %d has %d fields, expected 5" % (path, row, len(parts)))
-        try:
-            mae.append(float(parts[1]))
-            cos.append(float(parts[2]))
-            n_samples = int(parts[3])
-        except ValueError as e:
-            raise ValueError("%s: row %d: %s" % (path, row, e)) from None
-        regime = parts[4]
-    return EvalReport(regime=regime, n_samples=n_samples,
-                      mae_per_stage=np.array(mae), cosine_per_stage=np.array(cos))

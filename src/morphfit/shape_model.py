@@ -289,30 +289,15 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, "r") as f:
-        text = f.read()
-    r = TokenReader(text)
-    magic, version = r.take(2)
-    if magic != "MFM" or version != "1":
-        raise ValueError("not an MFM1 model file (got %r %r)" % (magic, version))
-    r.expect("vertices")
-    v = r.take_ints(1)[0]
-    r.expect("modes")
-    k = r.take_ints(1)[0]
-    r.expect("landmarks")
-    n = r.take_ints(1)[0]
-    landmark_ids = r.take_ints(n)
-    r.expect("triangles")
-    t = r.take_ints(1)[0]
-    r.expect("mean:")
-    mean = r.take_floats(3 * v)
-    r.expect("sigmas:")
-    sigmas = r.take_floats(k)
-    r.expect("basis:")
-    basis = np.array(r.take_floats(3 * v * k)).reshape(3 * v, k)
-    r.expect("tris:")
-    tris = np.array(r.take_ints(3 * t)).reshape(t, 3)
-    if not r.at_end():
-        raise ValueError("trailing data in model file")
-    return ShapeModel(vertex_count=v, mean=mean, basis=basis, sigmas=sigmas,
-                      landmark_ids=landmark_ids, triangles=tris)
+    r = TokenReader(path, "MFM")
+    v = r.count("vertices")
+    k = r.count("modes")
+    landmark_ids = r.array(None, int, r.count("landmarks"))
+    t = r.count("triangles")
+    mean = r.array("mean:", float, 3 * v)
+    sigmas = r.array("sigmas:", float, k)
+    basis = r.array("basis:", float, 3 * v, k)
+    tris = r.array("tris:", int, t, 3)
+    r.finish()
+    return r.make("model", ShapeModel, vertex_count=v, mean=mean, basis=basis, sigmas=sigmas,
+                  landmark_ids=landmark_ids, triangles=tris)

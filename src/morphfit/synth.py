@@ -22,7 +22,7 @@ from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_image
 from .shape_model import instance_shape
-from .util import atomic_write, fmt_float, parallel_map
+from .util import atomic_write, fmt_float, parallel_map, read_ascii
 
 
 class RenderError(RuntimeError):
@@ -284,13 +284,11 @@ def write_dataset(path, samples, pc):
 def load_protocol(path):
     fname = os.path.join(path, "protocol.txt")
     values = {}
-    with open(fname) as f:
-        for line in f:
-            parts = line.split(None, 1)
-            if len(parts) == 1:
-                raise ValueError("%s: field %r has no value" % (fname, parts[0]))
-            if parts:
-                values[parts[0]] = parts[1].strip()
+    for line in _ascii_lines(fname):
+        parts = line.split(None, 1)
+        if len(parts) == 1:
+            raise ValueError("%s: field %r has no value" % (fname, parts[0]))
+        values[parts[0]] = parts[1]
     kwargs = {}
     for f in fields(ProtocolConfig):
         if f.name not in values:
@@ -302,9 +300,16 @@ def load_protocol(path):
     return ProtocolConfig(**kwargs)
 
 
+def _ascii_lines(path):
+    """The non-blank lines of an ASCII text file, stripped."""
+    text, bad = read_ascii(path)
+    if bad:
+        raise ValueError("%s: %s" % (path, bad))
+    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+
 def _read_csv(path):
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    lines = _ascii_lines(path)
     if not lines:
         raise ValueError("%s: empty file" % path)
     header = lines[0].split(",")
@@ -318,14 +323,16 @@ def _read_csv(path):
             rows[parts[0]] = np.array([float(x) for x in parts[1:]])
         except ValueError as e:
             raise ValueError("%s: row %d: %s" % (path, row, e)) from None
-    return header, rows
+        if not np.all(np.isfinite(rows[parts[0]])):
+            raise ValueError("%s: row %d: non-finite value" % (path, row))
+    return rows
 
 
 def load_dataset(path):
     """Read a dataset directory back into TrainingSamples (sorted by id)."""
     pc = load_protocol(path)
-    _, labels = _read_csv(os.path.join(path, "labels.csv"))
-    _, inits = _read_csv(os.path.join(path, "inits.csv"))
+    labels = _read_csv(os.path.join(path, "labels.csv"))
+    inits = _read_csv(os.path.join(path, "inits.csv"))
     if set(labels) != set(inits):
         raise ValueError("labels.csv and inits.csv disagree on sample ids")
     samples = []

@@ -5,9 +5,12 @@ doubles exactly. Writes go to a temporary file in the target directory and
 are renamed into place, so interrupted runs never leave partial files.
 """
 
+import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 
 def fmt_float(x):
@@ -33,33 +36,74 @@ def atomic_write(path, data):
         raise
 
 
+def read_ascii(path):
+    """Text of an ASCII file, cut at the line of its first non-ASCII byte,
+    and a description of that byte (None if every byte is ASCII)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("ascii"), None
+    except UnicodeDecodeError as e:
+        cut = data.rfind(b"\n", 0, e.start) + 1
+        return data[:cut].decode("ascii"), "line %d: non-ASCII byte 0x%02x" % (
+            data.count(b"\n", 0, cut) + 1, data[e.start])
+
+
 class TokenReader:
-    """Whitespace token stream over a text file body, with counted reads."""
+    """Labelled fields of a whitespace-separated ASCII file headed `MAGIC 1`.
 
-    def __init__(self, text):
-        self._tokens = text.split()
-        self._pos = 0
+    Every error is a ValueError "<path>: <field>: <problem>", where field is
+    the label being read. A non-ASCII byte ends the file at its line, so the
+    read that needs that line names it.
+    """
 
-    def take(self, n=1):
+    def __init__(self, path, magic):
+        self.path, self.field = os.fspath(path), "header"
+        text, self._end = read_ascii(path)
+        self._tokens, self._pos = text.split(), 0
+        if self.take(None, 2) != [magic, "1"]:
+            raise self._error("not a %s1 file" % magic)
+
+    def _error(self, problem):
+        return ValueError("%s: %s: %s" % (self.path, self.field, problem))
+
+    def take(self, label, n):
+        """The n tokens after `label`; label None continues the current field."""
+        if label is not None:
+            self.field = label.rstrip(":")
+            got = self.take(None, 1)[0]
+            if got != label:
+                raise self._error("expected %r, found %r" % (label, got))
         if self._pos + n > len(self._tokens):
-            raise ValueError("unexpected end of file")
-        out = self._tokens[self._pos:self._pos + n]
+            raise self._error(self._end or "unexpected end of file")
         self._pos += n
-        return out
+        return self._tokens[self._pos - n:self._pos]
 
-    def take_floats(self, n):
-        return [float(t) for t in self.take(n)]
+    def array(self, label, dtype, *shape):
+        tokens = self.take(label, math.prod(shape))
+        try:
+            return np.array(tokens, dtype=dtype).reshape(shape)
+        except (ValueError, OverflowError) as e:
+            raise self._error(e) from None
 
-    def take_ints(self, n):
-        return [int(t) for t in self.take(n)]
+    def count(self, label):
+        n = int(self.array(label, int, 1)[0])
+        if n < 0:
+            raise self._error("negative count %d" % n)
+        return n
 
-    def expect(self, token):
-        got = self.take(1)[0]
-        if got != token:
-            raise ValueError("expected %r, found %r" % (token, got))
+    def make(self, field, cls, **kwargs):
+        """cls(**kwargs), its ValueError re-raised naming the file and field."""
+        self.field = field
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise self._error(e) from None
 
-    def at_end(self):
-        return self._pos == len(self._tokens)
+    def finish(self):
+        self.field = "end"
+        if self._pos != len(self._tokens) or self._end:
+            raise self._error(self._end or "trailing data")
 
 
 def parallel_map(fn, items, jobs=1):

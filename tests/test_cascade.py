@@ -197,13 +197,14 @@ def test_fit_reports_failing_stage(mini_training, small_model_mod):
 def test_fit_fails_loudly_on_non_finite_theta(mini_training, small_model_mod):
     samples, pc = mini_training
     p = 6
-    nan_update = WeakRegressor(A=np.zeros((p, 17 * 128)), b=np.full(p, np.nan))
+    # a finite update that overflows once de-normalized
+    huge_update = WeakRegressor(A=np.zeros((p, 17 * 128)), b=np.full(p, 1e308))
     s = samples[0]
     for n_stages in (1, 2):
-        reg = CascadeRegressor(stages=[nan_update] * n_stages,
-                               scale=ParamScale(np.zeros(p), np.ones(p)),
+        reg = CascadeRegressor(stages=[huge_update] * n_stages,
+                               scale=ParamScale(np.zeros(p), np.full(p, 10.0)),
                                feature_dim=17 * 128, layout=param_layout(0))
-        with pytest.raises(FitError) as exc:
+        with pytest.raises(FitError) as exc, np.errstate(over="ignore"):
             fit(s.image, s.theta_init, reg, small_model_mod, pc.camera())
         assert exc.value.stage == 0
     bad_init = s.theta_init.copy()
@@ -314,11 +315,17 @@ def test_mfr_rejects_non_finite_scale(tmp_path):
     save_regressor(reg, path)
     lines = path.read_text().splitlines()
     std_row = lines.index("scale:") + 2
+    a_row = lines.index("A:") + 1
+    b_row = lines.index("b:") + 1
     assert lines[std_row] == "1 1"
-    lines[std_row] = "nan 1"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="std"):
-        load_regressor(path)
+    for row, value, problem in ((std_row, "nan 1", "scale: scale std"),
+                                (a_row, "1 nan 1", "stage 0: A must be finite"),
+                                (b_row, "0 inf", "stage 0: b must be finite")):
+        edited = list(lines)
+        edited[row] = value
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError, match="reg.mfr: " + problem):
+            load_regressor(path)
 
 
 def test_cascade_regressor_validates_dimensions():

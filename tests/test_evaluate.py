@@ -4,7 +4,7 @@ import pytest
 from morphfit import CascadeRegressor, ParamScale, WeakRegressor, evaluate, mae_angles, \
     shape_cosine
 from morphfit.cascade import param_layout
-from morphfit.evaluate import initial_theta, read_report, write_report
+from morphfit.evaluate import initial_theta, write_report
 from morphfit.synth import ProtocolConfig, generate_set
 
 
@@ -124,19 +124,6 @@ def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
     assert np.all(np.isfinite(rep.mae_per_stage))
 
 
-def test_read_report_rejects_empty_and_short_rows(tmp_path):
-    path = tmp_path / "report.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="report.csv.*empty"):
-        read_report(path)
-    path.write_text("stage,mae_deg,shape_cosine,n_samples,regime\n0,1.5,nan\n")
-    with pytest.raises(ValueError, match="report.csv.*row 1"):
-        read_report(path)
-    path.write_text("stage,mae_deg,shape_cosine,n_samples,regime\n0,x,nan,3,uniform\n")
-    with pytest.raises(ValueError, match="report.csv.*row 1"):
-        read_report(path)
-
-
 def test_report_round_trip(tmp_path, tiny_eval_setup):
     model, pc, samples = tiny_eval_setup
     zero = WeakRegressor(A=np.zeros((6, 17 * 128)), b=np.zeros(6))
@@ -145,8 +132,9 @@ def test_report_round_trip(tmp_path, tiny_eval_setup):
     rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
     path = tmp_path / "report.csv"
     write_report(rep, path)
-    back = read_report(path)
-    assert back.regime == rep.regime
-    assert back.n_samples == rep.n_samples
-    np.testing.assert_array_equal(back.mae_per_stage, rep.mae_per_stage)
-    assert np.isnan(back.cosine_per_stage).all()
+    back = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="ascii")
+    assert list(back["stage"]) == list(range(len(rep.mae_per_stage)))
+    assert set(back["regime"]) == {rep.regime}
+    assert set(back["n_samples"]) == {rep.n_samples}
+    np.testing.assert_array_equal(back["mae_deg"], rep.mae_per_stage)
+    assert np.isnan(back["shape_cosine"]).all()

@@ -1,4 +1,7 @@
+import functools
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import quantized_noise_image
-from morphfit import CameraConfig, FeatureError, GrayImage, ShapeModel, assemble_feature, \
-    extract_descriptor, project_points, read_pgm, write_pgm
+from morphfit import CameraConfig, CascadeRegressor, FeatureError, GrayImage, ParamScale, \
+    ShapeModel, WeakRegressor, assemble_feature, extract_descriptor, load_model, \
+    load_regressor, make_procedural_model, project_points, read_pgm, save_model, \
+    save_regressor, write_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +310,58 @@ def test_pgm_truncated_or_corrupt_raises_only_value_error(tmp_path_factory, widt
     # an accepted file decodes to its full raster, scaled into [0, 1]
     assert img.pixels.shape == (img.height, img.width)
     assert np.all((img.pixels >= 0.0) & (img.pixels <= 1.0))
+
+
+# MFM1 and MFR1 share one field reader: whatever the damage, the only
+# outcome besides a valid load is a ValueError naming the file.
+LOADERS = {"model.mfm": (save_model, load_model), "reg.mfr": (save_regressor, load_regressor)}
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_bytes(name):
+    rng = np.random.default_rng(4)
+    obj = make_procedural_model(9, 50, 2) if name == "model.mfm" else CascadeRegressor(
+        stages=[WeakRegressor(A=rng.normal(size=(2, 3)), b=rng.normal(size=2)) for _ in range(2)],
+        scale=ParamScale(rng.normal(size=2), [1.5, 2.0]), feature_dim=3, layout=["rx", "ry"])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        LOADERS[name][0](obj, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), cut=st.integers(0, 2 ** 16),
+       edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)), max_size=4))
+def test_mfm_mfr_truncated_or_corrupt_raise_only_value_error(tmp_path_factory, name, cut, edits):
+    data = bytearray(_saved_bytes(name))
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    p = tmp_path_factory.mktemp("fuzz") / name
+    p.write_bytes(bytes(data[:len(data) - cut % (len(data) + 1)]))
+    try:
+        LOADERS[name][1](p)
+    except ValueError as e:
+        assert str(p) in str(e)
+
+
+@pytest.mark.parametrize("name, edit, problem", [
+    ("reg.mfr", lambda d: d.replace(b"stages 2", b"stages 1.5"), "stages: invalid literal"),
+    ("reg.mfr", lambda d: d.replace(b"pdim 2", b"pdim -2"), "pdim: negative count -2"),
+    ("reg.mfr", lambda d: d.replace(b"\nb:\n", b"\nb:\n\xff", 1),
+     "b: line 13: non-ASCII byte 0xff"),
+    ("reg.mfr", lambda d: d[:d.index(b"A:") + 10], "A: unexpected end of file"),
+    ("model.mfm", lambda d: d.replace(b"landmarks 17", b"landmarks -2"),
+     "landmarks: negative count -2"),
+    ("model.mfm", lambda d: d.replace(b"\nsigmas:\n", b"\nsigmas:\n\xff"),
+     "sigmas: line 58: non-ASCII byte 0xff"),
+    ("model.mfm", lambda d: d[:d.index(b"tris:") + 10], "tris: unexpected end of file"),
+])
+def test_mfm_mfr_errors_name_file_and_field(tmp_path, name, edit, problem):
+    data = _saved_bytes(name)
+    path = tmp_path / name
+    path.write_bytes(edit(data))
+    assert path.read_bytes() != data
+    with pytest.raises(ValueError) as exc:
+        LOADERS[name][1](path)
+    assert str(exc.value).startswith("%s: %s" % (path, problem))

@@ -192,8 +192,21 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
     (out / "labels.csv").write_text(labels.replace(",-1200", "", 1))
     with pytest.raises(ValueError, match="labels.csv.*row 1"):
         load_dataset(out)
+    (out / "labels.csv").write_bytes(labels.encode().replace(b"\n", b"\n\xff", 1))
+    with pytest.raises(ValueError, match="labels.csv: line 2: non-ASCII byte 0xff"):
+        load_dataset(out)
     (out / "labels.csv").write_text(labels)
 
+    inits = (out / "inits.csv").read_text()
+    rx = inits.splitlines()[1].split(",")[1]
+    (out / "inits.csv").write_text(inits.replace("," + rx + ",", ",nan,", 1))
+    with pytest.raises(ValueError, match="inits.csv: row 1: non-finite"):
+        load_dataset(out)
+    (out / "inits.csv").write_text(inits)
+
+    (out / "protocol.txt").write_bytes(protocol.encode().replace(b"focal 5", b"focal \xff5"))
+    with pytest.raises(ValueError, match="protocol.txt: line 6: non-ASCII byte 0xff"):
+        load_dataset(out)
     (out / "protocol.txt").write_text(protocol.replace("focal ", "focus ", 1))
     with pytest.raises(ValueError, match="protocol.txt.*missing field 'focal'"):
         load_dataset(out)
