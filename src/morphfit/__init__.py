@@ -15,5 +15,5 @@ from .posit import Correspondences, DegenerateGeometryError, PositResult, \
     euler_from_rotation, posit
 from .shape_model import ShapeModel, instance_shape, load_model, make_procedural_model, \
     save_model, select_landmarks
-from .synth import ProtocolConfig, RenderConfig, RenderError, TrainingSample, \
+from .synth import ProtocolConfig, RenderError, TrainingSample, \
     generate_set, load_dataset, render, write_dataset

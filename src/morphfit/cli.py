@@ -26,7 +26,7 @@ from .features import read_pgm
 from .posit import Correspondences, euler_from_rotation, posit
 from .shape_model import load_model, make_procedural_model, save_model, select_landmarks
 from .synth import ProtocolConfig, generate_set, load_dataset, subseed, write_dataset
-from .util import atomic_write, fmt_float
+from .util import ascii_lines, atomic_write, fmt_float
 
 
 class UsageError(Exception):
@@ -103,21 +103,25 @@ def _parse_inline_theta(text, pdim):
 
 
 def _read_point_rows(path):
+    try:
+        lines = ascii_lines(path)
+    except ValueError as e:
+        raise UsageError(e) from None
     rows = []
-    with open(path) as f:
-        for ln_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    for ln_no, line in lines:
+        if line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise UsageError("%s: line %d: expected 5 values u,v,X,Y,Z" % (path, ln_no))
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            if ln_no == 1:  # tolerate a header line
                 continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise UsageError("%s:%d: expected 5 values u,v,X,Y,Z" % (path, ln_no))
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if ln_no == 1:  # tolerate a header line
-                    continue
-                raise UsageError("%s:%d: malformed number" % (path, ln_no))
+            raise UsageError("%s: line %d: malformed number" % (path, ln_no))
+        if not np.all(np.isfinite(rows[-1])):
+            raise UsageError("%s: line %d: non-finite value" % (path, ln_no))
     if not rows:
         raise UsageError("%s: no data rows" % path)
     arr = np.array(rows)

@@ -5,9 +5,12 @@ bit-identical for a given seed on any platform. No global RNG state is
 touched anywhere.
 """
 
+import itertools
+
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+NOISE_IMAGE_OCTAVES = 3
 
 
 def _mix(h):
@@ -21,13 +24,18 @@ def _mix(h):
 
 def _lattice_hash(ix, iy, iz, seed):
     """Hash integer lattice coordinates to floats in [0, 1)."""
-    ix = np.asarray(ix, dtype=np.int64).astype(np.uint64) & _MASK32
-    iy = np.asarray(iy, dtype=np.int64).astype(np.uint64) & _MASK32
-    iz = np.asarray(iz, dtype=np.int64).astype(np.uint64) & _MASK32
-    h = _mix(np.uint64(int(seed) & 0xFFFFFFFF) ^ (ix * np.uint64(0x9E3779B1) & _MASK32))
-    h = _mix(h ^ (iy * np.uint64(0x85EBCA77) & _MASK32))
-    h = _mix(h ^ (iz * np.uint64(0xC2B2AE3D) & _MASK32))
+    h = np.uint64(int(seed) & 0xFFFFFFFF)
+    for i, k in ((ix, 0x9E3779B1), (iy, 0x85EBCA77), (iz, 0xC2B2AE3D)):
+        i = np.asarray(i, dtype=np.int64).astype(np.uint64) & _MASK32
+        h = _mix(h ^ (i * np.uint64(k) & _MASK32))
     return h.astype(np.float64) / 4294967296.0
+
+
+def _cell(t):
+    """Lattice cell and smoothstep weight of coordinates t (lattice units)."""
+    i = np.floor(t).astype(np.int64)
+    f = t - i
+    return i, f * f * (3.0 - 2.0 * f)
 
 
 def value_noise3(points, seed):
@@ -35,20 +43,19 @@ def value_noise3(points, seed):
 
     Returns values in [0, 1). Smoothstep fade between lattice corners.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    p0 = np.floor(pts).astype(np.int64)
-    f = pts - p0
-    w = f * f * (3.0 - 2.0 * f)
-    out = np.zeros(pts.shape[0], dtype=np.float64)
-    for dx in (0, 1):
-        wx = w[:, 0] if dx else 1.0 - w[:, 0]
-        for dy in (0, 1):
-            wy = w[:, 1] if dy else 1.0 - w[:, 1]
-            for dz in (0, 1):
-                wz = w[:, 2] if dz else 1.0 - w[:, 2]
-                v = _lattice_hash(p0[:, 0] + dx, p0[:, 1] + dy, p0[:, 2] + dz, seed)
-                out += v * wx * wy * wz
-    return out
+    p0, w = _cell(np.asarray(points, dtype=np.float64).T.copy())  # (3, n), contiguous rows
+    wts = (1.0 - w, w)
+    return sum(_lattice_hash(p0[0] + dx, p0[1] + dy, p0[2] + dz, seed)
+               * wts[dx][0] * wts[dy][1] * wts[dz][2]
+               for dx, dy, dz in itertools.product((0, 1), repeat=3))
+
+
+def _fractal(octave, scale, seed, octaves):
+    """Sum of `octave(spacing, seed)` over octaves that each halve the
+    spacing and the amplitude, divided by the total amplitude."""
+    amps = [0.5 ** o for o in range(octaves)]
+    total = sum(a * octave(scale * a, seed + 101 * o) for o, a in enumerate(amps))
+    return total / sum(amps)
 
 
 def fbm3(points, scale, seed, octaves=2):
@@ -58,56 +65,27 @@ def fbm3(points, scale, seed, octaves=2):
     same units. Each octave halves the spacing. Output in [0, 1).
     """
     pts = np.asarray(points, dtype=np.float64)
-    total = np.zeros(pts.shape[0], dtype=np.float64)
-    amp_sum = 0.0
-    amp = 1.0
-    step = float(scale)
-    for o in range(octaves):
-        total += amp * value_noise3(pts / step, seed + 101 * o)
-        amp_sum += amp
-        amp *= 0.5
-        step *= 0.5
-    return total / amp_sum
+    return _fractal(lambda step, s: value_noise3(pts / step, s), scale, seed, octaves)
 
 
 def _grid_noise2(width, height, scale, seed):
     """One octave of 2D value noise over a pixel grid.
 
-    Exploits the regular grid: only the (small) set of lattice corners is
-    hashed, then pixels interpolate from gathered corner values.
+    Exploits the regular grid: only the lattice corners the image covers
+    are hashed, each lattice row is blended along x once, and pixel rows
+    blend two of those rows along y.
     """
-    x = np.arange(width, dtype=np.float64) / scale
-    y = np.arange(height, dtype=np.float64) / scale
-    ix = np.floor(x).astype(np.int64)
-    iy = np.floor(y).astype(np.int64)
-    fx = x - ix
-    fy = y - iy
-    gx = np.arange(ix[0], ix[-1] + 2)
-    gy = np.arange(iy[0], iy[-1] + 2)
-    mx, my = np.meshgrid(gx, gy)
-    lattice = _lattice_hash(mx, my, np.zeros_like(mx), seed)
-    jx = ix - gx[0]
-    jy = iy - gy[0]
-    wx = (fx * fx * (3.0 - 2.0 * fx))[None, :]
-    wy = (fy * fy * (3.0 - 2.0 * fy))[:, None]
-    v00 = lattice[jy[:, None], jx[None, :]]
-    v01 = lattice[jy[:, None], jx[None, :] + 1]
-    v10 = lattice[jy[:, None] + 1, jx[None, :]]
-    v11 = lattice[jy[:, None] + 1, jx[None, :] + 1]
-    top = v00 * (1.0 - wx) + v01 * wx
-    bot = v10 * (1.0 - wx) + v11 * wx
-    return top * (1.0 - wy) + bot * wy
+    ix, wx = _cell(np.arange(width) / scale)
+    iy, wy = _cell(np.arange(height) / scale)
+    # pixel 0 lies in lattice cell 0, so the covered lattice starts there
+    lattice = _lattice_hash(np.arange(ix[-1] + 2)[None, :], np.arange(iy[-1] + 2)[:, None],
+                            0, seed)
+    rows = lattice[:, ix] * (1.0 - wx) + lattice[:, ix + 1] * wx
+    wy = wy[:, None]
+    return rows[iy] * (1.0 - wy) + rows[iy + 1] * wy
 
 
-def noise_image(width, height, scale, seed, octaves=3):
+def noise_image(width, height, scale, seed):
     """Grayscale noise raster (height, width) with values in [0, 1)."""
-    out = np.zeros((height, width), dtype=np.float64)
-    amp_sum = 0.0
-    amp = 1.0
-    step = float(scale)
-    for o in range(octaves):
-        out += amp * _grid_noise2(width, height, step, seed + 101 * o)
-        amp_sum += amp
-        amp *= 0.5
-        step *= 0.5
-    return out / amp_sum
+    return _fractal(lambda step, s: _grid_noise2(width, height, step, s), scale, seed,
+                    NOISE_IMAGE_OCTAVES)

@@ -13,6 +13,7 @@ within +/-init_offset in test sets, within twice that in training sets.
 Everything is deterministic given the seeds.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -22,7 +23,7 @@ from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_image
 from .shape_model import instance_shape
-from .util import atomic_write, fmt_float, parallel_map, read_ascii
+from .util import ascii_lines, atomic_write, fmt_float, parallel_map
 
 
 class RenderError(RuntimeError):
@@ -44,13 +45,6 @@ TEXTURE_ANISO = (1.0, 0.3, 1.0)
 TEXTURE_DETAIL_SCALE = 12.0   # mm, isotropic detail lattice
 TEXTURE_DETAIL_WEIGHT = 0.5
 BACKGROUND_SCALE = 18.0       # px
-
-
-@dataclass
-class RenderConfig:
-    cam: CameraConfig
-    texture_seed: int = 0
-    background_seed: int = 0
 
 
 @dataclass
@@ -83,6 +77,9 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError("field %r is not finite" % f.name)
         for step in (self.step_train, self.step_test):
             if step <= 0 or abs(self.range_deg / step - round(self.range_deg / step)) > 1e-9:
                 raise ValueError("grid step must divide the angle range")
@@ -100,14 +97,13 @@ class ProtocolConfig:
         return np.linspace(-self.range_deg, self.range_deg, n)
 
 
-def render(model, theta, rc):
+def render(model, theta, cam, texture_seed, background_seed):
     """Rasterize a model instance posed by theta over a noise background."""
     if len(model.triangles) == 0:
         raise ValueError("model has no triangles")
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     alpha = np.zeros(model.num_modes)
     alpha[:theta.shape[0] - 6] = theta[6:]
-    cam = rc.cam
 
     verts = instance_shape(model, alpha).reshape(-1, 3)
     uv, visible = project_points(verts, theta[:6], cam)
@@ -116,7 +112,7 @@ def render(model, theta, rc):
     depth = -vc[:, 2]
 
     h, w = cam.height, cam.width
-    img = 0.1 + 0.8 * noise_image(w, h, BACKGROUND_SCALE, rc.background_seed)
+    img = 0.1 + 0.8 * noise_image(w, h, BACKGROUND_SCALE, background_seed)
     zbuf = np.full((h, w), np.inf)
     owner = np.full((h, w), -1, dtype=np.int64)
     bary = np.zeros((h, w, 3))
@@ -184,8 +180,8 @@ def render(model, theta, rc):
     surf = np.einsum("ni,nij->nj", lam, mean_pts[tris[hit_tris]])
     dw = TEXTURE_DETAIL_WEIGHT
     albedo = (1.0 - dw) * fbm3(surf * np.asarray(TEXTURE_ANISO),
-                               TEXTURE_SCALE, rc.texture_seed, octaves=1) \
-        + dw * fbm3(surf, TEXTURE_DETAIL_SCALE, rc.texture_seed + 777, octaves=2)
+                               TEXTURE_SCALE, texture_seed, octaves=1) \
+        + dw * fbm3(surf, TEXTURE_DETAIL_SCALE, texture_seed + 777, octaves=2)
     tex = 0.35 + 0.6 * albedo
     shade = np.einsum("ni,ni->n", lam, vert_shade[tris[hit_tris]])
     img[rows, cols] = tex * shade
@@ -219,16 +215,14 @@ def generate_set(model, pc, mode, jobs=1):
     if pc.n_shape > model.num_modes:
         raise ValueError("n_shape exceeds model modes")
 
-    rng_trans = np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, 11)))
-    rng_alpha = np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, 12)))
-    rng_init = np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, 13)))
+    rng_trans, rng_alpha, rng_init = (np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, k)))
+                                      for k in (11, 12, 13))
     texture_seed = subseed(pc.seed, 5)  # shared by train and test sets
     cam = pc.camera()
 
     n_bg = pc.backgrounds if mode == "train" else 1
     spread = pc.init_offset * (TRAIN_INIT_SPREAD if mode == "train" else 1.0)
     specs = []
-    idx = 0
     for pitch in pc.grid(mode):
         for yaw in pc.grid(mode):
             tx, ty = rng_trans.normal(0.0, pc.trans_sigma, size=2)
@@ -241,14 +235,12 @@ def generate_set(model, pc, mode, jobs=1):
                 theta_init[:3] += d_ang
                 theta_init[6:] = 0.0  # shape always starts at the mean face
                 sid = "%s_p%+g_y%+g_b%d" % (mode, pitch, yaw, b)
-                specs.append((sid, theta_gt, theta_init, subseed(pc.seed, tag, 20, idx)))
-                idx += 1
+                specs.append((sid, theta_gt, theta_init, subseed(pc.seed, tag, 20, len(specs))))
 
     def render_one(spec):
         sid, gt, init, bg_seed = spec
-        rc = RenderConfig(cam=cam, texture_seed=texture_seed, background_seed=bg_seed)
         try:
-            img = render(model, gt, rc)
+            img = render(model, gt, cam, texture_seed, bg_seed)
         except RenderError as e:
             raise RenderError("sample %s: %s" % (sid, e)) from e
         return TrainingSample(image=img, theta_gt=gt, theta_init=init, id=sid)
@@ -284,7 +276,7 @@ def write_dataset(path, samples, pc):
 def load_protocol(path):
     fname = os.path.join(path, "protocol.txt")
     values = {}
-    for line in _ascii_lines(fname):
+    for _, line in ascii_lines(fname):
         parts = line.split(None, 1)
         if len(parts) == 1:
             raise ValueError("%s: field %r has no value" % (fname, parts[0]))
@@ -297,19 +289,14 @@ def load_protocol(path):
             kwargs[f.name] = f.type(values[f.name])  # every field is an int or a float
         except ValueError as e:
             raise ValueError("%s: field %r: %s" % (fname, f.name, e)) from None
-    return ProtocolConfig(**kwargs)
-
-
-def _ascii_lines(path):
-    """The non-blank lines of an ASCII text file, stripped."""
-    text, bad = read_ascii(path)
-    if bad:
-        raise ValueError("%s: %s" % (path, bad))
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+    try:
+        return ProtocolConfig(**kwargs)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (fname, e)) from None
 
 
 def _read_csv(path):
-    lines = _ascii_lines(path)
+    lines = [ln for _, ln in ascii_lines(path)]
     if not lines:
         raise ValueError("%s: empty file" % path)
     header = lines[0].split(",")

@@ -49,6 +49,15 @@ def read_ascii(path):
             data.count(b"\n", 0, cut) + 1, data[e.start])
 
 
+def ascii_lines(path):
+    """(line number, stripped text) of each non-blank line of an ASCII file;
+    a non-ASCII byte is a ValueError naming the file and its line."""
+    text, bad = read_ascii(path)
+    if bad:
+        raise ValueError("%s: %s" % (path, bad))
+    return [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
 class TokenReader:
     """Labelled fields of a whitespace-separated ASCII file headed `MAGIC 1`.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morphfit import CameraConfig, GrayImage, make_procedural_model
-from morphfit.synth import RenderConfig, render
+from morphfit.synth import render
 
 
 @pytest.fixture(scope="session")
@@ -17,9 +17,8 @@ def small_cam():
 
 @pytest.fixture(scope="session")
 def small_render(small_model, small_cam):
-    rc = RenderConfig(cam=small_cam, texture_seed=5, background_seed=6)
     theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
-    return render(small_model, theta, rc)
+    return render(small_model, theta, small_cam, 5, 6)
 
 
 def random_unit_basis(rng, dim, k):

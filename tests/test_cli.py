@@ -223,9 +223,17 @@ def test_posit_single_pose(workspace, tmp_path):
 
 def test_posit_malformed_csv_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
+    out = str(tmp_path / "o.csv")
     bad.write_text("1,2,3\n")
-    code, _, _ = run_cli("posit", "--points", str(bad), "--out", str(tmp_path / "o.csv"))
+    code, _, _ = run_cli("posit", "--points", str(bad), "--out", out)
     assert code == 2
+    good = "u,v,X,Y,Z\n" + "".join("%d,%d,%d,%d,%d\n" % (i, i + 1, i, 2 * i, 3) for i in range(6))
+    bad.write_bytes(good.encode().replace(b"\n1,", b"\n\xff1,", 1))
+    code, _, err = run_cli("posit", "--points", str(bad), "--out", out)
+    assert code == 2 and "bad.csv: line 3: non-ASCII byte 0xff" in err
+    bad.write_text(good.replace("\n2,3,", "\nnan,3,", 1))
+    code, _, err = run_cli("posit", "--points", str(bad), "--out", out)
+    assert code == 2 and "bad.csv: line 4: non-finite value" in err
 
 
 def test_seed_env_fallback(workspace, tmp_path):

@@ -4,26 +4,24 @@ import numpy as np
 import pytest
 
 from morphfit import ShapeModel, read_pgm, write_pgm
-from morphfit.noise import noise_image
-from morphfit.synth import BACKGROUND_SCALE, ProtocolConfig, RenderConfig, RenderError, \
-    generate_set, load_dataset, render, write_dataset
+from morphfit.noise import fbm3, noise_image
+from morphfit.synth import BACKGROUND_SCALE, ProtocolConfig, RenderError, generate_set, \
+    load_dataset, render, write_dataset
 
 SMALL_PC = dict(range_deg=20.0, step_train=20.0, step_test=10.0, backgrounds=2,
                 width=160, height=120, focal=500.0)
 
 
 def test_render_deterministic(small_model, small_cam):
-    rc = RenderConfig(cam=small_cam, texture_seed=1, background_seed=2)
     theta = np.array([5.0, -10.0, 2.0, 1.0, -1.0, -1200.0])
-    a = render(small_model, theta, rc)
-    b = render(small_model, theta, rc)
+    a = render(small_model, theta, small_cam, 1, 2)
+    b = render(small_model, theta, small_cam, 1, 2)
     assert np.array_equal(a.pixels, b.pixels)
 
 
 def test_render_foreground_present_and_inside(small_model, small_cam):
     theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
-    rc = RenderConfig(cam=small_cam, texture_seed=1, background_seed=2)
-    img = render(small_model, theta, rc)
+    img = render(small_model, theta, small_cam, 1, 2)
     # pixels still equal to the untouched background are not foreground
     bg = noise_image(small_cam.width, small_cam.height, BACKGROUND_SCALE, 2)
     bg = np.rint(np.clip(0.1 + 0.8 * bg, 0.0, 1.0) * 255.0) / 255.0
@@ -62,8 +60,7 @@ def overlap_model(z_near, z_far):
 def test_zbuffer_keeps_nearer_triangle(small_cam):
     # camera looks down -z from the model at tz=-1200: larger model z is nearer
     theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
-    rc = RenderConfig(cam=small_cam, texture_seed=3, background_seed=4)
-    both = render(overlap_model(z_near=40.0, z_far=0.0), theta, rc)
+    both = render(overlap_model(z_near=40.0, z_far=0.0), theta, small_cam, 3, 4)
 
     near_only = ShapeModel(vertex_count=6, mean=overlap_model(40.0, 0.0).mean,
                            basis=overlap_model(40.0, 0.0).basis, sigmas=[1.0],
@@ -71,22 +68,21 @@ def test_zbuffer_keeps_nearer_triangle(small_cam):
     far_only = ShapeModel(vertex_count=6, mean=overlap_model(40.0, 0.0).mean,
                           basis=overlap_model(40.0, 0.0).basis, sigmas=[1.0],
                           landmark_ids=[0], triangles=[[0, 1, 2]])
-    near_img = render(near_only, theta, rc)
-    far_img = render(far_only, theta, rc)
+    near_img = render(near_only, theta, small_cam, 3, 4)
+    far_img = render(far_only, theta, small_cam, 3, 4)
     cy, cx = small_cam.height // 2, small_cam.width // 2
     assert both.pixels[cy, cx] == near_img.pixels[cy, cx]
     assert near_img.pixels[cy, cx] != far_img.pixels[cy, cx]
 
 
 def test_render_requires_triangles_and_visibility(small_model, small_cam):
-    rc = RenderConfig(cam=small_cam, texture_seed=1, background_seed=1)
     no_tris = ShapeModel(vertex_count=small_model.vertex_count, mean=small_model.mean,
                          basis=small_model.basis, sigmas=small_model.sigmas,
                          landmark_ids=small_model.landmark_ids)
     with pytest.raises(ValueError):
-        render(no_tris, np.array([0, 0, 0, 0, 0, -1200.0]), rc)
+        render(no_tris, np.array([0, 0, 0, 0, 0, -1200.0]), small_cam, 1, 1)
     with pytest.raises(RenderError):
-        render(small_model, np.array([0, 0, 0, 1e6, 0, -1200.0]), rc)
+        render(small_model, np.array([0, 0, 0, 1e6, 0, -1200.0]), small_cam, 1, 1)
 
 
 def test_generate_counts_and_init_contract(small_model):
@@ -216,6 +212,12 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
     (out / "protocol.txt").write_text(protocol + "seed\n")
     with pytest.raises(ValueError, match="protocol.txt.*'seed' has no value"):
         load_dataset(out)
+    for name in ("trans_sigma", "focal", "range_deg"):
+        edited = "".join(name + " nan\n" if ln.split()[0] == name else ln + "\n"
+                         for ln in protocol.splitlines())
+        (out / "protocol.txt").write_text(edited)
+        with pytest.raises(ValueError, match="protocol.txt: field '%s' is not finite" % name):
+            load_dataset(out)
 
 
 def test_protocol_validation():
@@ -232,3 +234,27 @@ def test_background_noise_has_texture(small_cam):
     assert bg.std() > 0.05
     gx = np.abs(np.diff(bg, axis=1)).mean()
     assert gx > 1e-3  # descriptors on background see real gradients
+
+
+# SHA-256 of the float64 bytes of the background raster and of the surface
+# texture noise at the octave counts render uses; unlike the golden set
+# digest these see every bit, not 8-bit 160x120 renders.
+NOISE_SHA256 = {
+    ("image", 0): "d6c4d5d4d9ffbce6ebab3cfa99f94898d8982f645a2bd334de86cff8646618cf",
+    ("fbm1", 0): "955ec003ee60ec84171a082523b17b36abb5565377efc646c90ff40f51b5c424",
+    ("fbm2", 0): "ced780c4ed4040771935ee12294f326118de8409cb667ac8a7be16a02d57c166",
+    ("image", 2718): "c033f4beee6aca8758b9a4cad57b68a64ab387676e913abc5cc9243c54f59cbb",
+    ("fbm1", 2718): "435dec4a7c88937e475d60725202ddc747b87b2437c989ac774f52e59fa8943f",
+    ("fbm2", 2718): "bb7b26e669800f091f5f2df28c496a860f236811487274baf41ff75219323b40",
+}
+
+
+def test_noise_matches_golden_digests():
+    pts = np.random.default_rng(3).uniform(-150.0, 150.0, size=(2000, 3))
+    got = {}
+    for s in (0, 2718):
+        got["image", s] = noise_image(640, 480, BACKGROUND_SCALE, s)
+        for k in (1, 2):
+            got["fbm%d" % k, s] = fbm3(pts, 60.0, s, octaves=k)
+    assert {key: hashlib.sha256(v.astype("<f8").tobytes()).hexdigest()
+            for key, v in got.items()} == NOISE_SHA256
