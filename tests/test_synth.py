@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from morphfit import ShapeModel, read_pgm, write_pgm
+from morphfit import CameraConfig, ShapeModel, make_procedural_model, read_pgm, write_pgm
 from morphfit.noise import fbm3, noise_image
 from morphfit.synth import BACKGROUND_SCALE, ProtocolConfig, RenderError, generate_set, \
     load_dataset, render, write_dataset
@@ -145,6 +146,48 @@ def test_seeded_sets_match_golden_digest(small_model):
             h.update(s.theta_gt.astype("<f8").tobytes())
             h.update(s.theta_init.astype("<f8").tobytes())
     assert h.hexdigest() == GOLDEN_SET_SHA256
+
+
+@pytest.fixture(scope="module")
+def standard_model():
+    return make_procedural_model(42, 500, 10)
+
+
+STANDARD_CAM = CameraConfig(focal=1500.0, width=640, height=480)
+# Frontal; tilted with roll; pushed across the left image edge; close range,
+# clipped at the top and bottom edges.
+GOLDEN_RENDER_POSES = [
+    [0.0, 0.0, 0.0, 0.0, 0.0, -1200.0],
+    [20.0, -20.0, 8.0, 0.0, 0.0, -1200.0],
+    [-20.0, 20.0, -8.0, -230.0, 0.0, -1200.0],
+    [5.0, 10.0, 0.0, 0.0, 0.0, -600.0],
+]
+# SHA-256 of the 8-bit pixels of the poses above with the standard model at
+# 640x480. Unlike the golden set digest, this pins the full mesh's
+# shared-edge depth ties and the clipping at the image border.
+GOLDEN_RENDER_SHA256 = "33a6e80feddde542df6ec826981d1fbfe8c46717399f2371a16eb7c7308bc5ee"
+
+
+def test_standard_renders_match_golden_digest(standard_model):
+    h = hashlib.sha256()
+    for theta in GOLDEN_RENDER_POSES:
+        img = render(standard_model, np.array(theta), STANDARD_CAM, 11, 12)
+        h.update(np.rint(img.pixels * 255.0).astype(np.uint8).tobytes())
+    assert h.hexdigest() == GOLDEN_RENDER_SHA256
+
+
+def test_close_range_render_memory_is_bounded(standard_model):
+    # at tz = -400 triangle boxes cover much of the frame; the geometry pass
+    # must not hold every candidate pixel of every triangle at once
+    theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -400.0])
+    tracemalloc.start()
+    try:
+        render(standard_model, theta, STANDARD_CAM, 11, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-triangle loop peaked at 83.3 MiB here, mostly in the shading pass
+    assert peak <= 87 * 1024 * 1024
 
 
 def test_train_and_test_share_surface_texture(small_model):
