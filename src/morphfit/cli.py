@@ -24,7 +24,8 @@ from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cas
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
 from .posit import Correspondences, euler_from_rotation, posit
-from .shape_model import load_model, make_procedural_model, save_model, select_landmarks
+from .shape_model import load_model, make_procedural_model, save_model, select_landmarks, \
+    split_theta
 from .synth import ProtocolConfig, generate_set, load_dataset, subseed, write_dataset
 from .util import ascii_lines, atomic_write, fmt_float
 
@@ -215,10 +216,9 @@ def cmd_posit(args, seed):
         lines = ["id,rx,ry,rz,tx,ty,tz,err_rx,err_ry,err_rz,iters,converged"]
         errs = []
         for idx, s in enumerate(samples):
-            alpha = np.zeros(model.num_modes)
-            alpha[:s.theta_gt.shape[0] - 6] = s.theta_gt[6:]
+            pose, alpha = split_theta(model, s.theta_gt)
             pts3d = select_landmarks(model, alpha)
-            uv, valid = project_points(pts3d, s.theta_gt[:6], cam)
+            uv, valid = project_points(pts3d, pose, cam)
             if not valid.all():
                 continue
             if args.noise_px > 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import project_points
-from .shape_model import select_landmarks
+from .shape_model import select_landmarks, split_theta
 from .util import atomic_write
 
 DESCRIPTOR_SIZE = 128
@@ -134,18 +134,14 @@ def extract_descriptor(img, center, patch_size=DEFAULT_PATCH_SIZE):
 def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE):
     """Concatenated landmark descriptors for parameter vector theta.
 
-    theta is [rx ry rz tx ty tz alpha...]; missing trailing shape
-    coefficients are treated as zero. Landmarks that fail to project or whose
-    window lies off the image contribute a zero descriptor; if all do (the
-    model is behind the camera or off the image), FeatureError is raised.
+    theta is [rx ry rz tx ty tz alpha...], split by `split_theta`: missing
+    trailing shape coefficients are treated as zero. Landmarks that fail to
+    project or whose window lies off the image contribute a zero descriptor;
+    if all do (the model is behind the camera or off the image),
+    FeatureError is raised.
     """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.shape[0] < 6 or theta.shape[0] > 6 + model.num_modes:
-        raise ValueError("theta must have 6..6+K entries")
-    alpha = np.zeros(model.num_modes)
-    alpha[:theta.shape[0] - 6] = theta[6:]
-
-    uv, valid = project_points(select_landmarks(model, alpha), theta[:6], cam)
+    pose, alpha = split_theta(model, theta)
+    uv, valid = project_points(select_landmarks(model, alpha), pose, cam)
     if not np.any(valid):
         raise FeatureError("all landmark projections failed")
     blocks, reads = _descriptors(img, uv, patch_size)

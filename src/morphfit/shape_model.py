@@ -81,6 +81,24 @@ def instance_shape(model, alpha):
     return model.mean + model.basis @ (alpha * model.sigmas)
 
 
+def split_theta(model, theta):
+    """Split theta = [rx ry rz tx ty tz alpha...] into the pose (6,) and the
+    model's K shape coefficients, missing trailing ones zero.
+
+    Raises ValueError for fewer than 6 or more than 6 + K entries, or a
+    non-finite entry.
+    """
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    if not 6 <= theta.shape[0] <= 6 + model.num_modes:
+        raise ValueError("theta has %d entries; the model takes 6..%d"
+                         % (theta.shape[0], 6 + model.num_modes))
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta has a non-finite entry")
+    alpha = np.zeros(model.num_modes)
+    alpha[:theta.shape[0] - 6] = theta[6:]
+    return theta[:6], alpha
+
+
 def select_landmarks(model, alpha):
     """Landmark vertices of the instance, as (n, 3) points in mm."""
     return instance_shape(model, alpha).reshape(-1, 3)[model.landmark_ids]

@@ -6,6 +6,12 @@ across pose and identity), flat Lambertian shading from a fixed light in
 camera space, and a procedural noise background. Output images are
 quantized to 8-bit levels so a PGM round-trip is lossless.
 
+Coverage needs no loop over triangles: the clipped bounding boxes of the
+front faces expand into candidate pixels, at most RASTER_BATCH at a time
+in triangle order. The nearest triangle wins a pixel, and among equally
+near ones the lowest triangle index, which is what drawing the triangles
+one by one with a strict depth test gives.
+
 Set generation follows a fixed protocol: a yaw/pitch grid with Gaussian
 x/y translation noise on the ground truth, several backgrounds per
 training pose, and initializations that perturb every angle uniformly:
@@ -22,7 +28,7 @@ import numpy as np
 from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_image
-from .shape_model import instance_shape
+from .shape_model import instance_shape, split_theta
 from .util import ascii_lines, atomic_write, fmt_float, parallel_map
 
 
@@ -45,6 +51,9 @@ TEXTURE_ANISO = (1.0, 0.3, 1.0)
 TEXTURE_DETAIL_SCALE = 12.0   # mm, isotropic detail lattice
 TEXTURE_DETAIL_WEIGHT = 0.5
 BACKGROUND_SCALE = 18.0       # px
+# Candidate pixels the geometry pass holds at once; a triangle whose clipped
+# box is larger forms a batch by itself.
+RASTER_BATCH = 1 << 15
 
 
 @dataclass
@@ -97,64 +106,88 @@ class ProtocolConfig:
         return np.linspace(-self.range_deg, self.range_deg, n)
 
 
+def _barycentric(coef, px, py):
+    """Barycentric coordinates (l0, l1, l2) of pixels (px, py), each in the
+    triangle of its column of coef: rows x2, y2, y1 - y2, x2 - x1, y2 - y0,
+    x0 - x2 and det, twice the signed area."""
+    x2, y2, a0, b0, a1, b1, det = coef
+    l0 = (a0 * (px - x2) + b0 * (py - y2)) / det
+    l1 = (a1 * (px - x2) + b1 * (py - y2)) / det
+    return l0, l1, 1.0 - l0 - l1
+
+
+def _rasterize(uv, visible, depth, tris, w, h):
+    """Z-buffered coverage of a w x h frame by the triangles tris over
+    vertices at pixel positions uv with camera depth `depth`.
+
+    Returns the rows and columns of the covered pixels in row-major order,
+    the triangle covering each and its barycentric coordinates there, (n, 3).
+    Triangles are wound outward, which projects to a negative signed area
+    when front-facing under this screen convention; back faces of the
+    closed mesh are skipped since they can never win the depth test, as
+    are triangles with a vertex behind the camera or a box clipped away.
+    The kept triangles' boxes expand into candidate pixels, RASTER_BATCH at
+    most at a time in triangle order. A stable sort by pixel keeps triangle
+    order, so a pixel's first nearest candidate is its nearest triangle of
+    lowest index; batches merge into the frame in order with a strict `<`.
+    """
+    tri_ids = np.flatnonzero(visible[tris].all(axis=1))
+    corners = uv[tris[tri_ids]]
+    # clipped before the integer cast, which a far-off vertex would overflow
+    lo = np.clip(np.ceil(corners.min(axis=1)), 0, (w, h)).astype(np.int64)
+    hi = np.clip(np.floor(corners.max(axis=1)), -1, (w - 1, h - 1)).astype(np.int64)
+    (x0, x1, x2), (y0, y1, y2) = corners.T
+    coef = np.array([x2, y2, y1 - y2, x2 - x1, y2 - y0, x0 - x2,
+                     (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2)])
+    keep = np.all(lo <= hi, axis=1) & (coef[6] <= -1e-12)
+    tri_ids, lo, coef, size = tri_ids[keep], lo[keep], coef[:, keep], (hi - lo + 1)[keep]
+    tri_depth = depth[tris[tri_ids]].T
+    ends = np.cumsum(size[:, 0] * size[:, 1])
+    starts = np.r_[0, ends[:-1]]
+    zbuf = np.full(h * w, np.inf)
+    owner = np.full(h * w, -1, dtype=np.int64)
+    i = 0
+    while i < len(ends):
+        j = max(int(np.searchsorted(ends, starts[i] + RASTER_BATCH, side="right")), i + 1)
+        t = np.repeat(np.arange(i, j), ends[i:j] - starts[i:j])
+        k = np.arange(starts[i], ends[j - 1]) - starts[t]
+        i = j
+        row, col = lo[t, 1] + k // size[t, 0], lo[t, 0] + k % size[t, 0]
+        l0, l1, l2 = _barycentric(coef[:, t], col, row)
+        z = l0 * tri_depth[0, t] + l1 * tri_depth[1, t] + l2 * tri_depth[2, t]
+        hit = (l0 >= 0) & (l1 >= 0) & (l2 >= 0)
+        pix, z, t = (row * w + col)[hit], z[hit], t[hit]
+        order = np.argsort(pix, kind="stable")
+        pix, z, t = pix[order], z[order], t[order]
+        start = np.flatnonzero(np.diff(pix, prepend=-1))
+        zmin = np.repeat(np.minimum.reduceat(z, start), np.diff(start, append=pix.size))
+        nearest = np.flatnonzero(z == zmin)
+        first = nearest[np.diff(pix[nearest], prepend=-1) != 0]
+        pix, z, t = pix[first], z[first], t[first]
+        nearer = z < zbuf[pix]
+        zbuf[pix[nearer]] = z[nearer]
+        owner[pix[nearer]] = t[nearer]
+
+    pix = np.flatnonzero(owner >= 0)
+    rows, cols = np.divmod(pix, w)
+    lam = np.stack(_barycentric(coef[:, owner[pix]], cols, rows), axis=1)
+    return rows, cols, tri_ids[owner[pix]], lam
+
+
 def render(model, theta, cam, texture_seed, background_seed):
     """Rasterize a model instance posed by theta over a noise background."""
     if len(model.triangles) == 0:
         raise ValueError("model has no triangles")
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    alpha = np.zeros(model.num_modes)
-    alpha[:theta.shape[0] - 6] = theta[6:]
+    pose, alpha = split_theta(model, theta)
 
     verts = instance_shape(model, alpha).reshape(-1, 3)
-    uv, visible = project_points(verts, theta[:6], cam)
-    u, v = uv[:, 0], uv[:, 1]
-    vc = to_camera(verts, theta[:6])
-    depth = -vc[:, 2]
-
+    uv, visible = project_points(verts, pose, cam)
+    vc = to_camera(verts, pose)
     h, w = cam.height, cam.width
     img = 0.1 + 0.8 * noise_image(w, h, BACKGROUND_SCALE, background_seed)
-    zbuf = np.full((h, w), np.inf)
-    owner = np.full((h, w), -1, dtype=np.int64)
-    bary = np.zeros((h, w, 3))
     tris = model.triangles
 
-    # Geometry pass: z-buffered coverage with barycentric coordinates.
-    # Triangles are wound outward, which projects to a negative signed
-    # area when front-facing under this screen convention; back faces of
-    # the closed mesh are skipped since they can never win the depth test.
-    for t_idx in range(len(tris)):
-        tri = tris[t_idx]
-        if not (visible[tri[0]] and visible[tri[1]] and visible[tri[2]]):
-            continue
-        xs, ys = u[tri], v[tri]
-        x_lo = max(0, int(np.ceil(xs.min())))
-        x_hi = min(w - 1, int(np.floor(xs.max())))
-        y_lo = max(0, int(np.ceil(ys.min())))
-        y_hi = min(h - 1, int(np.floor(ys.max())))
-        if x_lo > x_hi or y_lo > y_hi:
-            continue
-        det = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
-        if det > -1e-12:
-            continue
-        px = np.arange(x_lo, x_hi + 1, dtype=np.float64)[None, :]
-        py = np.arange(y_lo, y_hi + 1, dtype=np.float64)[:, None]
-        l0 = ((ys[1] - ys[2]) * (px - xs[2]) + (xs[2] - xs[1]) * (py - ys[2])) / det
-        l1 = ((ys[2] - ys[0]) * (px - xs[2]) + (xs[0] - xs[2]) * (py - ys[2])) / det
-        l2 = 1.0 - l0 - l1
-        z = l0 * depth[tri[0]] + l1 * depth[tri[1]] + l2 * depth[tri[2]]
-        hit = (l0 >= 0) & (l1 >= 0) & (l2 >= 0) & (z < zbuf[y_lo:y_hi + 1, x_lo:x_hi + 1])
-        if not hit.any():
-            continue
-        rows, cols = np.nonzero(hit)
-        rows = rows + y_lo
-        cols = cols + x_lo
-        zbuf[rows, cols] = z[hit]
-        owner[rows, cols] = t_idx
-        bary[rows, cols, 0] = l0[hit]
-        bary[rows, cols, 1] = l1[hit]
-        bary[rows, cols, 2] = l2[hit]
-
-    rows, cols = np.nonzero(owner >= 0)
+    rows, cols, hit_tris, lam = _rasterize(uv, visible, -vc[:, 2], tris, w, h)
     if rows.size == 0:
         raise RenderError("face entirely outside the view frustum")
 
@@ -175,8 +208,6 @@ def render(model, theta, cam, texture_seed, background_seed):
     vert_shade = 0.35 + 0.65 * np.maximum(0.0, vert_n @ light)
 
     mean_pts = model.mean.reshape(-1, 3)
-    hit_tris = owner[rows, cols]
-    lam = bary[rows, cols]
     surf = np.einsum("ni,nij->nj", lam, mean_pts[tris[hit_tris]])
     dw = TEXTURE_DETAIL_WEIGHT
     albedo = (1.0 - dw) * fbm3(surf * np.asarray(TEXTURE_ANISO),

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from morphfit import CameraConfig, ShapeModel, make_procedural_model, read_pgm, write_pgm
+from morphfit import synth
+from morphfit.camera import project_points, to_camera
 from morphfit.noise import fbm3, noise_image
 from morphfit.synth import BACKGROUND_SCALE, ProtocolConfig, RenderError, generate_set, \
     load_dataset, render, write_dataset
@@ -84,6 +86,14 @@ def test_render_requires_triangles_and_visibility(small_model, small_cam):
         render(no_tris, np.array([0, 0, 0, 0, 0, -1200.0]), small_cam, 1, 1)
     with pytest.raises(RenderError):
         render(small_model, np.array([0, 0, 0, 1e6, 0, -1200.0]), small_cam, 1, 1)
+
+
+def test_render_rejects_malformed_theta(small_model, small_cam):
+    # 3 modes: 10 entries is one shape coefficient too many
+    with pytest.raises(ValueError, match="theta has 10 entries; the model takes 6..9"):
+        render(small_model, np.array([0, 0, 0, 0, 0, -1200.0, 0, 0, 0, 1.0]), small_cam, 1, 1)
+    with pytest.raises(ValueError, match="theta has a non-finite entry"):
+        render(small_model, np.array([0, 0, 0, 0, 0, -1200.0, np.nan]), small_cam, 1, 1)
 
 
 def test_generate_counts_and_init_contract(small_model):
@@ -188,6 +198,72 @@ def test_close_range_render_memory_is_bounded(standard_model):
         tracemalloc.stop()
     # the per-triangle loop peaked at 83.3 MiB here, mostly in the shading pass
     assert peak <= 87 * 1024 * 1024
+
+
+def loop_rasterize(uv, visible, depth, tris, w, h):
+    """Reference geometry pass: one triangle at a time in index order, a
+    strict `<` depth test, so the first of equally near triangles wins."""
+    u, v = uv[:, 0], uv[:, 1]
+    zbuf = np.full((h, w), np.inf)
+    owner = np.full((h, w), -1, dtype=np.int64)
+    bary = np.zeros((h, w, 3))
+    for t_idx, tri in enumerate(tris):
+        if not visible[tri].all():
+            continue
+        xs, ys = u[tri], v[tri]
+        x_lo, x_hi = max(0, int(np.ceil(xs.min()))), min(w - 1, int(np.floor(xs.max())))
+        y_lo, y_hi = max(0, int(np.ceil(ys.min()))), min(h - 1, int(np.floor(ys.max())))
+        if x_lo > x_hi or y_lo > y_hi:
+            continue
+        det = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
+        if det > -1e-12:
+            continue
+        px = np.arange(x_lo, x_hi + 1, dtype=np.float64)[None, :]
+        py = np.arange(y_lo, y_hi + 1, dtype=np.float64)[:, None]
+        l0 = ((ys[1] - ys[2]) * (px - xs[2]) + (xs[2] - xs[1]) * (py - ys[2])) / det
+        l1 = ((ys[2] - ys[0]) * (px - xs[2]) + (xs[0] - xs[2]) * (py - ys[2])) / det
+        l2 = 1.0 - l0 - l1
+        z = l0 * depth[tri[0]] + l1 * depth[tri[1]] + l2 * depth[tri[2]]
+        hit = (l0 >= 0) & (l1 >= 0) & (l2 >= 0) & (z < zbuf[y_lo:y_hi + 1, x_lo:x_hi + 1])
+        rows, cols = np.nonzero(hit)
+        rows, cols = rows + y_lo, cols + x_lo
+        zbuf[rows, cols] = z[hit]
+        owner[rows, cols] = t_idx
+        bary[rows, cols] = np.stack([l0[hit], l1[hit], l2[hit]], axis=1)
+    rows, cols = np.nonzero(owner >= 0)
+    return rows, cols, owner[rows, cols], bary[rows, cols]
+
+
+def tie_mesh(rng, w, h):
+    # integer vertices on two depth levels: many pixels sit exactly on shared
+    # edges, duplicated triangles tie exactly, rotated copies nearly; some
+    # vertices fall outside the frame or behind the camera
+    n = 60
+    uv = np.stack([rng.integers(-8, w + 8, n), rng.integers(-8, h + 8, n)], axis=1).astype(float)
+    depth = rng.choice([500.0, 600.0], n)
+    visible = rng.random(n) > 0.05
+    tris = rng.integers(0, n, (150, 3))
+    tris = np.concatenate([tris, tris, np.roll(tris, 1, axis=1), tris[:, ::-1]])
+    return uv, visible, depth, tris[rng.permutation(len(tris))]
+
+
+@pytest.mark.parametrize("batch", [1, 97, synth.RASTER_BATCH])
+def test_rasterize_matches_per_triangle_loop(batch, standard_model, monkeypatch):
+    # bit for bit: same pixels, same winning triangle, same barycentrics,
+    # whether each triangle is a batch or many triangles share one
+    monkeypatch.setattr(synth, "RASTER_BATCH", batch)
+    rng = np.random.default_rng(23)
+    cases = [tie_mesh(rng, 48, 36) + (48, 36) for _ in range(4)]
+    verts = standard_model.mean.reshape(-1, 3)
+    for theta in GOLDEN_RENDER_POSES[1:] + [[0.0, 0.0, 0.0, 0.0, 0.0, -400.0]]:
+        uv, visible = project_points(verts, theta, STANDARD_CAM)
+        depth = -to_camera(verts, theta)[:, 2]
+        cases.append((uv, visible, depth, standard_model.triangles, 640, 480))
+    for case in cases:
+        got, want = synth._rasterize(*case), loop_rasterize(*case)
+        assert want[0].size > 0
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_train_and_test_share_surface_texture(small_model):
