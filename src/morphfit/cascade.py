@@ -166,14 +166,13 @@ def train_cascade(samples, config):
     samples = list(samples)
     if not samples:
         raise ValueError("no training samples")
-    thetas = [np.array(s.theta_init, dtype=np.float64) for s in samples]
-    gts = [np.array(s.theta_gt, dtype=np.float64) for s in samples]
-    p = gts[0].shape[0]
-    layout = param_layout(p - 6)
+    theta = np.array([s.theta_init for s in samples], dtype=np.float64)  # (M, p)
+    gt = np.array([s.theta_gt for s in samples], dtype=np.float64)
+    layout = param_layout(gt.shape[1] - 6)
 
     def assemble(i):
         try:
-            return assemble_feature(samples[i].image, thetas[i], config.model, config.cam)
+            return assemble_feature(samples[i].image, theta[i], config.model, config.cam)
         except FeatureError:
             return None
 
@@ -182,18 +181,16 @@ def train_cascade(samples, config):
     residuals = []
     for stage_idx in range(config.stages):
         feats = parallel_map(assemble, range(len(samples)), config.jobs)
-        keep = [i for i, f in enumerate(feats) if f is not None]
-        for i, f in enumerate(feats):
-            if f is None:
-                log.warning("dropping sample %s: feature assembly failed",
-                            getattr(samples[i], "id", i))
-        if not keep:
+        keep = np.array([f is not None for f in feats])
+        for i in np.flatnonzero(~keep):
+            log.warning("dropping sample %s: feature assembly failed",
+                        getattr(samples[i], "id", i))
+        if not keep.any():
             raise RuntimeError("all training samples dropped at stage %d" % stage_idx)
-        samples = [samples[i] for i in keep]
-        thetas = [thetas[i] for i in keep]
-        gts = [gts[i] for i in keep]
-        f_mat = np.stack([feats[i] for i in keep])
-        d_mat = np.stack(gts) - np.stack(thetas)
+        samples = [s for s, k in zip(samples, keep) if k]
+        theta, gt = theta[keep], gt[keep]
+        f_mat = np.stack([f for f in feats if f is not None])
+        d_mat = gt - theta
         if scale is None:
             scale = ParamScale.from_targets(d_mat)
         d_norm = scale.normalize(d_mat)
@@ -203,8 +200,7 @@ def train_cascade(samples, config):
         wr = train_stage(f_mat, d_norm, lam)
         pred = f_mat @ wr.A.T + wr.b
         residuals.append(float(np.mean((pred - d_norm) ** 2)))
-        for i in range(len(samples)):
-            thetas[i] = thetas[i] + scale.denormalize(pred[i])
+        theta = theta + scale.denormalize(pred)
         stages.append(wr)
         log.info("stage %d: lambda=%.6g residual=%.6g n=%d",
                  stage_idx, lam, residuals[-1], len(samples))

@@ -20,14 +20,14 @@ import numpy as np
 
 from . import __version__
 from .camera import CameraConfig, project_points, pose_from_landmarks_rough
-from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
+from .cascade import POSE_NAMES, TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
 from .posit import Correspondences, euler_from_rotation, posit
 from .shape_model import load_model, make_procedural_model, save_model, select_landmarks, \
     split_theta
 from .synth import ProtocolConfig, generate_set, load_dataset, subseed, write_dataset
-from .util import ascii_lines, atomic_write, fmt_float
+from .util import ascii_lines, atomic_write, write_csv
 
 
 class UsageError(Exception):
@@ -35,15 +35,16 @@ class UsageError(Exception):
 
 
 def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MORPHFIT_SEED")
-    if env is None:
-        return 0
+    """--seed, else MORPHFIT_SEED, else 0; a UsageError unless a nonnegative integer."""
+    name, value = ("--seed", args.seed) if args.seed is not None else \
+        ("MORPHFIT_SEED", os.environ.get("MORPHFIT_SEED", "0"))
     try:
-        return int(env)
+        seed = int(value)
     except ValueError:
-        raise UsageError("MORPHFIT_SEED must be an integer, got %r" % env) from None
+        raise UsageError("%s must be an integer, got %r" % (name, value)) from None
+    if seed < 0:
+        raise UsageError("%s must be nonnegative, got %d" % (name, seed))
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +62,10 @@ def cmd_make_model(args, seed):
 
 def cmd_synth(args, seed):
     model = load_model(args.model)
-    pc = ProtocolConfig(
-        range_deg=args.range_deg,
-        step_train=args.grid_step if (args.grid_step and args.mode == "train") else 10.0,
-        step_test=args.grid_step if (args.grid_step and args.mode == "test") else 5.0,
-        tz=args.tz, focal=args.focal, width=args.width, height=args.height,
-        backgrounds=args.backgrounds, n_shape=args.shape_modes, seed=seed)
+    steps = {} if args.grid_step is None else {"step_" + args.mode: args.grid_step}
+    pc = ProtocolConfig(range_deg=args.range_deg, tz=args.tz, focal=args.focal,
+                        width=args.width, height=args.height, backgrounds=args.backgrounds,
+                        n_shape=args.shape_modes, seed=seed, **steps)
     t_render = time.perf_counter()
     samples = generate_set(model, pc, args.mode, jobs=args.jobs)
     t_write = time.perf_counter()
@@ -135,8 +134,6 @@ def cmd_fit(args, seed):
     img = read_pgm(args.image)
     cam = CameraConfig(focal=args.focal, width=img.width, height=img.height)
 
-    if (args.init is None) == (args.init_landmarks is None):
-        raise UsageError("exactly one of --init / --init-landmarks is required")
     if args.init is not None:
         theta0 = _parse_inline_theta(args.init, reg.param_dim)
     else:
@@ -152,10 +149,8 @@ def cmd_fit(args, seed):
     result = fit(img, theta0, reg, model, cam)
     fit_seconds = time.perf_counter() - t_fit
 
-    lines = ["stage," + ",".join(reg.layout)]
-    for i, row in enumerate(result.trajectory):
-        lines.append("%d," % i + ",".join(fmt_float(v) for v in row))
-    atomic_write(args.out, ("\n".join(lines) + "\n").encode())
+    write_csv(args.out, ["stage", *reg.layout],
+              [[i, *row] for i, row in enumerate(result.trajectory)])
 
     print("final theta: " + " ".join("%s=%.4g" % (n, v)
                                      for n, v in zip(reg.layout, result.theta)))
@@ -187,61 +182,50 @@ def cmd_eval(args, seed):
             outputs, {})
 
 
-def cmd_posit(args, seed):
-    if (args.points is None) == (args.data is None):
-        raise UsageError("exactly one of --points / --data is required")
+def _posit_pose(uv, pts3d, cam, args):
+    """POSIT estimate as CSV values: [rx, ry, rz, tx, ty, tz], [iters, converged]."""
+    corr = Correspondences(points2d=uv, points3d=pts3d, focal=cam.focal, cx=cam.cx, cy=cam.cy)
+    res = posit(corr, max_iters=args.max_iters, tol=args.tol)
+    return [*euler_from_rotation(res.rotation), *res.translation], [res.iters, int(res.converged)]
 
+
+def cmd_posit(args, seed):
     if args.points is not None:
         uv, pts = _read_point_rows(args.points)
         cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
-        corr = Correspondences(points2d=uv, points3d=pts, focal=cam.focal,
-                               cx=cam.cx, cy=cam.cy)
-        res = posit(corr, max_iters=args.max_iters, tol=args.tol)
-        rx, ry, rz = euler_from_rotation(res.rotation)
-        tx, ty, tz = res.translation
-        lines = ["rx,ry,rz,tx,ty,tz,iters,converged",
-                 ",".join(fmt_float(v) for v in (rx, ry, rz, tx, ty, tz))
-                 + ",%d,%d" % (res.iters, int(res.converged))]
-        atomic_write(args.out, ("\n".join(lines) + "\n").encode())
+        pose, status = _posit_pose(uv, pts, cam, args)
+        write_csv(args.out, [*POSE_NAMES, "iters", "converged"], [pose + status])
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
-              % (rx, ry, rz, tx, ty, tz, res.iters))
-        outputs = {"pose": args.out}
-        inputs = {"points": args.points}
-    else:
-        if args.model is None:
-            raise UsageError("--data requires --model")
-        model = load_model(args.model)
-        samples, pc = load_dataset(args.data)
-        cam = pc.camera()
-        lines = ["id,rx,ry,rz,tx,ty,tz,err_rx,err_ry,err_rz,iters,converged"]
-        errs = []
-        for idx, s in enumerate(samples):
-            pose, alpha = split_theta(model, s.theta_gt)
-            pts3d = select_landmarks(model, alpha)
-            uv, valid = project_points(pts3d, pose, cam)
-            if not valid.all():
-                continue
-            if args.noise_px > 0:
-                rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
-                uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
-            corr = Correspondences(points2d=uv, points3d=pts3d,
-                                   focal=cam.focal, cx=cam.cx, cy=cam.cy)
-            res = posit(corr, max_iters=args.max_iters, tol=args.tol)
-            rx, ry, rz = euler_from_rotation(res.rotation)
-            err = np.abs(np.array([rx, ry, rz]) - s.theta_gt[:3])
-            errs.append(err)
-            lines.append(s.id + "," + ",".join(fmt_float(v) for v in (
-                rx, ry, rz, *res.translation, *err))
-                + ",%d,%d" % (res.iters, int(res.converged)))
-        if not errs:
-            raise RuntimeError("no sample produced a valid POSIT estimate")
-        mae = float(np.mean(np.stack(errs)))
-        atomic_write(args.out, ("\n".join(lines) + "\n").encode())
-        print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
-              % (len(errs), args.noise_px, mae))
-        outputs = {"report": args.out, "mae_deg": mae}
-        inputs = {"dataset": args.data, "model": args.model}
-    return args.out + ".manifest.json", inputs, outputs, {}
+              % (*pose, status[0]))
+        return args.out + ".manifest.json", {"points": args.points}, {"pose": args.out}, {}
+
+    if args.model is None:
+        raise UsageError("--data requires --model")
+    model = load_model(args.model)
+    samples, pc = load_dataset(args.data)
+    cam = pc.camera()
+    rows, errs = [], []
+    for idx, s in enumerate(samples):
+        pose, alpha = split_theta(model, s.theta_gt)
+        pts3d = select_landmarks(model, alpha)
+        uv, valid = project_points(pts3d, pose, cam)
+        if not valid.all():
+            continue
+        if args.noise_px > 0:
+            rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
+            uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
+        est, status = _posit_pose(uv, pts3d, cam, args)
+        errs.append(np.abs(np.array(est[:3]) - s.theta_gt[:3]))
+        rows.append([s.id, *est, *errs[-1], *status])
+    if not errs:
+        raise RuntimeError("no sample produced a valid POSIT estimate")
+    mae = float(np.mean(np.stack(errs)))
+    write_csv(args.out, ["id", *POSE_NAMES, "err_rx", "err_ry", "err_rz", "iters", "converged"],
+              rows)
+    print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
+          % (len(errs), args.noise_px, mae))
+    return (args.out + ".manifest.json", {"dataset": args.data, "model": args.model},
+            {"report": args.out, "mae_deg": mae}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -249,76 +233,70 @@ def cmd_posit(args, seed):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    # shared parent parsers; a default the library holds is read from its config class
+    common, jobs, model, focal, size = [argparse.ArgumentParser(add_help=False)
+                                        for _ in range(5)]
+    common.add_argument("--out", required=True)
+    common.add_argument("--seed", type=int)
+    jobs.add_argument("--jobs", type=int, default=TrainConfig.jobs)
+    model.add_argument("--model", required=True)
+    focal.add_argument("--focal", type=float, default=CameraConfig.focal)
+    size.add_argument("--width", type=int, default=CameraConfig.width)
+    size.add_argument("--height", type=int, default=CameraConfig.height)
+
     p = argparse.ArgumentParser(prog="morphfit",
                                 description="3D shape-model fitting via cascaded regression")
     sub = p.add_subparsers(dest="command", required=True)
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None)
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1)
 
-    mm = sub.add_parser("make-model", parents=[seeded],
+    mm = sub.add_parser("make-model", parents=[common],
                         help="generate the procedural shape model")
-    mm.add_argument("--out", required=True)
     mm.add_argument("--vertices", type=int, default=500)
     mm.add_argument("--modes", type=int, default=10)
     mm.set_defaults(func=cmd_make_model)
 
-    sy = sub.add_parser("synth", parents=[seeded, jobs], help="render a train or test dataset")
-    sy.add_argument("--model", required=True)
-    sy.add_argument("--out", required=True)
+    sy = sub.add_parser("synth", parents=[common, jobs, model, focal, size],
+                        help="render a train or test dataset")
     sy.add_argument("--mode", choices=["train", "test"], default="train")
-    sy.add_argument("--grid-step", type=float, default=None)
-    sy.add_argument("--range-deg", type=float, default=30.0)
-    sy.add_argument("--tz", type=float, default=-1200.0)
-    sy.add_argument("--focal", type=float, default=1500.0)
-    sy.add_argument("--width", type=int, default=640)
-    sy.add_argument("--height", type=int, default=480)
-    sy.add_argument("--backgrounds", type=int, default=5)
-    sy.add_argument("--shape-modes", type=int, default=0)
+    sy.add_argument("--grid-step", type=float, help="step of the --mode grid, degrees")
+    sy.add_argument("--range-deg", type=float, default=ProtocolConfig.range_deg)
+    sy.add_argument("--tz", type=float, default=ProtocolConfig.tz)
+    sy.add_argument("--backgrounds", type=int, default=ProtocolConfig.backgrounds)
+    sy.add_argument("--shape-modes", type=int, default=ProtocolConfig.n_shape)
     sy.set_defaults(func=cmd_synth)
 
-    tr = sub.add_parser("train", parents=[seeded, jobs], help="train a cascade on a dataset")
+    tr = sub.add_parser("train", parents=[common, jobs, model],
+                        help="train a cascade on a dataset")
     tr.add_argument("--data", required=True)
-    tr.add_argument("--model", required=True)
-    tr.add_argument("--out", required=True)
-    tr.add_argument("--stages", type=int, default=3)
-    tr.add_argument("--lambda", type=float, default=None)
+    tr.add_argument("--stages", type=int, default=TrainConfig.stages)
+    tr.add_argument("--lambda", type=float, default=TrainConfig.lam)
     tr.set_defaults(func=cmd_train)
 
-    ft = sub.add_parser("fit", parents=[seeded], help="fit pose/shape to one image")
+    ft = sub.add_parser("fit", parents=[common, model, focal],
+                        help="fit pose/shape to one image")
     ft.add_argument("--image", required=True)
-    ft.add_argument("--model", required=True)
     ft.add_argument("--regressor", required=True)
-    ft.add_argument("--out", required=True)
-    ft.add_argument("--init", default=None,
-                    help="inline theta, comma-separated")
-    ft.add_argument("--init-landmarks", default=None,
-                    help="CSV of u,v,X,Y,Z rows for rough pose initialization")
+    init = ft.add_mutually_exclusive_group(required=True)
+    init.add_argument("--init", help="inline theta, comma-separated")
+    init.add_argument("--init-landmarks",
+                      help="CSV of u,v,X,Y,Z rows for rough pose initialization")
     ft.add_argument("--init-noise", type=float, default=0.0,
                     help="perturb initial angles uniformly within +/- this many degrees")
-    ft.add_argument("--focal", type=float, default=1500.0)
     ft.set_defaults(func=cmd_fit)
 
-    ev = sub.add_parser("eval", parents=[seeded, jobs],
+    ev = sub.add_parser("eval", parents=[common, jobs, model],
                         help="per-stage error curves over a dataset")
     ev.add_argument("--data", required=True)
-    ev.add_argument("--model", required=True)
     ev.add_argument("--regressor", required=True)
-    ev.add_argument("--out", required=True)
     ev.add_argument("--regime", choices=["uniform", "fixed", "both"], default="uniform")
     ev.set_defaults(func=cmd_eval)
 
-    po = sub.add_parser("posit", parents=[seeded],
+    po = sub.add_parser("posit", parents=[common, focal, size],
                         help="POSIT baseline from 2D/3D correspondences")
-    po.add_argument("--points", default=None, help="CSV of u,v,X,Y,Z rows")
-    po.add_argument("--data", default=None, help="dataset directory for batch mode")
-    po.add_argument("--model", default=None)
-    po.add_argument("--out", required=True)
+    source = po.add_mutually_exclusive_group(required=True)
+    source.add_argument("--points", help="CSV of u,v,X,Y,Z rows")
+    source.add_argument("--data", help="dataset directory for batch mode")
+    po.add_argument("--model", help="shape model, required with --data")
     po.add_argument("--noise-px", type=float, default=0.0)
-    po.add_argument("--focal", type=float, default=1500.0)
-    po.add_argument("--width", type=int, default=640)
-    po.add_argument("--height", type=int, default=480)
     po.add_argument("--max-iters", type=int, default=100)
     po.add_argument("--tol", type=float, default=1e-5)
     po.set_defaults(func=cmd_posit)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import FitError, fit
-from .util import atomic_write, parallel_map
+from .util import parallel_map, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -122,10 +122,6 @@ def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0, jobs=
 
 
 def write_report(report, path):
-    lines = ["stage,mae_deg,shape_cosine,n_samples,regime"]
-    for stage in range(len(report.mae_per_stage)):
-        lines.append("%d,%.17g,%.17g,%d,%s" % (
-            stage, report.mae_per_stage[stage], report.cosine_per_stage[stage],
-            report.n_samples, report.regime))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
-
+    write_csv(path, ["stage", "mae_deg", "shape_cosine", "n_samples", "regime"],
+              [[stage, mae, cos, report.n_samples, report.regime] for stage, (mae, cos)
+               in enumerate(zip(report.mae_per_stage, report.cosine_per_stage))])

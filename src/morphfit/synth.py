@@ -26,10 +26,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .camera import CameraConfig, project_points, to_camera
+from .cascade import param_layout
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_image
 from .shape_model import instance_shape, split_theta
-from .util import ascii_lines, atomic_write, fmt_float, parallel_map
+from .util import ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
 
 
 class RenderError(RuntimeError):
@@ -77,9 +78,9 @@ class ProtocolConfig:
     step_test: float = 5.0
     trans_sigma: float = 1.5   # mm, x/y ground-truth jitter
     tz: float = -1200.0        # mm
-    focal: float = 1500.0      # px
-    width: int = 640
-    height: int = 480
+    focal: float = CameraConfig.focal  # px
+    width: int = CameraConfig.width
+    height: int = CameraConfig.height
     backgrounds: int = 5       # per training pose
     init_offset: float = 11.0  # degrees, test-init half-width (train: x TRAIN_INIT_SPREAD)
     n_shape: int = 0           # fitted shape coefficients K'
@@ -89,13 +90,13 @@ class ProtocolConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError("field %r is not finite" % f.name)
+        for name, low in (("range_deg", 0), ("trans_sigma", 0), ("width", 1), ("height", 1),
+                          ("backgrounds", 1), ("init_offset", 0), ("n_shape", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError("field %r is below %d" % (name, low))
         for step in (self.step_train, self.step_test):
             if step <= 0 or abs(self.range_deg / step - round(self.range_deg / step)) > 1e-9:
                 raise ValueError("grid step must divide the angle range")
-        if self.trans_sigma < 0 or self.backgrounds < 1 or self.init_offset < 0:
-            raise ValueError("invalid protocol configuration")
-        if self.n_shape < 0:
-            raise ValueError("n_shape must be nonnegative")
 
     def camera(self):
         return CameraConfig(focal=self.focal, width=self.width, height=self.height)
@@ -283,22 +284,13 @@ def generate_set(model, pc, mode, jobs=1):
 # Dataset directory layout
 # ---------------------------------------------------------------------------
 
-def _csv_lines(samples, which, n_shape):
-    header = "id,rx,ry,rz,tx,ty,tz" + "".join(",a%d" % i for i in range(n_shape))
-    lines = [header]
-    for s in samples:
-        vec = s.theta_gt if which == "gt" else s.theta_init
-        lines.append(s.id + "," + ",".join(fmt_float(x) for x in vec))
-    return "\n".join(lines) + "\n"
-
-
 def write_dataset(path, samples, pc):
     os.makedirs(os.path.join(path, "images"), exist_ok=True)
     for s in samples:
         write_pgm(s.image, os.path.join(path, "images", s.id + ".pgm"))
-    n_shape = pc.n_shape
-    atomic_write(os.path.join(path, "labels.csv"), _csv_lines(samples, "gt", n_shape).encode())
-    atomic_write(os.path.join(path, "inits.csv"), _csv_lines(samples, "init", n_shape).encode())
+    header = ["id", *param_layout(pc.n_shape)]
+    write_csv(os.path.join(path, "labels.csv"), header, [[s.id, *s.theta_gt] for s in samples])
+    write_csv(os.path.join(path, "inits.csv"), header, [[s.id, *s.theta_init] for s in samples])
     fmt = {float: fmt_float, int: str}  # every field is one or the other
     lines = ["%s %s" % (f.name, fmt[f.type](getattr(pc, f.name))) for f in fields(pc)]
     atomic_write(os.path.join(path, "protocol.txt"), ("\n".join(lines) + "\n").encode())
@@ -326,17 +318,21 @@ def load_protocol(path):
         raise ValueError("%s: %s" % (fname, e)) from None
 
 
-def _read_csv(path):
+def _read_csv(path, header):
+    """Parameter rows keyed by id of a CSV that must be headed `header`."""
     lines = [ln for _, ln in ascii_lines(path)]
     if not lines:
         raise ValueError("%s: empty file" % path)
-    header = lines[0].split(",")
+    if lines[0].split(",") != header:
+        raise ValueError("%s: header %r, expected %r" % (path, lines[0], ",".join(header)))
     rows = {}
     for row, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
         if len(parts) != len(header):
             raise ValueError("%s: row %d has %d fields, header has %d"
                              % (path, row, len(parts), len(header)))
+        if parts[0] in rows:
+            raise ValueError("%s: row %d: duplicate id %r" % (path, row, parts[0]))
         try:
             rows[parts[0]] = np.array([float(x) for x in parts[1:]])
         except ValueError as e:
@@ -349,8 +345,9 @@ def _read_csv(path):
 def load_dataset(path):
     """Read a dataset directory back into TrainingSamples (sorted by id)."""
     pc = load_protocol(path)
-    labels = _read_csv(os.path.join(path, "labels.csv"))
-    inits = _read_csv(os.path.join(path, "inits.csv"))
+    header = ["id", *param_layout(pc.n_shape)]
+    labels = _read_csv(os.path.join(path, "labels.csv"), header)
+    inits = _read_csv(os.path.join(path, "inits.csv"), header)
     if set(labels) != set(inits):
         raise ValueError("labels.csv and inits.csv disagree on sample ids")
     samples = []

@@ -36,6 +36,14 @@ def atomic_write(path, data):
         raise
 
 
+def write_csv(path, header, rows):
+    """Write a comma-separated file atomically: the header names, then one
+    line per row, floats through fmt_float and other values through str."""
+    lines = [header] + [[fmt_float(v) if isinstance(v, float) else str(v) for v in row]
+                        for row in rows]
+    atomic_write(path, "".join(",".join(ln) + "\n" for ln in lines).encode())
+
+
 def read_ascii(path):
     """Text of an ASCII file, cut at the line of its first non-ASCII byte,
     and a description of that byte (None if every byte is ASCII)."""

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import morphfit
-from morphfit import load_model, load_regressor, read_pgm
-from morphfit.cli import main
+from morphfit import CameraConfig, ProtocolConfig, TrainConfig, load_model, load_regressor, \
+    read_pgm
+from morphfit.cli import build_parser, main
 
 # the directory this process imports morphfit from, so the child does too
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(morphfit.__file__)))
@@ -86,6 +87,43 @@ def test_usage_errors_exit_2(workspace, tmp_path):
     assert code == 2
     assert "MORPHFIT_SEED" in err and "'abc'" in err
     assert not out.exists()
+    # a negative seed names its source and value; nothing is written
+    for flags, env, name in ((["--seed", "-1"], {}, "--seed"),
+                             ([], {"MORPHFIT_SEED": "-1"}, "MORPHFIT_SEED")):
+        code, _, err = run_cli("make-model", "--out", str(out), *flags, **env)
+        assert code == 2 and "%s must be nonnegative, got -1" % name in err
+        assert not out.exists()
+    # fit and posit take exactly one input source
+    img = os.path.join(workspace["test"], "images",
+                       sorted(os.listdir(os.path.join(workspace["test"], "images")))[0])
+    fit_out = tmp_path / "traj.csv"
+    for sources in ([], ["--init", "0,0,0,0,0,-1200", "--init-landmarks", img]):
+        code, _, err = run_cli("fit", "--image", img, "--model", workspace["model"],
+                               "--regressor", workspace["reg"], "--out", str(fit_out), *sources)
+        assert code == 2 and "--init-landmarks" in err
+    posit_out = tmp_path / "pose.csv"
+    for sources in ([], ["--points", img, "--data", workspace["test"]]):
+        code, _, err = run_cli("posit", "--model", workspace["model"], "--out", str(posit_out),
+                               *sources)
+        assert code == 2 and "--points" in err and "--data" in err
+    assert not fit_out.exists() and not posit_out.exists()
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    pc, cam, tc = ProtocolConfig(), CameraConfig(), TrainConfig(model=None, cam=None)
+    synth = parser.parse_args(["synth", "--model", "m", "--out", "o"])
+    assert (synth.range_deg, synth.tz, synth.focal, synth.width, synth.height,
+            synth.backgrounds, synth.shape_modes, synth.grid_step, synth.jobs) == \
+        (pc.range_deg, pc.tz, pc.focal, pc.width, pc.height, pc.backgrounds, pc.n_shape,
+         None, tc.jobs)
+    train = parser.parse_args(["train", "--data", "d", "--model", "m", "--out", "o"])
+    assert (train.stages, getattr(train, "lambda"), train.jobs) == (tc.stages, tc.lam, tc.jobs)
+    fit = parser.parse_args(["fit", "--image", "i", "--model", "m", "--regressor", "r",
+                             "--out", "o", "--init", "0"])
+    assert fit.focal == cam.focal
+    posit = parser.parse_args(["posit", "--points", "p", "--out", "o"])
+    assert (posit.focal, posit.width, posit.height) == (cam.focal, cam.width, cam.height)
 
 
 def test_runtime_errors_exit_1(tmp_path):

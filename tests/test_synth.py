@@ -319,6 +319,23 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
         load_dataset(out)
     (out / "inits.csv").write_text(inits)
 
+    # a repeated id, an extra column, and shape columns that protocol.txt's
+    # n_shape 0 does not have
+    (out / "labels.csv").write_text(labels + labels.splitlines()[1] + "\n")
+    with pytest.raises(ValueError, match="labels.csv: row 3: duplicate id"):
+        load_dataset(out)
+    (out / "labels.csv").write_text(labels.replace("\n", ",0\n").replace("tz,0", "tz,extra", 1))
+    with pytest.raises(ValueError, match="labels.csv: header 'id,rx,ry,rz,tx,ty,tz,extra'"):
+        load_dataset(out)
+    for name, text in (("labels.csv", labels), ("inits.csv", inits)):
+        (out / name).write_text(text.replace("\n", ",0.5\n").replace("tz,0.5", "tz,a0", 1))
+    with pytest.raises(ValueError, match="labels.csv: header .*, expected 'id,rx,ry,rz,tx,ty,tz'"):
+        load_dataset(out)
+    (out / "labels.csv").write_text(labels)
+    with pytest.raises(ValueError, match="inits.csv: header"):
+        load_dataset(out)
+    (out / "inits.csv").write_text(inits)
+
     (out / "protocol.txt").write_bytes(protocol.encode().replace(b"focal 5", b"focal \xff5"))
     with pytest.raises(ValueError, match="protocol.txt: line 6: non-ASCII byte 0xff"):
         load_dataset(out)
@@ -337,15 +354,22 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
         (out / "protocol.txt").write_text(edited)
         with pytest.raises(ValueError, match="protocol.txt: field '%s' is not finite" % name):
             load_dataset(out)
+    for old, new in (("range_deg 20", "range_deg -20"), ("width 160", "width 0")):
+        (out / "protocol.txt").write_text(protocol.replace(old, new, 1))
+        with pytest.raises(ValueError, match="protocol.txt: field '%s' is below" % old.split()[0]):
+            load_dataset(out)
 
 
 def test_protocol_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(range_deg=30.0, step_train=7.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(backgrounds=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(n_shape=-1)
+    # a bound violation names the field; a negative range used to pass here and
+    # fail later in grid(), a zero size only in camera()
+    for field, bad in (("range_deg", -10.0), ("width", 0), ("height", 0), ("backgrounds", 0),
+                       ("n_shape", -1), ("trans_sigma", -1.0), ("init_offset", -1.0),
+                       ("seed", -1)):
+        with pytest.raises(ValueError, match="field '%s' is below" % field):
+            ProtocolConfig(**{field: bad})
 
 
 def test_background_noise_has_texture(small_cam):
