@@ -232,13 +232,29 @@ def cmd_posit(args, seed):
 # parser
 # ---------------------------------------------------------------------------
 
+def positive_int(text):
+    """argparse type of a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def nonnegative_float(text):
+    """argparse type of a tolerance: a finite number of at least 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be finite and nonnegative, got %s" % text)
+    return value
+
+
 def build_parser():
     # shared parent parsers; a default the library holds is read from its config class
     common, jobs, model, focal, size = [argparse.ArgumentParser(add_help=False)
                                         for _ in range(5)]
     common.add_argument("--out", required=True)
     common.add_argument("--seed", type=int)
-    jobs.add_argument("--jobs", type=int, default=TrainConfig.jobs)
+    jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
     focal.add_argument("--focal", type=float, default=CameraConfig.focal)
     size.add_argument("--width", type=int, default=CameraConfig.width)
@@ -297,8 +313,8 @@ def build_parser():
     source.add_argument("--data", help="dataset directory for batch mode")
     po.add_argument("--model", help="shape model, required with --data")
     po.add_argument("--noise-px", type=float, default=0.0)
-    po.add_argument("--max-iters", type=int, default=100)
-    po.add_argument("--tol", type=float, default=1e-5)
+    po.add_argument("--max-iters", type=positive_int, default=100)
+    po.add_argument("--tol", type=nonnegative_float, default=1e-5)
     po.set_defaults(func=cmd_posit)
 
     return p

@@ -3,32 +3,44 @@
 All noise here is computed from integer lattice hashing, so results are
 bit-identical for a given seed on any platform. No global RNG state is
 touched anywhere.
-"""
 
-import itertools
+The lattice hash is a chain of lowbias32 rounds, one per axis:
+h = mix(mix(mix(seed ^ x*k1) ^ y*k2) ^ z*k3), with coordinates taken mod
+2**32 and every step computed in uint32, where products wrap mod 2**32.
+`value_noise3` shares the chain's prefixes among the 8 corners of a cell:
+2 x-prefixes, 4 xy-prefixes, then 8 z-rounds, 14 rounds instead of 24.
+"""
 
 import numpy as np
 
-_MASK32 = np.uint64(0xFFFFFFFF)
 NOISE_IMAGE_OCTAVES = 3
+# per-axis multipliers of the lattice hash chain (x, y, z)
+_AXIS_MULT = tuple(np.uint32(k) for k in (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D))
 
 
-def _mix(h):
-    """32-bit finalizer (lowbias32), computed in uint64 with explicit masking."""
-    h = h & _MASK32
-    h = ((h ^ (h >> np.uint64(16))) * np.uint64(0x7FEB352D)) & _MASK32
-    h = ((h ^ (h >> np.uint64(15))) * np.uint64(0x846CA68B)) & _MASK32
-    h = h ^ (h >> np.uint64(16))
-    return h & _MASK32
+def _chain(h, ik):
+    """One step of the lattice hash chain: lowbias32(h ^ ik), where ik is a
+    uint32 coordinate already times its axis multiplier."""
+    h = h ^ ik
+    h ^= h >> 16
+    h *= 0x7FEB352D
+    h ^= h >> 15
+    h *= 0x846CA68B
+    h ^= h >> 16
+    return h
+
+
+def _axis_terms(i, k):
+    """Lattice coordinates i (integers, mod 2**32) times the multiplier k."""
+    return np.asarray(i, dtype=np.int64).astype(np.uint32) * k
 
 
 def _lattice_hash(ix, iy, iz, seed):
-    """Hash integer lattice coordinates to floats in [0, 1)."""
-    h = np.uint64(int(seed) & 0xFFFFFFFF)
-    for i, k in ((ix, 0x9E3779B1), (iy, 0x85EBCA77), (iz, 0xC2B2AE3D)):
-        i = np.asarray(i, dtype=np.int64).astype(np.uint64) & _MASK32
-        h = _mix(h ^ (i * np.uint64(k) & _MASK32))
-    return h.astype(np.float64) / 4294967296.0
+    """Hash integer lattice coordinate arrays to floats in [0, 1)."""
+    h = np.uint32(int(seed) & 0xFFFFFFFF)
+    for i, k in zip((ix, iy, iz), _AXIS_MULT):
+        h = _chain(h, _axis_terms(i, k))
+    return h / 4294967296.0
 
 
 def _cell(t):
@@ -44,18 +56,34 @@ def value_noise3(points, seed):
     Returns values in [0, 1). Smoothstep fade between lattice corners.
     """
     p0, w = _cell(np.asarray(points, dtype=np.float64).T.copy())  # (3, n), contiguous rows
-    wts = (1.0 - w, w)
-    return sum(_lattice_hash(p0[0] + dx, p0[1] + dy, p0[2] + dz, seed)
-               * wts[dx][0] * wts[dy][1] * wts[dz][2]
-               for dx, dy, dz in itertools.product((0, 1), repeat=3))
+    wts = [(1.0 - c, c) for c in w]
+    terms = [(_axis_terms(c, k), _axis_terms(c + 1, k)) for c, k in zip(p0, _AXIS_MULT)]
+    seed = np.uint32(int(seed) & 0xFFFFFFFF)
+    total = np.zeros(p0.shape[1])
+    # corners summed in (dx, dy, dz) order, the order that fixes the rounding
+    for dx in (0, 1):
+        hx = _chain(seed, terms[0][dx])
+        for dy in (0, 1):
+            hxy = _chain(hx, terms[1][dy])
+            for dz in (0, 1):
+                total += (_chain(hxy, terms[2][dz]) / 4294967296.0
+                          * wts[0][dx] * wts[1][dy] * wts[2][dz])
+    return total
 
 
 def _fractal(octave, scale, seed, octaves):
     """Sum of `octave(spacing, seed)` over octaves that each halve the
     spacing and the amplitude, divided by the total amplitude."""
+    if octaves < 1:
+        raise ValueError("octaves must be at least 1, got %r" % (octaves,))
     amps = [0.5 ** o for o in range(octaves)]
-    total = sum(a * octave(scale * a, seed + 101 * o) for o, a in enumerate(amps))
-    return total / sum(amps)
+    total = octave(scale, seed)  # amplitude 1
+    for o, a in enumerate(amps[1:], 1):
+        v = octave(scale * a, seed + 101 * o)
+        v *= a
+        total += v
+    total /= sum(amps)
+    return total
 
 
 def fbm3(points, scale, seed, octaves=2):
@@ -82,7 +110,12 @@ def _grid_noise2(width, height, scale, seed):
                             0, seed)
     rows = lattice[:, ix] * (1.0 - wx) + lattice[:, ix + 1] * wx
     wy = wy[:, None]
-    return rows[iy] * (1.0 - wy) + rows[iy + 1] * wy
+    out = rows[iy]
+    out *= 1.0 - wy
+    below = rows[iy + 1]
+    below *= wy
+    out += below
+    return out
 
 
 def noise_image(width, height, scale, seed):

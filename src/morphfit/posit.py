@@ -64,9 +64,14 @@ def posit(corr, max_iters=100, tol=1e-5):
 
     Iterates the scaled-orthographic solve, updating the perspective
     correction terms until their largest change is below `tol`. Raises
-    DegenerateGeometryError for coplanar or collinear 3D points. If the
+    DegenerateGeometryError for coplanar or collinear 3D points, and
+    ValueError for max_iters < 1 or a negative or non-finite tol. If the
     iteration does not converge, the best iterate is returned flagged.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative, got %r" % (tol,))
     x = corr.points2d[:, 0] - corr.cx
     y = corr.points2d[:, 1] - corr.cy
     ref = corr.points3d[0]
@@ -79,7 +84,6 @@ def posit(corr, max_iters=100, tol=1e-5):
     eps = np.zeros(len(x))
     rot = np.eye(3)
     z0 = corr.focal
-    iters = 0
     converged = False
     for iters in range(1, max_iters + 1):
         xp = x * (1.0 + eps) - x[0]

@@ -185,7 +185,9 @@ def render(model, theta, cam, texture_seed, background_seed):
     uv, visible = project_points(verts, pose, cam)
     vc = to_camera(verts, pose)
     h, w = cam.height, cam.width
-    img = 0.1 + 0.8 * noise_image(w, h, BACKGROUND_SCALE, background_seed)
+    img = noise_image(w, h, BACKGROUND_SCALE, background_seed)
+    img *= 0.8
+    img += 0.1
     tris = model.triangles
 
     rows, cols, hit_tris, lam = _rasterize(uv, visible, -vc[:, 2], tris, w, h)
@@ -218,8 +220,14 @@ def render(model, theta, cam, texture_seed, background_seed):
     shade = np.einsum("ni,ni->n", lam, vert_shade[tris[hit_tris]])
     img[rows, cols] = tex * shade
 
-    img = np.rint(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
-    return GrayImage(width=w, height=h, pixels=img)
+    # quantize to 8 bits into a fresh array: the image that outlives render is
+    # allocated last, so the next render reuses the temporaries freed here
+    # instead of faulting in new pages
+    pixels = np.clip(img, 0.0, 1.0)
+    pixels *= 255.0
+    np.rint(pixels, out=pixels)
+    pixels /= 255.0
+    return GrayImage(width=w, height=h, pixels=pixels)
 
 
 _MODE_TAGS = {"train": 1, "test": 2}

@@ -125,9 +125,11 @@ class TokenReader:
 
 def parallel_map(fn, items, jobs=1):
     """Map fn over items, preserving order. Results are identical for any
-    job count; jobs only controls thread-level concurrency."""
+    job count; jobs (at least 1) only controls thread-level concurrency."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %r" % (jobs,))
     items = list(items)
-    if jobs is None or jobs <= 1 or len(items) <= 1:
+    if jobs == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

@@ -107,6 +107,23 @@ def test_usage_errors_exit_2(workspace, tmp_path):
                                *sources)
         assert code == 2 and "--points" in err and "--data" in err
     assert not fit_out.exists() and not posit_out.exists()
+    # a job count below 1 names --jobs; nothing is written
+    synth_out = tmp_path / "set"
+    for value in ("0", "-3"):
+        code, _, err = run_cli("synth", "--model", workspace["model"], "--out", str(synth_out),
+                               "--jobs", value)
+        assert code == 2 and "--jobs: must be at least 1, got %s" % value in err
+    assert not synth_out.exists()
+    # POSIT needs at least one iteration and a finite nonnegative tolerance
+    points = tmp_path / "points.csv"
+    points.write_text("1,2,3,4,5\n")
+    for flag, value, problem in (("--max-iters", "0", "must be at least 1, got 0"),
+                                 ("--tol", "-1", "must be finite and nonnegative, got -1"),
+                                 ("--tol", "nan", "must be finite and nonnegative, got nan")):
+        code, _, err = run_cli("posit", "--points", str(points), "--out", str(posit_out),
+                               flag, value)
+        assert code == 2 and "%s: %s" % (flag, problem) in err
+    assert not posit_out.exists()
 
 
 def test_parsed_defaults_are_the_library_defaults():

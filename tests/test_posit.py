@@ -129,6 +129,18 @@ def test_posit_nonconvergence_flagged(small_model):
     assert np.max(np.abs(res.rotation.T @ res.rotation - np.eye(3))) <= 1e-9
 
 
+def test_posit_rejects_bad_iteration_settings(small_model):
+    corr = exact_correspondences(small_model, np.array([10.0, 5.0, 0.0, 0.0, 0.0, -1200.0]))
+    for kwargs, msg in (({"max_iters": 0}, "max_iters must be at least 1, got 0"),
+                        ({"max_iters": -2}, "max_iters must be at least 1, got -2"),
+                        ({"tol": -1.0}, "tol must be finite and nonnegative, got -1.0"),
+                        ({"tol": float("nan")}, "tol must be finite and nonnegative, got nan"),
+                        ({"tol": float("inf")}, "tol must be finite and nonnegative, got inf")):
+        with pytest.raises(ValueError, match=msg):
+            posit(corr, **kwargs)
+    assert posit(corr, max_iters=1, tol=0.0).iters == 1
+
+
 def test_posit_on_full_scale_model():
     model = make_procedural_model(42, 500, 10)
     pose = np.array([-25.0, 30.0, 0.0, 2.0, -1.5, -1200.0])

@@ -7,6 +7,7 @@ import pytest
 from morphfit import CameraConfig, ShapeModel, make_procedural_model, read_pgm, write_pgm
 from morphfit import synth
 from morphfit.camera import project_points, to_camera
+from morphfit import noise
 from morphfit.noise import fbm3, noise_image
 from morphfit.synth import BACKGROUND_SCALE, ProtocolConfig, RenderError, generate_set, \
     load_dataset, render, write_dataset
@@ -138,6 +139,9 @@ def test_generate_deterministic_and_jobs_invariant(small_model):
         assert np.array_equal(x.theta_gt, y.theta_gt)
     for x, y in zip(a, c):
         assert np.array_equal(x.image.pixels, y.image.pixels)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1, got %d" % jobs):
+            generate_set(small_model, pc, "train", jobs=jobs)
 
 
 # SHA-256 of a tiny seeded train + test set (ids, 8-bit pixels, theta_gt,
@@ -401,3 +405,40 @@ def test_noise_matches_golden_digests():
             got["fbm%d" % k, s] = fbm3(pts, 60.0, s, octaves=k)
     assert {key: hashlib.sha256(v.astype("<f8").tobytes()).hexdigest()
             for key, v in got.items()} == NOISE_SHA256
+    with pytest.raises(ValueError, match="octaves must be at least 1, got 0"):
+        fbm3(pts, 60.0, 0, octaves=0)
+
+
+def _lowbias32_chain(ix, iy, iz, seed):
+    """The lattice hash in Python ints, masked to 32 bits after every step."""
+    def mix(h):
+        h ^= h >> 16
+        h = h * 0x7FEB352D & 0xFFFFFFFF
+        h ^= h >> 15
+        h = h * 0x846CA68B & 0xFFFFFFFF
+        return h ^ h >> 16
+    h = seed & 0xFFFFFFFF
+    for i, k in ((ix, 0x9E3779B1), (iy, 0x85EBCA77), (iz, 0xC2B2AE3D)):
+        h = mix(h ^ (i & 0xFFFFFFFF) * k & 0xFFFFFFFF)
+    return h / 4294967296.0
+
+
+def test_lattice_hash_matches_scalar_reference():
+    # negative coordinates and magnitudes past 2**31 and 2**32, where the
+    # 32-bit wrap of the coordinates and products matters
+    coords = [0, 1, -1, 7, -150, 2 ** 31 - 1, 2 ** 31, -2 ** 31, -2 ** 31 - 1, 2 ** 32 - 1,
+              2 ** 32, 2 ** 32 + 5, -2 ** 32 - 3, 3 * 2 ** 40 + 17, -(2 ** 45) + 9]
+    rng = np.random.default_rng(11)
+    ijk = rng.choice(coords, size=(400, 3))
+    for seed in (0, 2718, 2 ** 32 + 99):
+        want = [_lowbias32_chain(*map(int, row), seed) for row in ijk]
+        assert noise._lattice_hash(ijk[:, 0], ijk[:, 1], ijk[:, 2], seed).tolist() == want
+        # at a lattice point value_noise3 is that corner's hash, whose weight is 1
+        assert noise.value_noise3(ijk.astype(np.float64), seed).tolist() == want
+    # between lattice points every corner counts; the smoothstep weights are
+    # 0.5 at cell centres, exact in binary
+    centre = ijk[:50].astype(np.float64) + 0.5
+    want = [sum(_lowbias32_chain(int(x) + dx, int(y) + dy, int(z) + dz, 5) * 0.5 * 0.5 * 0.5
+                for dx in (0, 1) for dy in (0, 1) for dz in (0, 1))
+            for x, y, z in ijk[:50]]
+    assert noise.value_noise3(centre, 5).tolist() == want
