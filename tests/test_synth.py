@@ -148,18 +148,31 @@ def test_generate_deterministic_and_jobs_invariant(small_model):
 # theta_init). Renderer and set-generation changes must keep it; a change
 # that moves it on purpose names the new value and the reason.
 GOLDEN_SET_SHA256 = "32ef05be8b33b84b302f7e5908ddd78d2f4be488a167b8ffd74e2427a9cf7434"
+# The same digest of a train set without shape coefficients: every pose's
+# backgrounds share one ground truth and so one face, which the n_shape = 1
+# set above never does.
+GOLDEN_SHARED_FACE_SHA256 = "930373d5e47b42457355449f3e99c5dc4187e93ef7f8a2830415ff274144a0c7"
 
 
-def test_seeded_sets_match_golden_digest(small_model):
-    pc = ProtocolConfig(seed=9, n_shape=1, **SMALL_PC)
+def set_digest(model, pc, modes):
     h = hashlib.sha256()
-    for mode in ("train", "test"):
-        for s in generate_set(small_model, pc, mode):
+    for mode in modes:
+        for s in generate_set(model, pc, mode):
             h.update(s.id.encode())
             h.update(np.rint(s.image.pixels * 255.0).astype(np.uint8).tobytes())
             h.update(s.theta_gt.astype("<f8").tobytes())
             h.update(s.theta_init.astype("<f8").tobytes())
-    assert h.hexdigest() == GOLDEN_SET_SHA256
+    return h.hexdigest()
+
+
+def test_seeded_sets_match_golden_digest(small_model):
+    pc = ProtocolConfig(seed=9, n_shape=1, **SMALL_PC)
+    assert set_digest(small_model, pc, ("train", "test")) == GOLDEN_SET_SHA256
+
+
+def test_shared_face_set_matches_golden_digest(small_model):
+    pc = ProtocolConfig(seed=9, **dict(SMALL_PC, backgrounds=3))
+    assert set_digest(small_model, pc, ("train",)) == GOLDEN_SHARED_FACE_SHA256
 
 
 @pytest.fixture(scope="module")
