@@ -17,6 +17,12 @@ x/y translation noise on the ground truth, several backgrounds per
 training pose, and initializations that perturb every angle uniformly:
 within +/-init_offset in test sets, within twice that in training sets.
 Everything is deterministic given the seeds.
+
+A render is a face pass (geometry, texture, shading) and a background pass
+(noise, paste, quantization). Consecutive samples with one ground truth
+share a face pass: without shape draws, a training pose's face is shaded
+once per set and laid over each of its backgrounds. Every image equals the
+one `render` gives for its sample alone.
 """
 
 import math
@@ -175,8 +181,10 @@ def _rasterize(uv, visible, depth, tris, w, h):
     return rows, cols, tri_ids[owner[pix]], lam
 
 
-def render(model, theta, cam, texture_seed, background_seed):
-    """Rasterize a model instance posed by theta over a noise background."""
+def _render_face(model, theta, cam, texture_seed):
+    """Face pass: rasterize a model instance posed by theta, then texture and
+    shade it. Returns the rows and columns of the covered pixels and their
+    values; raises RenderError when no pixel is covered."""
     if len(model.triangles) == 0:
         raise ValueError("model has no triangles")
     pose, alpha = split_theta(model, theta)
@@ -184,13 +192,9 @@ def render(model, theta, cam, texture_seed, background_seed):
     verts = instance_shape(model, alpha).reshape(-1, 3)
     uv, visible = project_points(verts, pose, cam)
     vc = to_camera(verts, pose)
-    h, w = cam.height, cam.width
-    img = noise_image(w, h, BACKGROUND_SCALE, background_seed)
-    img *= 0.8
-    img += 0.1
     tris = model.triangles
 
-    rows, cols, hit_tris, lam = _rasterize(uv, visible, -vc[:, 2], tris, w, h)
+    rows, cols, hit_tris, lam = _rasterize(uv, visible, -vc[:, 2], tris, cam.width, cam.height)
     if rows.size == 0:
         raise RenderError("face entirely outside the view frustum")
 
@@ -210,15 +214,27 @@ def render(model, theta, cam, texture_seed, background_seed):
     vert_n = vert_n / np.where(vn > 0, vn, 1.0)[:, None]
     vert_shade = 0.35 + 0.65 * np.maximum(0.0, vert_n @ light)
 
+    # gather each triangle's corners once, then pick the covering triangles
     mean_pts = model.mean.reshape(-1, 3)
-    surf = np.einsum("ni,nij->nj", lam, mean_pts[tris[hit_tris]])
+    surf = np.einsum("ni,nij->nj", lam, mean_pts[tris][hit_tris])
     dw = TEXTURE_DETAIL_WEIGHT
     albedo = (1.0 - dw) * fbm3(surf * np.asarray(TEXTURE_ANISO),
                                TEXTURE_SCALE, texture_seed, octaves=1) \
         + dw * fbm3(surf, TEXTURE_DETAIL_SCALE, texture_seed + 777, octaves=2)
     tex = 0.35 + 0.6 * albedo
-    shade = np.einsum("ni,ni->n", lam, vert_shade[tris[hit_tris]])
-    img[rows, cols] = tex * shade
+    shade = np.einsum("ni,ni->n", lam, vert_shade[tris][hit_tris])
+    return rows, cols, tex * shade
+
+
+def _over_background(face, cam, background_seed):
+    """Background pass: paste a face pass's pixels over a noise background
+    and quantize the frame to 8 bits."""
+    rows, cols, values = face
+    h, w = cam.height, cam.width
+    img = noise_image(w, h, BACKGROUND_SCALE, background_seed)
+    img *= 0.8
+    img += 0.1
+    img[rows, cols] = values
 
     # quantize to 8 bits into a fresh array: the image that outlives render is
     # allocated last, so the next render reuses the temporaries freed here
@@ -228,6 +244,11 @@ def render(model, theta, cam, texture_seed, background_seed):
     np.rint(pixels, out=pixels)
     pixels /= 255.0
     return GrayImage(width=w, height=h, pixels=pixels)
+
+
+def render(model, theta, cam, texture_seed, background_seed):
+    """Rasterize a model instance posed by theta over a noise background."""
+    return _over_background(_render_face(model, theta, cam, texture_seed), cam, background_seed)
 
 
 _MODE_TAGS = {"train": 1, "test": 2}
@@ -277,15 +298,25 @@ def generate_set(model, pc, mode, jobs=1):
                 sid = "%s_p%+g_y%+g_b%d" % (mode, pitch, yaw, b)
                 specs.append((sid, theta_gt, theta_init, subseed(pc.seed, tag, 20, len(specs))))
 
-    def render_one(spec):
-        sid, gt, init, bg_seed = spec
-        try:
-            img = render(model, gt, cam, texture_seed, bg_seed)
-        except RenderError as e:
-            raise RenderError("sample %s: %s" % (sid, e)) from e
-        return TrainingSample(image=img, theta_gt=gt, theta_init=init, id=sid)
+    # consecutive samples of one ground truth (a pose's backgrounds when no
+    # shape is drawn) share one face pass
+    groups = []
+    for spec in specs:
+        if groups and np.array_equal(groups[-1][0][1], spec[1]):
+            groups[-1].append(spec)
+        else:
+            groups.append([spec])
 
-    return parallel_map(render_one, specs, jobs)
+    def render_group(group):
+        try:
+            face = _render_face(model, group[0][1], cam, texture_seed)
+        except RenderError as e:
+            raise RenderError("sample %s: %s" % (group[0][0], e)) from e
+        return [TrainingSample(image=_over_background(face, cam, bg_seed), theta_gt=gt,
+                               theta_init=init, id=sid)
+                for sid, gt, init, bg_seed in group]
+
+    return [s for samples in parallel_map(render_group, groups, jobs) for s in samples]
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,37 @@ def test_generate_deterministic_and_jobs_invariant(small_model):
             generate_set(small_model, pc, "train", jobs=jobs)
 
 
+@pytest.mark.parametrize("n_shape, faces", [(0, 9), (2, 18)])
+def test_generate_shades_each_ground_truth_once(small_model, monkeypatch, n_shape, faces):
+    # without shape draws a pose's 2 backgrounds share one face pass; with
+    # them every sample has its own identity and so its own face
+    face_pass, calls = synth._render_face, []
+
+    def counted(*args):
+        calls.append(args)
+        return face_pass(*args)
+
+    monkeypatch.setattr(synth, "_render_face", counted)
+    pc = ProtocolConfig(seed=5, n_shape=n_shape, **SMALL_PC)
+    train = generate_set(small_model, pc, "train")
+    assert len(calls) == faces
+    assert len({s.theta_gt.tobytes() for s in train}) == faces
+    # a shared face leaves every sample as render draws it alone
+    for i, s in enumerate(train):
+        want = render(small_model, s.theta_gt, pc.camera(), synth.subseed(pc.seed, 5),
+                      synth.subseed(pc.seed, 1, 20, i))
+        assert np.array_equal(s.image.pixels, want.pixels)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_generate_names_first_sample_outside_view(small_model, jobs):
+    # at tz = +1200 every pose puts the face behind the camera
+    pc = ProtocolConfig(seed=5, tz=1200.0, **SMALL_PC)
+    with pytest.raises(RenderError, match="^sample train_p-20_y-20_b0: face entirely outside "
+                                          "the view frustum$"):
+        generate_set(small_model, pc, "train", jobs=jobs)
+
+
 # SHA-256 of a tiny seeded train + test set (ids, 8-bit pixels, theta_gt,
 # theta_init). Renderer and set-generation changes must keep it; a change
 # that moves it on purpose names the new value and the reason.
