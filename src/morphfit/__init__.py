@@ -4,11 +4,11 @@ descriptors, with a synthetic data pipeline for desk-scale experiments."""
 
 __version__ = "0.1.0"
 
-from .camera import CameraConfig, pose_from_landmarks_rough, project_points, to_camera
+from .camera import CameraConfig, project_points, to_camera
 from .cascade import CascadeRegressor, FitError, FitResult, ParamScale, TrainConfig, \
     WeakRegressor, fit, load_regressor, param_layout, predict_update, save_regressor, \
     train_cascade, train_stage
-from .evaluate import EvalReport, evaluate, mae_angles, shape_cosine, write_report
+from .evaluate import EvalReport, angle_errors, evaluate, shape_cosine, write_report
 from .features import DESCRIPTOR_SIZE, FeatureError, GrayImage, assemble_feature, \
     extract_descriptor, read_pgm, write_pgm
 from .posit import Correspondences, DegenerateGeometryError, PositResult, \

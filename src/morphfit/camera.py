@@ -89,35 +89,3 @@ def project_points(points, pose, cam):
     uv[valid, 1] = cam.cy - cam.focal * pc[valid, 1] / d
     return uv, valid
 
-
-def pose_from_landmarks_rough(points2d, points3d, cam):
-    """Coarse pose from 2D/3D landmark correspondences.
-
-    Depth comes from the ratio of bounding-box extents through the pinhole,
-    x/y translation from centroid back-projection; all angles are left at
-    zero. Good enough to land inside the trained cascade's basin; not an
-    accurate pose. Returns the pose vector [0 0 0 tx ty tz].
-    """
-    uv = np.asarray(points2d, dtype=np.float64).reshape(-1, 2)
-    pts = np.asarray(points3d, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points3d must be (n, 3)")
-    if uv.shape[0] != pts.shape[0] or uv.shape[0] < 4:
-        raise ValueError("need at least 4 matching 2D/3D points")
-
-    ext_u = uv[:, 0].max() - uv[:, 0].min()
-    ext_v = uv[:, 1].max() - uv[:, 1].min()
-    ext_x = pts[:, 0].max() - pts[:, 0].min()
-    ext_y = pts[:, 1].max() - pts[:, 1].min()
-    if ext_u < 1e-9 or ext_v < 1e-9:
-        raise ValueError("degenerate 2D landmark set")
-    if ext_x < 1e-9 or ext_y < 1e-9:
-        raise ValueError("degenerate 3D landmark set")
-
-    depth = cam.focal * (ext_x + ext_y) / (ext_u + ext_v)
-    tz = -depth
-    cu, cv = uv.mean(axis=0)
-    cx3, cy3 = pts[:, 0].mean(), pts[:, 1].mean()
-    tx = (cu - cam.cx) * depth / cam.focal - cx3
-    ty = (cam.cy - cv) * depth / cam.focal - cy3
-    return np.array([0.0, 0.0, 0.0, tx, ty, tz])

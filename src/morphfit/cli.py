@@ -19,11 +19,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .camera import CameraConfig, project_points, pose_from_landmarks_rough
+from .camera import CameraConfig, project_points
 from .cascade import POSE_NAMES, TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
-from .posit import Correspondences, euler_from_rotation, posit
+from .posit import MAX_ITERS, TOL, Correspondences, euler_from_rotation, posit
 from .shape_model import load_model, make_procedural_model, save_model, select_landmarks, \
     split_theta
 from .synth import ProtocolConfig, generate_set, load_dataset, subseed, write_dataset
@@ -137,9 +137,8 @@ def cmd_fit(args, seed):
     if args.init is not None:
         theta0 = _parse_inline_theta(args.init, reg.param_dim)
     else:
-        uv, pts = _read_point_rows(args.init_landmarks)
         theta0 = np.zeros(reg.param_dim)
-        theta0[:6] = pose_from_landmarks_rough(uv, pts, cam)
+        theta0[:6], _ = _posit_pose(*_read_point_rows(args.init_landmarks), cam)
     if args.init_noise:
         rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
         theta0 = theta0.copy()
@@ -182,10 +181,10 @@ def cmd_eval(args, seed):
             outputs, {})
 
 
-def _posit_pose(uv, pts3d, cam, args):
+def _posit_pose(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
     """POSIT estimate as CSV values: [rx, ry, rz, tx, ty, tz], [iters, converged]."""
     corr = Correspondences(points2d=uv, points3d=pts3d, focal=cam.focal, cx=cam.cx, cy=cam.cy)
-    res = posit(corr, max_iters=args.max_iters, tol=args.tol)
+    res = posit(corr, max_iters=max_iters, tol=tol)
     return [*euler_from_rotation(res.rotation), *res.translation], [res.iters, int(res.converged)]
 
 
@@ -193,7 +192,7 @@ def cmd_posit(args, seed):
     if args.points is not None:
         uv, pts = _read_point_rows(args.points)
         cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
-        pose, status = _posit_pose(uv, pts, cam, args)
+        pose, status = _posit_pose(uv, pts, cam, args.max_iters, args.tol)
         write_csv(args.out, [*POSE_NAMES, "iters", "converged"], [pose + status])
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
               % (*pose, status[0]))
@@ -214,7 +213,7 @@ def cmd_posit(args, seed):
         if args.noise_px > 0:
             rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
             uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
-        est, status = _posit_pose(uv, pts3d, cam, args)
+        est, status = _posit_pose(uv, pts3d, cam, args.max_iters, args.tol)
         errs.append(np.abs(np.array(est[:3]) - s.theta_gt[:3]))
         rows.append([s.id, *est, *errs[-1], *status])
     if not errs:
@@ -294,7 +293,7 @@ def build_parser():
     init = ft.add_mutually_exclusive_group(required=True)
     init.add_argument("--init", help="inline theta, comma-separated")
     init.add_argument("--init-landmarks",
-                      help="CSV of u,v,X,Y,Z rows for rough pose initialization")
+                      help="CSV of u,v,X,Y,Z rows for POSIT pose initialization")
     ft.add_argument("--init-noise", type=float, default=0.0,
                     help="perturb initial angles uniformly within +/- this many degrees")
     ft.set_defaults(func=cmd_fit)
@@ -313,8 +312,8 @@ def build_parser():
     source.add_argument("--data", help="dataset directory for batch mode")
     po.add_argument("--model", help="shape model, required with --data")
     po.add_argument("--noise-px", type=float, default=0.0)
-    po.add_argument("--max-iters", type=positive_int, default=100)
-    po.add_argument("--tol", type=nonnegative_float, default=1e-5)
+    po.add_argument("--max-iters", type=positive_int, default=MAX_ITERS)
+    po.add_argument("--tol", type=nonnegative_float, default=TOL)
     po.set_defaults(func=cmd_posit)
 
     return p

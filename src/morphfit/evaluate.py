@@ -9,11 +9,13 @@ modes.
 """
 
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import FitError, fit
+from .synth import ProtocolConfig
 from .util import parallel_map, write_csv
 
 log = logging.getLogger(__name__)
@@ -21,16 +23,17 @@ log = logging.getLogger(__name__)
 REGIMES = ("uniform", "fixed")
 
 
-def mae_angles(pred, gt):
-    """Mean absolute error over the three angle components, degrees."""
-    pred = [np.asarray(p, dtype=np.float64).reshape(-1) for p in pred]
-    gt = [np.asarray(g, dtype=np.float64).reshape(-1) for g in gt]
-    if len(pred) != len(gt):
-        raise ValueError("prediction/ground-truth counts differ")
-    if not pred:
-        raise ValueError("empty input")
-    diffs = np.stack([p[:3] - g[:3] for p, g in zip(pred, gt)])
-    return float(np.mean(np.abs(diffs)))
+def angle_errors(theta, gt):
+    """Mean absolute error of the three angles over the last axis, degrees.
+
+    theta is (..., p) and gt must broadcast to its shape; the result has
+    theta's leading shape.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if np.broadcast_shapes(theta.shape, gt.shape) != theta.shape:
+        raise ValueError("ground truth %s does not broadcast to %s" % (gt.shape, theta.shape))
+    return np.mean(np.abs(theta[..., :3] - gt[..., :3]), axis=-1)
 
 
 def shape_cosine(alpha_e, alpha_g):
@@ -54,7 +57,7 @@ class EvalReport:
     n_failures: int = 0
 
 
-def initial_theta(sample, regime, init_offset=11.0):
+def initial_theta(sample, regime, init_offset=ProtocolConfig.init_offset):
     """Initialization for a sample under the given regime.
 
     "uniform": the stored perturbed initialization. "fixed": every angle
@@ -70,7 +73,8 @@ def initial_theta(sample, regime, init_offset=11.0):
     raise ValueError("unknown regime %r" % regime)
 
 
-def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0, jobs=1):
+def evaluate(samples, reg, model, cam, regime="uniform", init_offset=ProtocolConfig.init_offset,
+             jobs=1):
     """Run the cascade on every sample and aggregate per-stage metrics.
 
     Per-sample fit failures are counted and excluded, not fatal.
@@ -78,8 +82,6 @@ def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0, jobs=
     samples = list(samples)
     if not samples:
         raise ValueError("no samples to evaluate")
-    n_stages = reg.n_stages
-    n_shape = reg.param_dim - 6
 
     def run(sample):
         theta0 = initial_theta(sample, regime, init_offset)
@@ -90,34 +92,29 @@ def evaluate(samples, reg, model, cam, regime="uniform", init_offset=11.0, jobs=
             return None
 
     trajectories = parallel_map(run, samples, jobs)
-    used = [(s, t) for s, t in zip(samples, trajectories) if t is not None]
-    n_failures = len(samples) - len(used)
+    used = [(s.theta_gt, t) for s, t in zip(samples, trajectories) if t is not None]
     if not used:
         raise RuntimeError("every sample failed to evaluate")
+    gt = np.stack([g for g, _ in used])          # (N, p)
+    traj = np.stack([t for _, t in used])        # (N, S+1, p)
 
-    abs_err = np.zeros((len(used), n_stages + 1))
-    cosines = np.full((len(used), n_stages + 1), np.nan)
-    for i, (s, traj) in enumerate(used):
-        abs_err[i] = np.mean(np.abs(traj[:, :3] - s.theta_gt[:3]), axis=1)
-        if n_shape > 0:
-            for stage in range(n_stages + 1):
-                try:
-                    cosines[i, stage] = shape_cosine(traj[stage, 6:], s.theta_gt[6:])
-                except ValueError:
-                    pass  # zero vector (e.g. the mean-face initialization)
-
-    cos_mean = np.full(n_stages + 1, np.nan)
-    for stage in range(n_stages + 1):
-        col = cosines[:, stage]
-        if np.any(np.isfinite(col)):
-            cos_mean[stage] = np.nanmean(col)
+    # stage-major, so each stage's mean sums its samples as one contiguous row
+    cosines = np.full((traj.shape[1], len(traj)), np.nan)
+    for stage, i in np.ndindex(cosines.shape):
+        try:
+            cosines[stage, i] = shape_cosine(traj[i, stage, 6:], gt[i, 6:])
+        except ValueError:
+            pass  # no shape modes, or the zero vector (the mean-face initialization)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a stage with no cosine is NaN
+        cos_mean = np.nanmean(cosines, axis=1)
 
     return EvalReport(
         regime=regime,
         n_samples=len(used),
-        mae_per_stage=abs_err.mean(axis=0),
+        mae_per_stage=angle_errors(traj, gt[:, None]).mean(axis=0),
         cosine_per_stage=cos_mean,
-        n_failures=n_failures,
+        n_failures=len(samples) - len(used),
     )
 
 

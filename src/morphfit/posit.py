@@ -59,7 +59,12 @@ def _nearest_rotation(m):
 _FLIP = np.diag([1.0, -1.0, -1.0])
 
 
-def posit(corr, max_iters=100, tol=1e-5):
+# iteration defaults of posit(), also read by the CLI's posit --max-iters/--tol
+MAX_ITERS = 100
+TOL = 1e-5
+
+
+def posit(corr, max_iters=MAX_ITERS, tol=TOL):
     """Estimate pose from correspondences; reference point is points3d[0].
 
     Iterates the scaled-orthographic solve, updating the perspective

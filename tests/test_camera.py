@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morphfit import CameraConfig, pose_from_landmarks_rough, project_points, to_camera
+from morphfit import CameraConfig, project_points, to_camera
 from morphfit.camera import rotation_from_angles
 
 CAM = CameraConfig(focal=1500.0, width=640, height=480)
@@ -94,34 +94,3 @@ def test_camera_config_rejects_non_finite():
                    dict(cx=np.nan), dict(cy=np.inf)):
         with pytest.raises(ValueError):
             CameraConfig(**kwargs)
-
-
-def test_rough_pose_recovers_depth(small_model):
-    from morphfit import select_landmarks
-    pts3d = select_landmarks(small_model, np.zeros(small_model.num_modes))
-    uv, ok = project_points(pts3d, pose(tz=-1200.0), CAM)
-    assert ok.all()
-    rough = pose_from_landmarks_rough(uv, pts3d, CAM)
-    assert rough.shape == (6,)
-    assert abs(rough[5] - (-1200.0)) <= 120.0  # within 10%
-    assert np.all(rough[:3] == 0.0)
-
-
-def test_rough_pose_translation_shift(small_model):
-    from morphfit import select_landmarks
-    pts3d = select_landmarks(small_model, np.zeros(small_model.num_modes))
-    uv, _ = project_points(pts3d, pose(tz=-1200.0), CAM)
-    base = pose_from_landmarks_rough(uv, pts3d, CAM)
-    shifted = pose_from_landmarks_rough(uv + [10.0, 0.0], pts3d, CAM)
-    # tx moves by +10 * depth / focal, tz unchanged
-    np.testing.assert_allclose(shifted[3] - base[3], 10.0 * (-base[5]) / CAM.focal,
-                               rtol=1e-9)
-    assert shifted[5] == base[5]
-
-
-def test_rough_pose_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        pose_from_landmarks_rough(np.zeros((3, 2)), np.zeros((3, 3)), CAM)
-    same2d = np.tile([5.0, 5.0], (4, 1))
-    with pytest.raises(ValueError):
-        pose_from_landmarks_rough(same2d, np.random.default_rng(0).normal(size=(4, 3)), CAM)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -141,6 +142,9 @@ def test_parsed_defaults_are_the_library_defaults():
     assert fit.focal == cam.focal
     posit = parser.parse_args(["posit", "--points", "p", "--out", "o"])
     assert (posit.focal, posit.width, posit.height) == (cam.focal, cam.width, cam.height)
+    iteration = inspect.signature(morphfit.posit).parameters
+    assert (posit.max_iters, posit.tol) == (iteration["max_iters"].default,
+                                            iteration["tol"].default)
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -213,10 +217,12 @@ def test_fit_init_noise_is_seeded(workspace, tmp_path):
 
 
 def test_fit_from_landmark_csv(workspace, tmp_path):
+    """--init-landmarks starts the fit at the POSIT pose of the CSV's points."""
     from morphfit import CameraConfig, project_points, select_landmarks
     from morphfit.synth import load_dataset
     samples, pc = load_dataset(workspace["test"])
-    s = samples[0]
+    s = next(s for s in samples if s.id == "test_p+10_y-20_b0")
+    assert s.theta_gt[0] == 10.0 and s.theta_gt[1] == -20.0
     model = load_model(workspace["model"])
     cam = CameraConfig(focal=500.0, width=160, height=120)
     pts3d = select_landmarks(model, np.zeros(model.num_modes))
@@ -231,6 +237,22 @@ def test_fit_from_landmark_csv(workspace, tmp_path):
                  os.path.join(workspace["test"], "images", s.id + ".pgm"),
                  "--model", workspace["model"], "--regressor", workspace["reg"],
                  "--out", out, "--init-landmarks", lm_path, "--focal", "500"]) == 0
+    rows = [ln.split(",") for ln in open(out).read().strip().splitlines()]
+    theta0 = np.array([float(v) for v in rows[1][1:]])
+    np.testing.assert_allclose(theta0[:3], s.theta_gt[:3], rtol=0, atol=1e-3)
+    assert abs(theta0[5] - s.theta_gt[5]) < 0.1
+
+
+def test_fit_from_coplanar_landmarks_exits_1(workspace, tmp_path, capsys):
+    lm_path = tmp_path / "flat.csv"
+    lm_path.write_text("u,v,X,Y,Z\n10,20,0,0,0\n90,20,50,0,0\n10,80,0,50,0\n90,80,50,50,0\n")
+    out = tmp_path / "traj.csv"
+    img = os.path.join(workspace["test"], "images", "test_p+0_y+0_b0.pgm")
+    assert main(["fit", "--image", img, "--model", workspace["model"],
+                 "--regressor", workspace["reg"], "--out", str(out),
+                 "--init-landmarks", str(lm_path), "--focal", "500"]) == 1
+    assert "coplanar" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["flat.csv"]
 
 
 def test_eval_both_regimes(workspace, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morphfit import CascadeRegressor, ParamScale, WeakRegressor, evaluate, mae_angles, \
+from morphfit import CascadeRegressor, ParamScale, WeakRegressor, angle_errors, evaluate, \
     shape_cosine
 from morphfit.cascade import param_layout
 from morphfit.evaluate import initial_theta, write_report
@@ -9,31 +9,34 @@ from morphfit.synth import ProtocolConfig, generate_set
 
 
 def test_mae_examples():
-    gt = [np.array([1.0, 2.0, 3.0, 0, 0, -1200.0])]
-    assert mae_angles(gt, gt) == 0.0
-    off = [gt[0] + np.array([3.0, 0, 0, 50, 50, 50])]  # translations ignored
-    assert mae_angles(off, gt) == pytest.approx(1.0)
-    two_pred = [gt[0] + [3, 0, 0, 0, 0, 0], gt[0] + [0, 3, 0, 0, 0, 0]]
-    assert mae_angles(two_pred, [gt[0], gt[0]]) == pytest.approx(1.0)
+    gt = np.array([1.0, 2.0, 3.0, 0, 0, -1200.0])
+    assert angle_errors(gt, gt) == 0.0
+    assert angle_errors(gt + [3.0, 0, 0, 50, 50, 50], gt) == pytest.approx(1.0)  # no translation
+    two_pred = np.stack([gt + [3, 0, 0, 0, 0, 0], gt + [0, -6, 0, 0, 0, 0]])
+    np.testing.assert_allclose(angle_errors(two_pred, gt), [1.0, 2.0])
+    # stacked trajectories (N, S+1, p) against ground truth (N, 1, p)
+    trajectories = np.stack([two_pred, two_pred[::-1] + [0, 0, 0.3, 0, 0, 0]])
+    np.testing.assert_allclose(angle_errors(trajectories, np.stack([gt, gt])[:, None]),
+                               [[1.0, 2.0], [2.1, 1.1]])
 
 
 def test_mae_symmetry_and_positivity():
     rng = np.random.default_rng(40)
-    a = [rng.normal(size=6) for _ in range(5)]
-    b = [rng.normal(size=6) for _ in range(5)]
-    assert mae_angles(a, b) == pytest.approx(mae_angles(b, a))
-    assert mae_angles(a, b) > 0
-    same_angles = [x.copy() for x in a]
-    for x in same_angles:
-        x[3:] += 99.0
-    assert mae_angles(a, same_angles) == 0.0
+    a = rng.normal(size=(5, 6))
+    b = rng.normal(size=(5, 6))
+    np.testing.assert_array_equal(angle_errors(a, b), angle_errors(b, a))
+    assert np.all(angle_errors(a, b) > 0)
+    same_angles = a.copy()
+    same_angles[:, 3:] += 99.0
+    np.testing.assert_array_equal(angle_errors(a, same_angles), np.zeros(5))
 
 
 def test_mae_input_validation():
-    with pytest.raises(ValueError):
-        mae_angles([], [])
-    with pytest.raises(ValueError):
-        mae_angles([np.zeros(6)], [])
+    # the ground truth must broadcast to theta's shape, not widen it
+    for theta, gt in ((np.zeros((1, 6)), np.zeros((0, 6))), (np.zeros((2, 6)), np.zeros((3, 6))),
+                      (np.zeros(6), np.zeros((2, 6))), (np.zeros((2, 3, 6)), np.zeros((2, 6)))):
+        with pytest.raises(ValueError):
+            angle_errors(theta, gt)
 
 
 def test_shape_cosine_examples():
@@ -91,7 +94,7 @@ def test_zero_stage_cascade_reports_init_error(tiny_eval_setup):
                            feature_dim=17 * 128, layout=param_layout(0))
     rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
     assert rep.mae_per_stage.shape == (1,)
-    init_err = mae_angles([s.theta_init for s in samples], [s.theta_gt for s in samples])
+    init_err = angle_errors([s.theta_init for s in samples], [s.theta_gt for s in samples]).mean()
     assert rep.mae_per_stage[0] == pytest.approx(init_err)
     assert rep.n_samples == len(samples)
     assert np.isnan(rep.cosine_per_stage).all()
@@ -138,3 +141,31 @@ def test_report_round_trip(tmp_path, tiny_eval_setup):
     assert set(back["n_samples"]) == {rep.n_samples}
     np.testing.assert_array_equal(back["mae_deg"], rep.mae_per_stage)
     assert np.isnan(back["shape_cosine"]).all()
+
+
+def test_shape_cosine_column_is_the_mean_over_samples():
+    from morphfit import fit, make_procedural_model
+    model = make_procedural_model(3, 80, 3)
+    pc = ProtocolConfig(range_deg=20.0, step_train=20.0, step_test=20.0, backgrounds=1,
+                        width=160, height=120, focal=500.0, n_shape=1, seed=9)
+    samples = generate_set(model, pc, "test")
+    # two stages that move only the shape coefficient, by a feature-dependent step
+    rng = np.random.default_rng(43)
+    stages = []
+    for _ in range(2):
+        A = np.zeros((7, 17 * 128))
+        A[6] = rng.normal(scale=0.05, size=17 * 128)
+        stages.append(WeakRegressor(A=A, b=np.zeros(7)))
+    reg = CascadeRegressor(stages=stages, scale=ParamScale(np.zeros(7), np.ones(7)),
+                           feature_dim=17 * 128, layout=param_layout(1))
+    cam = pc.camera()
+    rep = evaluate(samples, reg, model, cam, regime="fixed")
+    assert rep.n_samples == len(samples) and rep.n_failures == 0
+    assert np.isnan(rep.cosine_per_stage[0])  # every fit starts at the mean face
+    trajectories = [fit(s.image, initial_theta(s, "fixed"), reg, model, cam).trajectory
+                    for s in samples]
+    for stage in (1, 2):
+        expected = np.mean([shape_cosine(t[stage, 6:], s.theta_gt[6:])
+                            for t, s in zip(trajectories, samples)])
+        assert abs(expected) < 1  # the samples do not all agree in sign
+        assert rep.cosine_per_stage[stage] == pytest.approx(expected, abs=1e-12)
