@@ -126,8 +126,8 @@ def train_stage(features, deltas, lam):
         raise ValueError("features (M, F) and deltas (M, p) must share M >= 1")
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(d))):
         raise ValueError("non-finite training data")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and nonnegative, got %s" % lam)
     fm = f.mean(axis=0)
     dm = d.mean(axis=0)
     fc = f - fm

@@ -96,6 +96,8 @@ def _parse_inline_theta(text, pdim):
         values = [float(v) for v in text.split(",")]
     except ValueError as e:
         raise UsageError("--init must be comma-separated numbers: %s" % e)
+    if not np.all(np.isfinite(values)):
+        raise UsageError("--init values must be finite, got %s" % text)
     if len(values) != pdim:
         raise UsageError("--init needs %d values for this regressor, got %d"
                          % (pdim, len(values)))
@@ -141,7 +143,6 @@ def cmd_fit(args, seed):
         theta0[:6], _ = _posit_pose(*_read_point_rows(args.init_landmarks), cam)
     if args.init_noise:
         rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
-        theta0 = theta0.copy()
         theta0[:3] += rng.uniform(-args.init_noise, args.init_noise, size=3)
 
     t_fit = time.perf_counter()
@@ -240,7 +241,7 @@ def positive_int(text):
 
 
 def nonnegative_float(text):
-    """argparse type of a tolerance: a finite number of at least 0."""
+    """argparse type of a tolerance or a spread: a finite number of at least 0."""
     value = float(text)
     if not (np.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError("must be finite and nonnegative, got %s" % text)
@@ -282,8 +283,8 @@ def build_parser():
     tr = sub.add_parser("train", parents=[common, jobs, model],
                         help="train a cascade on a dataset")
     tr.add_argument("--data", required=True)
-    tr.add_argument("--stages", type=int, default=TrainConfig.stages)
-    tr.add_argument("--lambda", type=float, default=TrainConfig.lam)
+    tr.add_argument("--stages", type=positive_int, default=TrainConfig.stages)
+    tr.add_argument("--lambda", type=nonnegative_float, default=TrainConfig.lam)
     tr.set_defaults(func=cmd_train)
 
     ft = sub.add_parser("fit", parents=[common, model, focal],
@@ -294,7 +295,7 @@ def build_parser():
     init.add_argument("--init", help="inline theta, comma-separated")
     init.add_argument("--init-landmarks",
                       help="CSV of u,v,X,Y,Z rows for POSIT pose initialization")
-    ft.add_argument("--init-noise", type=float, default=0.0,
+    ft.add_argument("--init-noise", type=nonnegative_float, default=0.0,
                     help="perturb initial angles uniformly within +/- this many degrees")
     ft.set_defaults(func=cmd_fit)
 
@@ -311,7 +312,7 @@ def build_parser():
     source.add_argument("--points", help="CSV of u,v,X,Y,Z rows")
     source.add_argument("--data", help="dataset directory for batch mode")
     po.add_argument("--model", help="shape model, required with --data")
-    po.add_argument("--noise-px", type=float, default=0.0)
+    po.add_argument("--noise-px", type=nonnegative_float, default=0.0)
     po.add_argument("--max-iters", type=positive_int, default=MAX_ITERS)
     po.add_argument("--tol", type=nonnegative_float, default=TOL)
     po.set_defaults(func=cmd_posit)

@@ -41,7 +41,10 @@ class GrayImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.shape != (self.height, self.width):
             raise ValueError("pixel buffer must be (height, width)")
-        self.pixels = np.clip(px, 0.0, 1.0)
+        # min and max are NaN when any pixel is, which fails both comparisons
+        if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
+            raise ValueError("pixels must be finite and in [0, 1]")
+        self.pixels = px
 
     @staticmethod
     def from_array(pixels):

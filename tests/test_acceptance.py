@@ -9,6 +9,7 @@ heavy experiments are built once per session and shared.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,10 +233,10 @@ def test_criterion_8_projection_oracle():
 def _dataset_bytes(root):
     chunks = []
     for sub in ("labels.csv", "inits.csv", "protocol.txt"):
-        chunks.append(open(os.path.join(root, sub), "rb").read())
+        chunks.append(Path(root, sub).read_bytes())
     img_dir = os.path.join(root, "images")
     for name in sorted(os.listdir(img_dir)):
-        chunks.append(open(os.path.join(img_dir, name), "rb").read())
+        chunks.append(Path(img_dir, name).read_bytes())
     return b"".join(chunks)
 
 
@@ -256,8 +257,8 @@ def test_criterion_9_cli_determinism(tmp_path, model42):
         assert main(["eval", "--data", ds, "--model", model_path, "--regressor", reg,
                      "--out", rep, "--regime", "uniform", "--seed", "13",
                      "--jobs", str(jobs)]) == 0
-        return (_dataset_bytes(ds), open(reg, "rb").read(),
-                open(os.path.join(rep, "report_uniform.csv"), "rb").read())
+        return (_dataset_bytes(ds), Path(reg).read_bytes(),
+                Path(rep, "report_uniform.csv").read_bytes())
 
     first = pipeline("a", 1)
     second = pipeline("b", 1)
@@ -282,7 +283,7 @@ def test_criterion_10_fit_throughput(tmp_path, model42, pose_experiment):
     init = ",".join("%.17g" % v for v in sample.theta_init)
     assert main(["fit", "--image", img_path, "--model", model_path,
                  "--regressor", reg_path, "--out", out, "--init=" + init]) == 0
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     fit_s = manifest["timings_s"]["fit"]
     ok = announce(10, fit_s <= 1.0,
                   "single-image fit through the 3-stage 17-landmark cascade: "

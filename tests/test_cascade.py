@@ -69,8 +69,9 @@ def test_train_stage_input_validation():
         train_stage(np.ones((3, 2)), np.ones((4, 2)), 0.1)
     with pytest.raises(ValueError):
         train_stage(np.array([[np.nan, 1.0]]), np.ones((1, 1)), 0.1)
-    with pytest.raises(ValueError):
-        train_stage(np.ones((3, 2)), np.ones((3, 1)), -1.0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            train_stage(np.ones((3, 2)), np.ones((3, 1)), lam)
 
 
 def test_predict_update_against_naive_multiply():

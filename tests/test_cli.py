@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_make_model_output(workspace):
     model = load_model(workspace["model"])
     assert model.vertex_count == 80
     assert len(model.landmark_ids) == 17
-    manifest = json.loads(open(workspace["model"] + ".manifest.json").read())
+    manifest = json.loads(Path(workspace["model"] + ".manifest.json").read_text())
     assert manifest["command"] == "make-model"
     assert manifest["seed"] == 3
     assert "total" in manifest["timings_s"]
@@ -125,6 +126,31 @@ def test_usage_errors_exit_2(workspace, tmp_path):
                                flag, value)
         assert code == 2 and "%s: %s" % (flag, problem) in err
     assert not posit_out.exists()
+    # numeric flags are checked before any input is read; each error names its flag
+    train_out = tmp_path / "c.mfr"
+    commands = {
+        "posit": ["posit", "--data", workspace["test"], "--model", workspace["model"],
+                  "--out", str(posit_out)],
+        "train": ["train", "--data", workspace["train"], "--model", workspace["model"],
+                  "--out", str(train_out)],
+        "fit": ["fit", "--image", img, "--model", workspace["model"],
+                "--regressor", workspace["reg"], "--out", str(fit_out)],
+    }
+    negative = "must be finite and nonnegative, got "
+    for command, flag, value, problem in (
+            ("posit", "--noise-px", "nan", negative + "nan"),
+            ("posit", "--noise-px", "-2", negative + "-2"),
+            ("train", "--lambda", "nan", negative + "nan"),
+            ("train", "--lambda", "-1", negative + "-1"),
+            ("train", "--stages", "0", "must be at least 1, got 0"),
+            ("fit", "--init-noise", "nan", negative + "nan"),
+            ("fit", "--init-noise", "-3", negative + "-3")):
+        init = ["--init", "0,0,0,0,0,-1200"] if command == "fit" else []
+        code, _, err = run_cli(*commands[command], *init, flag, value)
+        assert code == 2 and "%s: %s" % (flag, problem) in err, (flag, value, err)
+    code, _, err = run_cli(*commands["fit"], "--init", "nan,0,0,0,0,-1200")
+    assert code == 2 and "--init values must be finite" in err
+    assert not (posit_out.exists() or train_out.exists() or fit_out.exists())
 
 
 def test_parsed_defaults_are_the_library_defaults():
@@ -158,9 +184,9 @@ def test_runtime_errors_exit_1(tmp_path):
 def test_train_residual_table_and_file(workspace, capsys):
     reg = load_regressor(workspace["reg"])
     assert reg.n_stages == 2
-    text = open(workspace["reg"]).read()
+    text = Path(workspace["reg"]).read_text()
     assert text.startswith("MFR 1\nstages 2\n")
-    manifest = json.loads(open(workspace["reg"] + ".manifest.json").read())
+    manifest = json.loads(Path(workspace["reg"] + ".manifest.json").read_text())
     res = manifest["outputs"]["train_residuals"]
     assert len(res) == 2 and res[1] <= res[0]
 
@@ -169,14 +195,14 @@ def test_single_stage_writes_stages_1(workspace, tmp_path):
     out = str(tmp_path / "one.mfr")
     assert main(["train", "--data", workspace["train"], "--model", workspace["model"],
                  "--out", out, "--stages", "1"]) == 0
-    assert "stages 1" in open(out).read().splitlines()[1]
+    assert "stages 1" in Path(out).read_text().splitlines()[1]
 
 
 def test_retrain_is_bit_identical(workspace, tmp_path):
     out2 = str(tmp_path / "again.mfr")
     assert main(["train", "--data", workspace["train"], "--model", workspace["model"],
                  "--out", out2, "--stages", "2"]) == 0
-    assert open(out2, "rb").read() == open(workspace["reg"], "rb").read()
+    assert Path(out2).read_bytes() == Path(workspace["reg"]).read_bytes()
 
 
 def test_fit_matches_library_call(workspace, tmp_path):
@@ -190,7 +216,7 @@ def test_fit_matches_library_call(workspace, tmp_path):
     assert main(["fit", "--image", img_path, "--model", workspace["model"],
                  "--regressor", workspace["reg"], "--out", out,
                  "--init=" + init, "--focal", "500"]) == 0
-    rows = [ln.split(",") for ln in open(out).read().strip().splitlines()]
+    rows = [ln.split(",") for ln in Path(out).read_text().strip().splitlines()]
     assert rows[0][0] == "stage"
     traj = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     reg = load_regressor(workspace["reg"])
@@ -198,7 +224,7 @@ def test_fit_matches_library_call(workspace, tmp_path):
     cam = CameraConfig(focal=500.0, width=160, height=120)
     expected = fit(read_pgm(img_path), s.theta_init, reg, model, cam).trajectory
     np.testing.assert_array_equal(traj, expected)
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["timings_s"]["fit"] > 0
 
 
@@ -212,7 +238,7 @@ def test_fit_init_noise_is_seeded(workspace, tmp_path):
                      "--regressor", workspace["reg"], "--out", out,
                      "--init", "0,0,0,0,0,-1200", "--init-noise", "5",
                      "--seed", "11", "--focal", "500"]) == 0
-        outs.append(open(out).read())
+        outs.append(Path(out).read_text())
     assert outs[0] == outs[1]
 
 
@@ -237,7 +263,7 @@ def test_fit_from_landmark_csv(workspace, tmp_path):
                  os.path.join(workspace["test"], "images", s.id + ".pgm"),
                  "--model", workspace["model"], "--regressor", workspace["reg"],
                  "--out", out, "--init-landmarks", lm_path, "--focal", "500"]) == 0
-    rows = [ln.split(",") for ln in open(out).read().strip().splitlines()]
+    rows = [ln.split(",") for ln in Path(out).read_text().strip().splitlines()]
     theta0 = np.array([float(v) for v in rows[1][1:]])
     np.testing.assert_allclose(theta0[:3], s.theta_gt[:3], rtol=0, atol=1e-3)
     assert abs(theta0[5] - s.theta_gt[5]) < 0.1
@@ -291,7 +317,7 @@ def test_posit_single_pose(workspace, tmp_path):
     out = str(tmp_path / "pose.csv")
     assert main(["posit", "--points", path, "--out", out,
                  "--focal", "1500", "--width", "640", "--height", "480"]) == 0
-    header, values = open(out).read().strip().splitlines()
+    header, values = Path(out).read_text().strip().splitlines()
     vals = dict(zip(header.split(","), values.split(",")))
     assert float(vals["rx"]) == pytest.approx(10.0, abs=0.05)
     assert float(vals["ry"]) == pytest.approx(-15.0, abs=0.05)
@@ -320,8 +346,8 @@ def test_seed_env_fallback(workspace, tmp_path):
         "--model", workspace["model"], "--range-deg", "20", "--focal", "500",
         "--width", "160", "--height", "120", MORPHFIT_SEED="5")
     assert code == 0
-    assert open(os.path.join(out_env, "labels.csv")).read() == \
-        open(os.path.join(workspace["test"], "labels.csv")).read()
+    assert Path(out_env, "labels.csv").read_text() == \
+        Path(workspace["test"], "labels.csv").read_text()
 
 
 def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypatch):
@@ -351,7 +377,7 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
     keys = {"command", "version", "config", "seed", "inputs", "outputs", "timings_s",
             "started", "finished"}
     for path, command, seed in expected:
-        manifest = json.loads(open(path).read())
+        manifest = json.loads(Path(path).read_text())
         assert set(manifest) == keys, path
         assert manifest["command"] == manifest["config"]["command"] == command
         assert manifest["seed"] == seed, path

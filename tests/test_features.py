@@ -142,6 +142,17 @@ def test_gain_invariance():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_gray_image_rejects_pixels_outside_unit_range():
+    # one bad pixel is an error, not a clipped copy or an all-zero descriptor
+    for bad in (np.nan, np.inf, -0.25, 1.5):
+        px = np.full((64, 64), 0.5)
+        px[32, 32] = bad
+        with pytest.raises(ValueError, match=r"pixels must be finite and in \[0, 1\]"):
+            GrayImage.from_array(px)
+    px = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
+    assert GrayImage.from_array(px).pixels is px  # valid pixels are kept, not copied
+
+
 def test_patch_size_validation():
     img = GrayImage(width=16, height=16, pixels=np.zeros((16, 16)))
     with pytest.raises(ValueError):
