@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphfit import CameraConfig, ShapeModel, make_procedural_model, read_pgm, write_pgm
 from morphfit import synth
@@ -312,6 +313,106 @@ def test_rasterize_matches_per_triangle_loop(batch, standard_model, monkeypatch)
         assert want[0].size > 0
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_matches_loop(uv, visible, depth, tris, w, h):
+    got, want = synth._rasterize(uv, visible, depth, tris, w, h), \
+        loop_rasterize(uv, visible, depth, tris, w, h)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return want[0].size
+
+
+# pixel coordinates on integers and half-integers, a few ulps or a hair off
+# them, and far off the frame: edges exactly or nearly horizontal or
+# vertical, pixels exactly on edges and boxes clipped
+NEAR_OFFSETS = [2.0 ** -40, -2.0 ** -40, 1e-13, -1e-13, 2.0 ** -46, -2.0 ** -46]
+FAR = [-1e6, 1e6, -1e6 + 0.5, 1e6 - 0.5]
+
+
+def snapped_mesh(rng, w, h):
+    n = 40
+
+    def coords(limit):
+        c = rng.integers(-3, limit + 4, n) + rng.choice([0.0, 0.5], n)
+        c += rng.choice([0.0, 0.0] + NEAR_OFFSETS, n)
+        for _ in range(3):
+            c = np.where(rng.random(n) < 0.3, np.nextafter(c, rng.choice([-1e9, 1e9], n)), c)
+        return np.where(rng.random(n) < 0.1, rng.choice(FAR, n), c)
+
+    uv = np.stack([coords(w), coords(h)], axis=1)
+    tris = rng.integers(0, n, (120, 3))
+    return uv, np.ones(n, bool), rng.choice([500.0, 600.0], n), tris, w, h
+
+
+def rotated_mesh(rng, w, h, triangles):
+    # each triangle wound front-facing and in all three rotations, so each of
+    # its edges is edge 2 once
+    uv, tris = [], []
+    for v in triangles:
+        (x0, y0), (x1, y1), (x2, y2) = v
+        if (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2) > 0:
+            v = [v[1], v[0], v[2]]
+        tris += [[len(uv) + i, len(uv) + (i + 1) % 3, len(uv) + (i + 2) % 3] for i in range(3)]
+        uv += list(v)
+    n = len(uv)
+    return np.array(uv), np.ones(n, bool), rng.uniform(500.0, 600.0, n), np.array(tris), w, h
+
+
+def sliver_mesh(rng, w, h):
+    # slivers along lines through pixel centres, of twice-signed area near the
+    # -1e-12 cut-off
+    slivers = []
+    while len(slivers) < 30:
+        p, d = rng.integers(0, (w, h)).astype(float), rng.integers(-3, 4, 2).astype(float)
+        if d.any():
+            k = int(rng.integers(2, 5))
+            # v2 off the midpoint by e along the normal: twice the area is k * e
+            e = rng.uniform(0.6e-12, 1.6e-12) / k
+            slivers.append([p, p + k * d, p + k * d / 2 + e * np.array([-d[1], d[0]]) / (d @ d)])
+    return rotated_mesh(rng, w, h, slivers)
+
+
+def flat_edge_mesh(rng, w, h):
+    # one edge a hair off horizontal, its ends within 1e-12 px of one pixel
+    # row: l2 = 1 - l0 - l1 rounds at about 1e-16, which there moves that
+    # edge along the row by many pixels
+    flat = []
+    for _ in range(40):
+        row = float(rng.integers(1, h - 1))
+        ends = row + rng.choice([0.0, 1.0, -1.0], 2) * rng.choice([2.0 ** -50, 2.0 ** -46, 1e-13,
+                                                                    1e-12], 2)
+        flat.append([(rng.uniform(-10, w + 10), ends[0]), (rng.uniform(-10, w + 10), ends[1]),
+                     (rng.uniform(0, w), row + rng.choice([-1, 1]) * rng.uniform(0.5, h))])
+    return rotated_mesh(rng, w, h, flat)
+
+
+@pytest.mark.parametrize("batch", [1, 97, synth.RASTER_BATCH])
+def test_rasterize_edge_cases_match_per_triangle_loop(batch, monkeypatch):
+    monkeypatch.setattr(synth, "RASTER_BATCH", batch)
+    rng = np.random.default_rng(31)
+    for make in (sliver_mesh, flat_edge_mesh, snapped_mesh):
+        for _ in range(4):
+            assert assert_matches_loop(*make(rng, 40, 30)) > 0
+
+
+COORD = st.one_of(st.integers(-3, 12).map(float), st.integers(-6, 24).map(lambda k: k / 2),
+                  st.tuples(st.integers(-3, 12), st.sampled_from(NEAR_OFFSETS)).map(sum),
+                  st.floats(-3.0, 12.0, allow_subnormal=False), st.sampled_from(FAR))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(1, 10), h=st.integers(1, 10),
+       verts=st.lists(st.tuples(COORD, COORD, st.sampled_from([500.0, 600.0, 550.5])),
+                      min_size=3, max_size=7),
+       corners=st.lists(st.integers(0, 6), min_size=3, max_size=24),
+       batch=st.sampled_from([1, 7, synth.RASTER_BATCH]))
+def test_rasterize_matches_per_triangle_loop_on_small_frames(w, h, verts, corners, batch):
+    verts = np.array(verts)
+    tris = np.array(corners[:len(corners) // 3 * 3]).reshape(-1, 3) % len(verts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "RASTER_BATCH", batch)
+        assert_matches_loop(verts[:, :2], np.ones(len(verts), bool), verts[:, 2], tris, w, h)
 
 
 def test_train_and_test_share_surface_texture(small_model):
