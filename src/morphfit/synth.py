@@ -6,11 +6,15 @@ across pose and identity), flat Lambertian shading from a fixed light in
 camera space, and a procedural noise background. Output images are
 quantized to 8-bit levels so a PGM round-trip is lossless.
 
-Coverage needs no loop over triangles: the clipped bounding boxes of the
-front faces expand into candidate pixels, at most RASTER_BATCH at a time.
-Two minimum reductions give each pixel its nearest triangle and, among
-equally near ones, the lowest index, as a strict depth test drawing the
-triangles in index order would; triangle and batch order do not matter.
+Coverage needs no loop over triangles. Each row of a front face's clipped
+bounding box is cut to the x-span its three edge functions allow (Pineda,
+SIGGRAPH 1988), loosened by a bound on the hit test's rounding and widened
+by a pixel on each side, so that it holds every pixel the barycentric hit
+test accepts. The spans expand into candidate pixels, at most RASTER_BATCH
+at a time. Two minimum reductions give each pixel its nearest triangle
+and, among equally near ones, the lowest index, as a strict depth test
+drawing the triangles in index order would; triangle and batch order do
+not matter.
 
 Set generation follows a fixed protocol: a yaw/pitch grid with Gaussian
 x/y translation noise on the ground truth, several backgrounds per
@@ -58,8 +62,8 @@ TEXTURE_ANISO = (1.0, 0.3, 1.0)
 TEXTURE_DETAIL_SCALE = 12.0   # mm, isotropic detail lattice
 TEXTURE_DETAIL_WEIGHT = 0.5
 BACKGROUND_SCALE = 18.0       # px
-# Candidate pixels the geometry pass holds at once; a triangle whose clipped
-# box is larger forms a batch by itself.
+# Candidate (span) pixels the geometry pass holds at once; a longer span
+# forms a batch by itself.
 RASTER_BATCH = 1 << 15
 
 
@@ -133,10 +137,12 @@ def _rasterize(uv, visible, depth, tris, w, h):
     when front-facing under this screen convention; back faces of the
     closed mesh are skipped since they can never win the depth test, as
     are triangles with a vertex behind the camera or a box clipped away.
-    The kept triangles' boxes expand into candidate pixels, RASTER_BATCH at
-    most at a time. A pixel's depth is the minimum over its candidates, and
-    its owner the minimum triangle index among those at that depth; a
-    nearer depth first resets the owner to the sentinel n.
+    Each row of a kept triangle's box is cut to a span that holds every
+    pixel the hit test there accepts, and the spans expand into candidate
+    pixels, RASTER_BATCH at most at a time. A pixel's depth is the minimum
+    over its candidates, and its owner the minimum triangle index among
+    those at that depth; a nearer depth first resets the owner to the
+    sentinel n.
     """
     tri_ids = np.flatnonzero(visible[tris].all(axis=1))
     corners = uv[tris[tri_ids]]
@@ -147,21 +153,48 @@ def _rasterize(uv, visible, depth, tris, w, h):
     coef = np.array([x2, y2, y1 - y2, x2 - x1, y2 - y0, x0 - x2,
                      (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2)])
     keep = np.all(lo <= hi, axis=1) & (coef[6] <= -1e-12)
-    tri_ids, lo, coef, size = tri_ids[keep], lo[keep], coef[:, keep], (hi - lo + 1)[keep]
+    tri_ids, lo, hi, coef = tri_ids[keep], lo[keep], hi[keep], coef[:, keep]
     tri_depth = depth[tris[tri_ids]].T
-    ends = np.cumsum(size[:, 0] * size[:, 1])
-    starts = np.r_[0, ends[:-1]]
+
+    # one span per (triangle, box row): l0, l1, l2 >= 0 as a * dx <= c in
+    # dx = x - x2, widened by a pixel each side and clipped to the box
+    rows_per = hi[:, 1] - lo[:, 1] + 1
+    span_t = np.repeat(np.arange(len(tri_ids)), rows_per)
+    span_row = np.arange(len(span_t)) - np.repeat(np.cumsum(rows_per) - rows_per - lo[:, 1],
+                                                  rows_per)
+    sx2, sy2, a0, b0, a1, b1, det = coef[:, span_t]
+    dy = span_row - sy2
+    # The hit test rounds: by a hair for l0 and l1, but l2 = 1 - l0 - l1 by
+    # up to ~eps (|l0| + |l1|), which next to a nearly horizontal edge 2 admits
+    # hits many pixels past the row's exact crossing. Each c is loosened by a
+    # bound on that rounding; the pixel of widening covers the span's own.
+    dx_max = np.maximum(np.abs(lo[:, 0] - coef[0]), np.abs(hi[:, 0] - coef[0]))[span_t]
+    slack = 2.0 ** -48 * (np.abs(det) + (np.abs(a0) + np.abs(a1)) * dx_max
+                          + (np.abs(b0) + np.abs(b1)) * np.abs(dy))
+    left, right = np.full(len(dy), -np.inf), np.full(len(dy), np.inf)
+    for a, c in ((a0, -b0 * dy), (a1, -b1 * dy), (-(a0 + a1), (b0 + b1) * dy - det)):
+        # a == 0 is a horizontal edge, along the box's top or bottom: no bound
+        with np.errstate(over="ignore"):  # a bound past the float range is +-inf
+            x = sx2 + (c + slack) / np.where(a == 0, 1.0, a)
+        left = np.where(a < 0, np.maximum(left, x), left)
+        right = np.where(a > 0, np.minimum(right, x), right)
+    span_x = np.clip(np.ceil(left) - 1, lo[span_t, 0], hi[span_t, 0] + 1).astype(np.int64)
+    span_end = np.clip(np.floor(right) + 1, lo[span_t, 0] - 1, hi[span_t, 0]).astype(np.int64)
+    size = np.maximum(span_end - span_x + 1, 0)
+
+    ends = np.cumsum(size)
+    starts = ends - size
+    shift = starts - span_x
     zbuf = np.full(h * w, np.inf)
     n = len(tri_ids)
     owner = np.full(h * w, n, dtype=np.int64)
     i = 0
     while i < len(ends):
         j = max(int(np.searchsorted(ends, starts[i] + RASTER_BATCH, side="right")), i + 1)
-        t = np.repeat(np.arange(i, j), ends[i:j] - starts[i:j])
-        k = np.arange(starts[i], ends[j - 1]) - starts[t]
+        s = np.repeat(np.arange(i, j), size[i:j])
+        row, col, t = span_row[s], np.arange(starts[i], ends[j - 1]) - shift[s], span_t[s]
         i = j
-        row, col = lo[t, 1] + k // size[t, 0], lo[t, 0] + k % size[t, 0]
-        l0, l1, l2 = _barycentric(coef[:, t], col, row)
+        l0, l1, l2 = _barycentric(coef.take(t, axis=1), col, row)
         z = l0 * tri_depth[0, t] + l1 * tri_depth[1, t] + l2 * tri_depth[2, t]
         hit = (l0 >= 0) & (l1 >= 0) & (l2 >= 0)
         pix, z, t = (row * w + col)[hit], z[hit], t[hit]
@@ -172,7 +205,7 @@ def _rasterize(uv, visible, depth, tris, w, h):
 
     pix = np.flatnonzero(owner < n)
     rows, cols = np.divmod(pix, w)
-    lam = np.stack(_barycentric(coef[:, owner[pix]], cols, rows), axis=1)
+    lam = np.stack(_barycentric(coef.take(owner[pix], axis=1), cols, rows), axis=1)
     return rows, cols, tri_ids[owner[pix]], lam
 
 
