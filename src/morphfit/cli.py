@@ -11,6 +11,7 @@ sub-streams; outputs are byte-identical for any --jobs value.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,9 +25,10 @@ from .cascade import POSE_NAMES, TrainConfig, fit, load_regressor, save_regresso
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
 from .posit import MAX_ITERS, TOL, Correspondences, euler_from_rotation, posit
-from .shape_model import load_model, make_procedural_model, save_model, select_landmarks, \
-    split_theta
-from .synth import ProtocolConfig, generate_set, load_dataset, subseed, write_dataset
+from .shape_model import MAX_MODES, MIN_VERTICES, load_model, make_procedural_model, save_model, \
+    select_landmarks, split_theta
+from .synth import PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, subseed, \
+    write_dataset
 from .util import ascii_lines, atomic_write, write_csv
 
 
@@ -232,20 +234,28 @@ def cmd_posit(args, seed):
 # parser
 # ---------------------------------------------------------------------------
 
-def positive_int(text):
-    """argparse type of a count: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _number(kind, ok, rule):
+    """argparse type: the text as a `kind`, a usage error unless finite and ok."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (rule, text))
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def nonnegative_float(text):
-    """argparse type of a tolerance or a spread: a finite number of at least 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and nonnegative, got %s" % text)
-    return value
+def at_least(low, kind=int, high=None):
+    """argparse type of a number in [low, high]: a count, or a limit a library holds."""
+    rule = ("finite and " if kind is float else "") + \
+        ("at least %s" % low if high is None else "in [%s, %s]" % (low, high))
+    return _number(kind, lambda v: low <= v and (high is None or v <= high), rule)
+
+
+positive_int = at_least(1)
+finite_float = _number(float, lambda v: True, "finite")
+nonnegative_float = _number(float, lambda v: v >= 0, "finite and nonnegative")
+positive_float = _number(float, lambda v: v > 0, "finite and positive")
 
 
 def build_parser():
@@ -256,9 +266,11 @@ def build_parser():
     common.add_argument("--seed", type=int)
     jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
-    focal.add_argument("--focal", type=float, default=CameraConfig.focal)
-    size.add_argument("--width", type=int, default=CameraConfig.width)
-    size.add_argument("--height", type=int, default=CameraConfig.height)
+    focal.add_argument("--focal", type=positive_float, default=CameraConfig.focal)
+    size.add_argument("--width", type=at_least(PROTOCOL_MINIMUMS["width"]),
+                      default=CameraConfig.width)
+    size.add_argument("--height", type=at_least(PROTOCOL_MINIMUMS["height"]),
+                      default=CameraConfig.height)
 
     p = argparse.ArgumentParser(prog="morphfit",
                                 description="3D shape-model fitting via cascaded regression")
@@ -266,18 +278,21 @@ def build_parser():
 
     mm = sub.add_parser("make-model", parents=[common],
                         help="generate the procedural shape model")
-    mm.add_argument("--vertices", type=int, default=500)
-    mm.add_argument("--modes", type=int, default=10)
+    mm.add_argument("--vertices", type=at_least(MIN_VERTICES), default=500)
+    mm.add_argument("--modes", type=at_least(1, high=MAX_MODES), default=10)
     mm.set_defaults(func=cmd_make_model)
 
     sy = sub.add_parser("synth", parents=[common, jobs, model, focal, size],
                         help="render a train or test dataset")
     sy.add_argument("--mode", choices=["train", "test"], default="train")
-    sy.add_argument("--grid-step", type=float, help="step of the --mode grid, degrees")
-    sy.add_argument("--range-deg", type=float, default=ProtocolConfig.range_deg)
-    sy.add_argument("--tz", type=float, default=ProtocolConfig.tz)
-    sy.add_argument("--backgrounds", type=int, default=ProtocolConfig.backgrounds)
-    sy.add_argument("--shape-modes", type=int, default=ProtocolConfig.n_shape)
+    sy.add_argument("--grid-step", type=positive_float, help="step of the --mode grid, degrees")
+    sy.add_argument("--range-deg", type=at_least(PROTOCOL_MINIMUMS["range_deg"], float),
+                    default=ProtocolConfig.range_deg)
+    sy.add_argument("--tz", type=finite_float, default=ProtocolConfig.tz)
+    sy.add_argument("--backgrounds", type=at_least(PROTOCOL_MINIMUMS["backgrounds"]),
+                    default=ProtocolConfig.backgrounds)
+    sy.add_argument("--shape-modes", type=at_least(PROTOCOL_MINIMUMS["n_shape"]),
+                    default=ProtocolConfig.n_shape)
     sy.set_defaults(func=cmd_synth)
 
     tr = sub.add_parser("train", parents=[common, jobs, model],

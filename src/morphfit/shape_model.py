@@ -238,6 +238,10 @@ def _orthonormalize(rows):
     return out
 
 
+MIN_VERTICES = 50  # procedural model limits; the CLI's flag types read them
+MAX_MODES = 20
+
+
 def make_procedural_model(seed, vertex_count, modes):
     """Deterministic face-like model: ellipsoid with nose/brow/chin relief,
     smooth orthonormal deformation modes, geometrically decaying sigmas,
@@ -245,10 +249,10 @@ def make_procedural_model(seed, vertex_count, modes):
     """
     from scipy.spatial import ConvexHull
 
-    if vertex_count < 50:
-        raise ValueError("vertex_count must be >= 50")
-    if not 1 <= modes <= 20:
-        raise ValueError("modes must be in [1, 20]")
+    if vertex_count < MIN_VERTICES:
+        raise ValueError("vertex_count must be >= %d" % MIN_VERTICES)
+    if not 1 <= modes <= MAX_MODES:
+        raise ValueError("modes must be in [1, %d]" % MAX_MODES)
 
     dirs = _fibonacci_sphere(vertex_count)
     verts = _face_surface(dirs)

@@ -81,6 +81,11 @@ class TrainingSample:
             raise ValueError("theta_gt and theta_init layouts differ")
 
 
+# Lower bounds of ProtocolConfig fields; the CLI's flag types read them too.
+PROTOCOL_MINIMUMS = {"range_deg": 0, "trans_sigma": 0, "width": 1, "height": 1,
+                     "backgrounds": 1, "init_offset": 0, "n_shape": 0, "seed": 0}
+
+
 @dataclass
 class ProtocolConfig:
     range_deg: float = 30.0
@@ -100,8 +105,7 @@ class ProtocolConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError("field %r is not finite" % f.name)
-        for name, low in (("range_deg", 0), ("trans_sigma", 0), ("width", 1), ("height", 1),
-                          ("backgrounds", 1), ("init_offset", 0), ("n_shape", 0), ("seed", 0)):
+        for name, low in PROTOCOL_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValueError("field %r is below %d" % (name, low))
         for step in (self.step_train, self.step_test):

@@ -151,6 +151,31 @@ def test_usage_errors_exit_2(workspace, tmp_path):
     code, _, err = run_cli(*commands["fit"], "--init", "nan,0,0,0,0,-1200")
     assert code == 2 and "--init values must be finite" in err
     assert not (posit_out.exists() or train_out.exists() or fit_out.exists())
+    # the protocol's, camera's and procedural model's limits, before the model loads
+    synth_cmd = ["synth", "--model", workspace["model"], "--out", str(synth_out)]
+    model_cmd = ["make-model", "--out", str(out)]
+    for cmd, flag, value, problem in (
+            (synth_cmd, "--backgrounds", "0", "must be at least 1, got 0"),
+            (synth_cmd, "--shape-modes", "-1", "must be at least 0, got -1"),
+            (synth_cmd, "--width", "0", "must be at least 1, got 0"),
+            (synth_cmd, "--height", "-4", "must be at least 1, got -4"),
+            (synth_cmd, "--range-deg", "-5", "must be finite and at least 0, got -5"),
+            (synth_cmd, "--range-deg", "inf", "must be finite and at least 0, got inf"),
+            (synth_cmd, "--focal", "nan", "must be finite and positive, got nan"),
+            (synth_cmd, "--focal", "0", "must be finite and positive, got 0"),
+            (synth_cmd, "--tz", "nan", "must be finite, got nan"),
+            (synth_cmd, "--grid-step", "nan", "must be finite and positive, got nan"),
+            (synth_cmd, "--grid-step", "-5", "must be finite and positive, got -5"),
+            (["posit", "--points", str(points), "--out", str(posit_out)], "--focal", "-2",
+             "must be finite and positive, got -2"),
+            (model_cmd, "--vertices", "0", "must be at least 50, got 0"),
+            (model_cmd, "--modes", "0", "must be in [1, 20], got 0"),
+            (model_cmd, "--modes", "21", "must be in [1, 20], got 21")):
+        code, _, err = run_cli(*cmd, flag, value)
+        assert code == 2 and "%s: %s" % (flag, problem) in err, (flag, value, err)
+    code, _, err = run_cli(*model_cmd, "--vertices", "5e2")
+    assert code == 2 and "--vertices: invalid int value: '5e2'" in err
+    assert not (synth_out.exists() or posit_out.exists() or out.exists())
 
 
 def test_parsed_defaults_are_the_library_defaults():
