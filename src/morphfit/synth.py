@@ -374,6 +374,8 @@ def load_protocol(path):
         parts = line.split(None, 1)
         if len(parts) == 1:
             raise ValueError("%s: field %r has no value" % (fname, parts[0]))
+        if parts[0] in values:
+            raise ValueError("%s: duplicate field %r" % (fname, parts[0]))
         values[parts[0]] = parts[1]
     kwargs = {}
     for f in fields(ProtocolConfig):
@@ -383,6 +385,9 @@ def load_protocol(path):
             kwargs[f.name] = f.type(values[f.name])  # every field is an int or a float
         except ValueError as e:
             raise ValueError("%s: field %r: %s" % (fname, f.name, e)) from None
+    unknown = [name for name in values if name not in kwargs]
+    if unknown:
+        raise ValueError("%s: unknown field %r" % (fname, unknown[0]))
     try:
         return ProtocolConfig(**kwargs)
     except ValueError as e:

@@ -509,6 +509,21 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
             load_dataset(out)
 
 
+def test_load_protocol_rejects_duplicate_and_unknown_fields(tmp_path, small_model):
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    write_dataset(str(tmp_path), generate_set(small_model, pc, "test")[:1], pc)
+    protocol = (tmp_path / "protocol.txt").read_text()
+    assert synth.load_protocol(str(tmp_path)) == pc
+    # a repeated field used to load silently, the last value winning
+    for extra, problem in (("backgrounds 7\n", "duplicate field 'backgrounds'"),
+                           ("bogus 3\n", "unknown field 'bogus'"),
+                           ("bogus 3\nbackgrounds 7\n", "duplicate field 'backgrounds'"),
+                           ("zeta 1\nbogus 3\n", "unknown field 'zeta'")):
+        (tmp_path / "protocol.txt").write_text(protocol + extra)
+        with pytest.raises(ValueError, match="protocol.txt: %s" % problem):
+            synth.load_protocol(str(tmp_path))
+
+
 def test_protocol_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(range_deg=30.0, step_train=7.0)
