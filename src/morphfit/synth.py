@@ -171,7 +171,7 @@ def _rasterize(uv, visible, depth, tris, w, h):
     # The hit test rounds: by a hair for l0 and l1, but l2 = 1 - l0 - l1 by
     # up to ~eps (|l0| + |l1|), which next to a nearly horizontal edge 2 admits
     # hits many pixels past the row's exact crossing. Each c is loosened by a
-    # bound on that rounding; the pixel of widening covers the span's own.
+    # bound on that rounding; the pixel of widening is a margin beyond it.
     dx_max = np.maximum(np.abs(lo[:, 0] - coef[0]), np.abs(hi[:, 0] - coef[0]))[span_t]
     slack = 2.0 ** -48 * (np.abs(det) + (np.abs(a0) + np.abs(a1)) * dx_max
                           + (np.abs(b0) + np.abs(b1)) * np.abs(dy))
