@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,50 @@ def test_cascade_regressor_validates_dimensions():
         CascadeRegressor(stages=[WeakRegressor(A=np.ones((2, 5)), b=np.zeros(2))],
                          scale=ParamScale(np.zeros(2), np.ones(2)),
                          feature_dim=4, layout=["rx", "ry"])
+
+
+# ---------------------------------------------------------------------------
+# golden digests of a small seeded pipeline: train, fit in both regimes, evaluate
+# ---------------------------------------------------------------------------
+
+# SHA-256 per n_shape of the saved MFR1 bytes, of every test sample's fit
+# trajectories (uniform, then fixed, little-endian float64) and of the
+# evaluate reports' per-stage MAE and cosine as 17-digit text. They hold for
+# one numpy/BLAS build: another BLAS kernel may round the ridge solve or a
+# matmul differently, and a refactor that moves any of these bytes has to say
+# why.
+GOLDEN_PIPELINE_SHA256 = {
+    0: {"mfr": "2acb80e4eda2e499efcafb9b3fdd4e36de293132b3463036adedddf3e2d37e95",
+        "trajectories": "a4c38262a9fccf9da6ebf47dbcf5c53c08884c4cf5dd7351058e21ebf20ec8cc",
+        "eval": "7205a64845dfd497fb657d6c77d1ecdb712fe23b867a630b91607680a337e804"},
+    1: {"mfr": "c1c610b6a7d09e7696d9a5672bea6dc119a5e9bd3f787ebf2138635d63eeeb37",
+        "trajectories": "11969d4c702e966d67464244a1fd3dd177c266a7f0c7156afac92859375dd08f",
+        "eval": "43d2d764e65d7eba56f8cb7684bb1956be267806141e110e4988c667732c13a2"},
+}
+
+
+def pipeline_digests(model, n_shape, tmp_path):
+    from morphfit.evaluate import REGIMES, evaluate, initial_theta
+    from morphfit.util import fmt_row
+    pc = ProtocolConfig(range_deg=20.0, step_train=10.0, step_test=10.0, backgrounds=2,
+                        width=160, height=120, focal=500.0, n_shape=n_shape, seed=21)
+    cam = pc.camera()
+    reg = train_cascade(generate_set(model, pc, "train"), TrainConfig(model=model, cam=cam))
+    path = tmp_path / ("reg%d.mfr" % n_shape)
+    save_regressor(reg, path)
+    test = generate_set(model, pc, "test")
+    traj = np.stack([fit(s.image, initial_theta(s, regime, pc.init_offset), reg, model,
+                         cam).trajectory for regime in REGIMES for s in test])
+    reports = [evaluate(test, reg, model, cam, regime=regime, init_offset=pc.init_offset)
+               for regime in REGIMES]
+    text = "\n".join(fmt_row(row) for rep in reports
+                     for row in (rep.mae_per_stage, rep.cosine_per_stage))
+    return {"mfr": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "trajectories": hashlib.sha256(traj.astype("<f8").tobytes()).hexdigest(),
+            "eval": hashlib.sha256(text.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("n_shape", [0, 1])
+def test_pipeline_matches_golden_digests(small_model_mod, n_shape, tmp_path):
+    assert pipeline_digests(small_model_mod, n_shape, tmp_path) == \
+        GOLDEN_PIPELINE_SHA256[n_shape]
