@@ -20,20 +20,15 @@ class CameraConfig:
     focal: float = 1500.0  # pixels
     width: int = 640
     height: int = 480
-    cx: float = None
-    cy: float = None
 
     def __post_init__(self):
         if not (np.isfinite(self.focal) and self.focal > 0):
             raise ValueError("focal must be finite and positive")
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be at least 1x1")
-        if self.cx is None:
-            self.cx = self.width / 2.0
-        if self.cy is None:
-            self.cy = self.height / 2.0
-        if not (np.isfinite(self.cx) and np.isfinite(self.cy)):
-            raise ValueError("principal point must be finite")
+
+    cx = property(lambda self: self.width / 2.0)  # principal point: the image centre
+    cy = property(lambda self: self.height / 2.0)
 
 
 def rot_x(deg):

@@ -87,6 +87,8 @@ class CascadeRegressor:
 
     def __post_init__(self):
         p = len(self.layout)
+        if list(self.layout) != param_layout(p - 6):
+            raise ValueError("layout %s, expected %s" % (self.layout, param_layout(p - 6)))
         for wr in self.stages:
             if wr.A.shape != (p, self.feature_dim):
                 raise ValueError("stage dimensions inconsistent with layout/feature_dim")
@@ -139,12 +141,12 @@ def train_stage(features, deltas, lam):
     return WeakRegressor(A=a, b=dm - a @ fm)
 
 
-def predict_update(reg, feature, scale):
-    """De-normalized parameter update A f + b for a single feature vector."""
-    f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if f.shape[0] != reg.A.shape[1]:
-        raise ValueError("feature length %d != regressor %d" % (f.shape[0], reg.A.shape[1]))
-    return scale.denormalize(reg.A @ f + reg.b)
+def predict_update(reg, features, scale):
+    """De-normalized update A f + b of one feature vector (F,) or each row of (K, F)."""
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim not in (1, 2) or f.shape[-1] != reg.A.shape[1]:
+        raise ValueError("feature length %d != regressor %d" % (f.shape[-1], reg.A.shape[1]))
+    return scale.denormalize(f @ reg.A.T + reg.b)
 
 
 @dataclass
@@ -190,17 +192,14 @@ def train_cascade(samples, config):
         samples = [s for s, k in zip(samples, keep) if k]
         theta, gt = theta[keep], gt[keep]
         f_mat = np.stack([f for f in feats if f is not None])
-        d_mat = gt - theta
         if scale is None:
-            scale = ParamScale.from_targets(d_mat)
-        d_norm = scale.normalize(d_mat)
+            scale = ParamScale.from_targets(gt - theta)
         lam = config.lam
         if lam is None:
             lam = relative_lambda(f_mat - f_mat.mean(axis=0))
-        wr = train_stage(f_mat, d_norm, lam)
-        pred = f_mat @ wr.A.T + wr.b
-        residuals.append(float(np.mean((pred - d_norm) ** 2)))
-        theta = theta + scale.denormalize(pred)
+        wr = train_stage(f_mat, scale.normalize(gt - theta), lam)
+        theta = theta + predict_update(wr, f_mat, scale)
+        residuals.append(float(np.mean(((gt - theta) / scale.std) ** 2)))
         stages.append(wr)
         log.info("stage %d: lambda=%.6g residual=%.6g n=%d",
                  stage_idx, lam, residuals[-1], len(samples))
@@ -274,4 +273,5 @@ def load_regressor(path):
     stages = [r.make("stage %d" % i, WeakRegressor, A=r.array("A:", float, p, fdim),
                      b=r.array("b:", float, p)) for i in range(n)]
     r.finish()
-    return CascadeRegressor(stages=stages, scale=scale, feature_dim=fdim, layout=layout)
+    return r.make("layout", CascadeRegressor, stages=stages, scale=scale, feature_dim=fdim,
+                  layout=layout)

@@ -24,7 +24,7 @@ from .camera import CameraConfig, project_points
 from .cascade import POSE_NAMES, TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
-from .posit import MAX_ITERS, TOL, Correspondences, euler_from_rotation, posit
+from .posit import MAX_ITERS, MIN_POINTS, TOL, Correspondences, euler_from_rotation, posit
 from .shape_model import MAX_MODES, MIN_VERTICES, load_model, make_procedural_model, save_model, \
     select_landmarks, split_theta
 from .synth import PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, subseed, \
@@ -63,11 +63,16 @@ def cmd_make_model(args, seed):
 
 
 def cmd_synth(args, seed):
-    model = load_model(args.model)
     steps = {} if args.grid_step is None else {"step_" + args.mode: args.grid_step}
-    pc = ProtocolConfig(range_deg=args.range_deg, tz=args.tz, focal=args.focal,
-                        width=args.width, height=args.height, backgrounds=args.backgrounds,
-                        n_shape=args.shape_modes, seed=seed, **steps)
+    try:
+        pc = ProtocolConfig(range_deg=args.range_deg, tz=args.tz, focal=args.focal,
+                            width=args.width, height=args.height, backgrounds=args.backgrounds,
+                            n_shape=args.shape_modes, seed=seed, **steps)
+    except ValueError as e:  # the flag types leave only the grid steps to fail
+        raise UsageError("--grid-step, --range-deg: %s" % e) from None
+    model = load_model(args.model)
+    if pc.n_shape > model.num_modes:
+        raise UsageError("--shape-modes %d: the model has %d modes" % (pc.n_shape, model.num_modes))
     t_render = time.perf_counter()
     samples = generate_set(model, pc, args.mode, jobs=args.jobs)
     t_write = time.perf_counter()
@@ -126,8 +131,8 @@ def _read_point_rows(path):
             raise UsageError("%s: line %d: malformed number" % (path, ln_no))
         if not np.all(np.isfinite(rows[-1])):
             raise UsageError("%s: line %d: non-finite value" % (path, ln_no))
-    if not rows:
-        raise UsageError("%s: no data rows" % path)
+    if len(rows) < MIN_POINTS:
+        raise UsageError("%s: POSIT needs at least %d rows, got %d" % (path, MIN_POINTS, len(rows)))
     arr = np.array(rows)
     return arr[:, :2], arr[:, 2:]
 

@@ -37,15 +37,18 @@ def angle_errors(theta, gt):
 
 
 def shape_cosine(alpha_e, alpha_g):
-    """Cosine of the angle between coefficient vectors, in [-1, 1]."""
-    ae = np.asarray(alpha_e, dtype=np.float64).reshape(-1)
-    ag = np.asarray(alpha_g, dtype=np.float64).reshape(-1)
-    if ae.shape != ag.shape or ae.size == 0:
-        raise ValueError("coefficient vectors must be nonempty and equal length")
-    na, ng = np.linalg.norm(ae), np.linalg.norm(ag)
-    if na == 0 or ng == 0:
-        raise ValueError("shape cosine undefined for the zero vector")
-    return float(np.dot(ae, ag) / (na * ng))
+    """Cosine of the angle between coefficient vectors over the last axis, whose
+    leading axes broadcast: in [-1, 1], NaN where either vector is zero or
+    empty, and a ValueError for vectors of unequal length."""
+    ae = np.asarray(alpha_e, dtype=np.float64)
+    ag = np.asarray(alpha_g, dtype=np.float64)
+    if ae.shape[-1:] != ag.shape[-1:]:
+        raise ValueError("coefficient vectors differ in length: %s, %s" % (ae.shape, ag.shape))
+
+    def dot(a, b):  # a stacked matmul of vectors rounds as np.dot does
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    num, den = dot(ae, ag), np.sqrt(dot(ae, ae)) * np.sqrt(dot(ag, ag))
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den > 0)[()]
 
 
 @dataclass
@@ -99,12 +102,7 @@ def evaluate(samples, reg, model, cam, regime="uniform", init_offset=ProtocolCon
     traj = np.stack([t for _, t in used])        # (N, S+1, p)
 
     # stage-major, so each stage's mean sums its samples as one contiguous row
-    cosines = np.full((traj.shape[1], len(traj)), np.nan)
-    for stage, i in np.ndindex(cosines.shape):
-        try:
-            cosines[stage, i] = shape_cosine(traj[i, stage, 6:], gt[i, 6:])
-        except ValueError:
-            pass  # no shape modes, or the zero vector (the mean-face initialization)
+    cosines = shape_cosine(traj[..., 6:].swapaxes(0, 1), gt[:, 6:])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a stage with no cosine is NaN
         cos_mean = np.nanmean(cosines, axis=1)

@@ -32,8 +32,8 @@ class Correspondences:
             raise ValueError("points3d must be (n, 3)")
         if self.points2d.shape[0] != self.points3d.shape[0]:
             raise ValueError("2D/3D point counts differ")
-        if self.points2d.shape[0] < 4:
-            raise ValueError("need at least 4 correspondences")
+        if self.points2d.shape[0] < MIN_POINTS:
+            raise ValueError("need at least %d correspondences" % MIN_POINTS)
         if self.focal <= 0:
             raise ValueError("focal must be positive")
         if not (np.all(np.isfinite(self.points2d)) and np.all(np.isfinite(self.points3d))):
@@ -62,6 +62,7 @@ _FLIP = np.diag([1.0, -1.0, -1.0])
 # iteration defaults of posit(), also read by the CLI's posit --max-iters/--tol
 MAX_ITERS = 100
 TOL = 1e-5
+MIN_POINTS = 4  # a reference point and three non-coplanar vectors from it
 
 
 def posit(corr, max_iters=MAX_ITERS, tol=TOL):

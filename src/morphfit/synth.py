@@ -110,7 +110,7 @@ class ProtocolConfig:
                 raise ValueError("field %r is below %d" % (name, low))
         for step in (self.step_train, self.step_test):
             if step <= 0 or abs(self.range_deg / step - round(self.range_deg / step)) > 1e-9:
-                raise ValueError("grid step must divide the angle range")
+                raise ValueError("grid step %g must divide range_deg %g" % (step, self.range_deg))
 
     def camera(self):
         return CameraConfig(focal=self.focal, width=self.width, height=self.height)
@@ -305,8 +305,6 @@ def generate_set(model, pc, mode, jobs=1):
     if mode not in _MODE_TAGS:
         raise ValueError("mode must be 'train' or 'test'")
     tag = _MODE_TAGS[mode]
-    if pc.n_shape > model.num_modes:
-        raise ValueError("n_shape exceeds model modes")
 
     rng_trans, rng_alpha, rng_init = (np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, k)))
                                       for k in (11, 12, 13))
@@ -429,6 +427,9 @@ def load_dataset(path):
     samples = []
     for sid in sorted(labels):
         img = read_pgm(os.path.join(path, "images", sid + ".pgm"))
+        if (img.width, img.height) != (pc.width, pc.height):
+            raise ValueError("%s: images/%s.pgm is %dx%d, protocol.txt says %dx%d"
+                             % (path, sid, img.width, img.height, pc.width, pc.height))
         samples.append(TrainingSample(image=img, theta_gt=labels[sid],
                                       theta_init=inits[sid], id=sid))
     return samples, pc

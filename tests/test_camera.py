@@ -90,7 +90,11 @@ def test_projection_rejects_bad_pose_and_points():
 
 
 def test_camera_config_rejects_non_finite():
-    for kwargs in (dict(focal=np.nan), dict(focal=np.inf), dict(focal=0.0),
-                   dict(cx=np.nan), dict(cy=np.inf)):
+    for kwargs in (dict(focal=np.nan), dict(focal=np.inf), dict(focal=0.0)):
         with pytest.raises(ValueError):
             CameraConfig(**kwargs)
+    # the principal point is the image centre, derived rather than stored
+    cam = CameraConfig(width=161, height=120)
+    assert (cam.cx, cam.cy) == (80.5, 60.0)
+    with pytest.raises(AttributeError):
+        cam.cx = 3.0

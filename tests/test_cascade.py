@@ -293,10 +293,10 @@ def test_fit_with_fresh_and_reloaded_cascade_identical(tmp_path, mini_training,
 
 
 def test_mfr_rejects_unknown_version(tmp_path):
-    p = 2
+    p = 6
     reg = CascadeRegressor(
         stages=[WeakRegressor(A=np.ones((p, 3)), b=np.zeros(p))],
-        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=["rx", "ry"])
+        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=param_layout(0))
     path = tmp_path / "reg.mfr"
     save_regressor(reg, path)
     text = path.read_text()
@@ -310,20 +310,20 @@ def test_mfr_rejects_unknown_version(tmp_path):
 
 
 def test_mfr_rejects_non_finite_scale(tmp_path):
-    p = 2
+    p = 6
     reg = CascadeRegressor(
         stages=[WeakRegressor(A=np.ones((p, 3)), b=np.zeros(p))],
-        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=["rx", "ry"])
+        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=param_layout(0))
     path = tmp_path / "reg.mfr"
     save_regressor(reg, path)
     lines = path.read_text().splitlines()
     std_row = lines.index("scale:") + 2
     a_row = lines.index("A:") + 1
     b_row = lines.index("b:") + 1
-    assert lines[std_row] == "1 1"
-    for row, value, problem in ((std_row, "nan 1", "scale: scale std"),
+    assert lines[std_row] == "1 1 1 1 1 1"
+    for row, value, problem in ((std_row, "nan 1 1 1 1 1", "scale: scale std"),
                                 (a_row, "1 nan 1", "stage 0: A must be finite"),
-                                (b_row, "0 inf", "stage 0: b must be finite")):
+                                (b_row, "0 0 0 0 0 inf", "stage 0: b must be finite")):
         edited = list(lines)
         edited[row] = value
         path.write_text("\n".join(edited) + "\n")
@@ -333,9 +333,26 @@ def test_mfr_rejects_non_finite_scale(tmp_path):
 
 def test_cascade_regressor_validates_dimensions():
     with pytest.raises(ValueError):
-        CascadeRegressor(stages=[WeakRegressor(A=np.ones((2, 5)), b=np.zeros(2))],
-                         scale=ParamScale(np.zeros(2), np.ones(2)),
-                         feature_dim=4, layout=["rx", "ry"])
+        CascadeRegressor(stages=[WeakRegressor(A=np.ones((6, 5)), b=np.zeros(6))],
+                         scale=ParamScale(np.zeros(6), np.ones(6)),
+                         feature_dim=4, layout=param_layout(0))
+
+
+def test_mfr_rejects_a_layout_other_than_pose_then_shape(tmp_path):
+    reg = CascadeRegressor(stages=[WeakRegressor(A=np.ones((7, 3)), b=np.zeros(7))],
+                           scale=ParamScale(np.zeros(7), np.ones(7)), feature_dim=3,
+                           layout=param_layout(1))
+    path = tmp_path / "reg.mfr"
+    save_regressor(reg, path)
+    text = path.read_text()
+    assert "\nlayout rx ry rz tx ty tz a0\n" in text
+    for layout in ("a b c d e f g", "ry rx rz tx ty tz a0", "rx ry rz tx ty tz a1"):
+        path.write_text(text.replace("rx ry rz tx ty tz a0", layout))
+        with pytest.raises(ValueError, match="reg.mfr: layout: .*expected"):
+            load_regressor(path)
+    with pytest.raises(ValueError, match="layout"):
+        CascadeRegressor(stages=[], scale=ParamScale(np.zeros(2), np.ones(2)), feature_dim=3,
+                         layout=["rx", "ry"])
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,32 @@ def test_fit_from_coplanar_landmarks_exits_1(workspace, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["flat.csv"]
 
 
+def test_synth_grid_and_shape_mode_errors_exit_2(workspace, tmp_path, capsys):
+    # each used to exit 1 after the model loaded, naming a config field
+    out = tmp_path / "ds"
+    for flags, problem in (
+            (["--grid-step", "7"], "--grid-step, --range-deg: grid step 7 must divide "
+                                   "range_deg 30"),
+            (["--range-deg", "25"], "--grid-step, --range-deg: grid step 10 must divide "
+                                    "range_deg 25"),
+            (["--shape-modes", "5"], "--shape-modes 5: the model has 2 modes")):
+        assert main(["synth", "--model", workspace["model"], "--out", str(out), *flags]) == 2
+        assert problem in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_too_few_point_rows_exit_2(workspace, tmp_path, capsys):
+    pts = tmp_path / "three.csv"
+    pts.write_text("u,v,X,Y,Z\n10,20,0,0,0\n90,20,50,0,0\n10,80,0,50,10\n")
+    img = os.path.join(workspace["test"], "images", "test_p+0_y+0_b0.pgm")
+    for cmd in (["posit", "--points", str(pts)],
+                ["fit", "--image", img, "--model", workspace["model"],
+                 "--regressor", workspace["reg"], "--init-landmarks", str(pts)]):
+        assert main([*cmd, "--out", str(tmp_path / "out.csv")]) == 2
+        assert "%s: POSIT needs at least 4 rows, got 3" % pts in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["three.csv"]
+
+
 def test_eval_both_regimes(workspace, tmp_path):
     out = str(tmp_path / "reports")
     assert main(["eval", "--data", workspace["test"], "--model", workspace["model"],

@@ -55,13 +55,26 @@ def test_shape_cosine_scale_invariance_exact():
     assert shape_cosine(a, g * 0.5) == base
 
 
-def test_shape_cosine_rejects_zero_and_mismatch():
-    with pytest.raises(ValueError):
-        shape_cosine([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
+def test_shape_cosine_nan_when_undefined_and_rejects_mismatch():
+    # the zero vector (the mean-face initialization) and the empty one have no direction
+    assert np.isnan(shape_cosine([0.0, 0.0], [1.0, 0.0]))
+    assert np.isnan(shape_cosine([], []))
+    with pytest.raises(ValueError, match="differ in length"):
         shape_cosine([1.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        shape_cosine([], [])
+
+
+def test_shape_cosine_stacked_equals_elementwise():
+    rng = np.random.default_rng(44)
+    est = rng.normal(size=(4, 3, 5))
+    est[1, 2] = 0.0
+    truth = rng.normal(size=(3, 5))
+    got = shape_cosine(est, truth)
+    assert got.shape == (4, 3)
+    for i, j in np.ndindex(got.shape):
+        want = shape_cosine(est[i, j], truth[j])
+        assert got[i, j] == want or np.isnan(got[i, j]) and np.isnan(want)
+    assert np.isnan(got[1, 2]) and np.isfinite(np.delete(got.ravel(), 5)).all()
+    assert np.isnan(shape_cosine(np.zeros((2, 0)), np.zeros(0))).all()
 
 
 def test_initial_theta_regimes():

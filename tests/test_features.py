@@ -13,6 +13,7 @@ from morphfit import CameraConfig, CascadeRegressor, FeatureError, GrayImage, Pa
     ShapeModel, WeakRegressor, assemble_feature, extract_descriptor, load_model, \
     load_regressor, make_procedural_model, project_points, read_pgm, save_model, \
     save_regressor, write_pgm
+from morphfit.cascade import param_layout
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +333,9 @@ LOADERS = {"model.mfm": (save_model, load_model), "reg.mfr": (save_regressor, lo
 def _saved_bytes(name):
     rng = np.random.default_rng(4)
     obj = make_procedural_model(9, 50, 2) if name == "model.mfm" else CascadeRegressor(
-        stages=[WeakRegressor(A=rng.normal(size=(2, 3)), b=rng.normal(size=2)) for _ in range(2)],
-        scale=ParamScale(rng.normal(size=2), [1.5, 2.0]), feature_dim=3, layout=["rx", "ry"])
+        stages=[WeakRegressor(A=rng.normal(size=(6, 3)), b=rng.normal(size=6)) for _ in range(2)],
+        scale=ParamScale(rng.normal(size=6), [1.5, 2.0, 1.0, 0.5, 3.0, 1.25]), feature_dim=3,
+        layout=param_layout(0))
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, name)
         LOADERS[name][0](obj, path)
@@ -358,9 +360,9 @@ def test_mfm_mfr_truncated_or_corrupt_raise_only_value_error(tmp_path_factory, n
 
 @pytest.mark.parametrize("name, edit, problem", [
     ("reg.mfr", lambda d: d.replace(b"stages 2", b"stages 1.5"), "stages: invalid literal"),
-    ("reg.mfr", lambda d: d.replace(b"pdim 2", b"pdim -2"), "pdim: negative count -2"),
+    ("reg.mfr", lambda d: d.replace(b"pdim 6", b"pdim -6"), "pdim: negative count -6"),
     ("reg.mfr", lambda d: d.replace(b"\nb:\n", b"\nb:\n\xff", 1),
-     "b: line 13: non-ASCII byte 0xff"),
+     "b: line 17: non-ASCII byte 0xff"),
     ("reg.mfr", lambda d: d[:d.index(b"A:") + 10], "A: unexpected end of file"),
     ("model.mfm", lambda d: d.replace(b"landmarks 17", b"landmarks -2"),
      "landmarks: negative count -2"),

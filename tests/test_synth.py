@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphfit import CameraConfig, ShapeModel, make_procedural_model, read_pgm, write_pgm
+from morphfit import CameraConfig, GrayImage, ShapeModel, make_procedural_model, read_pgm, \
+    write_pgm
 from morphfit import synth
 from morphfit.camera import project_points, to_camera
 from morphfit import noise
@@ -507,6 +508,25 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
         (out / "protocol.txt").write_text(protocol.replace(old, new, 1))
         with pytest.raises(ValueError, match="protocol.txt: field '%s' is below" % old.split()[0]):
             load_dataset(out)
+
+
+def test_load_dataset_rejects_an_image_of_another_size(tmp_path, small_model):
+    # train and eval place every window with the protocol's camera, so an
+    # image of another size would be read at the wrong pixels
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    samples = generate_set(small_model, pc, "test")[:2]
+    write_dataset(tmp_path, samples, pc)
+    small = GrayImage.from_array(samples[1].image.pixels[:10, :12])
+    write_pgm(small, tmp_path / "images" / (samples[1].id + ".pgm"))
+    with pytest.raises(ValueError, match="images/%s.pgm is 12x10, protocol.txt says 160x120"
+                       % samples[1].id):
+        load_dataset(tmp_path)
+
+
+def test_generate_rejects_more_shape_modes_than_the_model_has(small_model):
+    pc = ProtocolConfig(seed=8, n_shape=small_model.num_modes + 1, **SMALL_PC)
+    with pytest.raises(ValueError, match="the model takes 6..%d" % (6 + small_model.num_modes)):
+        generate_set(small_model, pc, "test")
 
 
 def test_load_protocol_rejects_duplicate_and_unknown_fields(tmp_path, small_model):
