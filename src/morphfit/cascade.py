@@ -82,22 +82,22 @@ class CascadeRegressor:
     stages: list
     scale: ParamScale
     feature_dim: int
-    layout: list
     train_residuals: list = field(default_factory=list)
 
     def __post_init__(self):
-        p = len(self.layout)
-        if list(self.layout) != param_layout(p - 6):
-            raise ValueError("layout %s, expected %s" % (self.layout, param_layout(p - 6)))
+        if self.param_dim < 6:
+            raise ValueError("scale has %d parameters; the pose alone takes 6" % self.param_dim)
         for wr in self.stages:
-            if wr.A.shape != (p, self.feature_dim):
-                raise ValueError("stage dimensions inconsistent with layout/feature_dim")
-        if self.scale.mean.shape[0] != p:
-            raise ValueError("scale dimension inconsistent with layout")
+            if wr.A.shape != (self.param_dim, self.feature_dim):
+                raise ValueError("stage dimensions inconsistent with scale/feature_dim")
 
     @property
     def param_dim(self):
-        return len(self.layout)
+        return len(self.scale.mean)
+
+    @property
+    def layout(self):
+        return param_layout(self.param_dim - 6)
 
     @property
     def n_stages(self):
@@ -170,7 +170,6 @@ def train_cascade(samples, config):
         raise ValueError("no training samples")
     theta = np.array([s.theta_init for s in samples], dtype=np.float64)  # (M, p)
     gt = np.array([s.theta_gt for s in samples], dtype=np.float64)
-    layout = param_layout(gt.shape[1] - 6)
 
     def assemble(i):
         try:
@@ -205,13 +204,14 @@ def train_cascade(samples, config):
                  stage_idx, lam, residuals[-1], len(samples))
 
     return CascadeRegressor(stages=stages, scale=scale, feature_dim=f_mat.shape[1],
-                            layout=layout, train_residuals=residuals)
+                            train_residuals=residuals)
 
 
 @dataclass
 class FitResult:
-    theta: np.ndarray
     trajectory: np.ndarray  # (n_stages + 1, p), row 0 = initialization
+
+    theta = property(lambda self: self.trajectory[-1])
 
 
 def fit(img, theta_init, reg, model, cam):
@@ -236,7 +236,7 @@ def fit(img, theta_init, reg, model, cam):
         if not np.all(np.isfinite(theta)):
             raise FitError(i, "update made the parameters non-finite")
         traj.append(theta.copy())
-    return FitResult(theta=theta, trajectory=np.stack(traj))
+    return FitResult(np.stack(traj))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,11 @@ def load_regressor(path):
     p = r.count("pdim")
     fdim = r.count("fdim")
     layout = r.take("layout", p)
+    if layout != param_layout(p - 6):
+        raise r.error("layout %s, expected %s" % (layout, param_layout(p - 6)))
     scale = r.make("scale", ParamScale, mean=r.array("scale:", float, p),
                    std=r.array(None, float, p))
     stages = [r.make("stage %d" % i, WeakRegressor, A=r.array("A:", float, p, fdim),
                      b=r.array("b:", float, p)) for i in range(n)]
     r.finish()
-    return r.make("layout", CascadeRegressor, stages=stages, scale=scale, feature_dim=fdim,
-                  layout=layout)
+    return CascadeRegressor(stages=stages, scale=scale, feature_dim=fdim)

@@ -24,7 +24,7 @@ from .camera import CameraConfig, project_points
 from .cascade import POSE_NAMES, TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
-from .posit import MAX_ITERS, MIN_POINTS, TOL, Correspondences, euler_from_rotation, posit
+from .posit import MAX_ITERS, MIN_POINTS, TOL, Correspondences, posit
 from .shape_model import MAX_MODES, MIN_VERTICES, load_model, make_procedural_model, save_model, \
     select_landmarks, split_theta
 from .synth import PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, subseed, \
@@ -64,11 +64,12 @@ def cmd_make_model(args, seed):
 
 def cmd_synth(args, seed):
     steps = {} if args.grid_step is None else {"step_" + args.mode: args.grid_step}
+    pc = ProtocolConfig(range_deg=args.range_deg, tz=args.tz, focal=args.focal,
+                        width=args.width, height=args.height, backgrounds=args.backgrounds,
+                        n_shape=args.shape_modes, seed=seed, **steps)
     try:
-        pc = ProtocolConfig(range_deg=args.range_deg, tz=args.tz, focal=args.focal,
-                            width=args.width, height=args.height, backgrounds=args.backgrounds,
-                            n_shape=args.shape_modes, seed=seed, **steps)
-    except ValueError as e:  # the flag types leave only the grid steps to fail
+        pc.grid(args.mode)
+    except ValueError as e:  # the flag types check the rest; not whether the step divides
         raise UsageError("--grid-step, --range-deg: %s" % e) from None
     model = load_model(args.model)
     if pc.n_shape > model.num_modes:
@@ -147,7 +148,7 @@ def cmd_fit(args, seed):
         theta0 = _parse_inline_theta(args.init, reg.param_dim)
     else:
         theta0 = np.zeros(reg.param_dim)
-        theta0[:6], _ = _posit_pose(*_read_point_rows(args.init_landmarks), cam)
+        theta0[:6] = _posit(*_read_point_rows(args.init_landmarks), cam).pose
     if args.init_noise:
         rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
         theta0[:3] += rng.uniform(-args.init_noise, args.init_noise, size=3)
@@ -189,21 +190,19 @@ def cmd_eval(args, seed):
             outputs, {})
 
 
-def _posit_pose(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
-    """POSIT estimate as CSV values: [rx, ry, rz, tx, ty, tz], [iters, converged]."""
-    corr = Correspondences(points2d=uv, points3d=pts3d, focal=cam.focal, cx=cam.cx, cy=cam.cy)
-    res = posit(corr, max_iters=max_iters, tol=tol)
-    return [*euler_from_rotation(res.rotation), *res.translation], [res.iters, int(res.converged)]
+def _posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
+    return posit(Correspondences(uv, pts3d, cam.focal, cam.cx, cam.cy), max_iters, tol)
 
 
 def cmd_posit(args, seed):
     if args.points is not None:
         uv, pts = _read_point_rows(args.points)
         cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
-        pose, status = _posit_pose(uv, pts, cam, args.max_iters, args.tol)
-        write_csv(args.out, [*POSE_NAMES, "iters", "converged"], [pose + status])
+        res = _posit(uv, pts, cam, args.max_iters, args.tol)
+        write_csv(args.out, [*POSE_NAMES, "iters", "converged"],
+                  [[*res.pose, res.iters, int(res.converged)]])
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
-              % (*pose, status[0]))
+              % (*res.pose, res.iters))
         return args.out + ".manifest.json", {"points": args.points}, {"pose": args.out}, {}
 
     if args.model is None:
@@ -221,9 +220,9 @@ def cmd_posit(args, seed):
         if args.noise_px > 0:
             rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
             uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
-        est, status = _posit_pose(uv, pts3d, cam, args.max_iters, args.tol)
-        errs.append(np.abs(np.array(est[:3]) - s.theta_gt[:3]))
-        rows.append([s.id, *est, *errs[-1], *status])
+        res = _posit(uv, pts3d, cam, args.max_iters, args.tol)
+        errs.append(np.abs(res.pose[:3] - s.theta_gt[:3]))
+        rows.append([s.id, *res.pose, *errs[-1], res.iters, int(res.converged)])
     if not errs:
         raise RuntimeError("no sample produced a valid POSIT estimate")
     mae = float(np.mean(np.stack(errs)))

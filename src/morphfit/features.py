@@ -33,23 +33,19 @@ class FeatureError(RuntimeError):
 
 @dataclass
 class GrayImage:
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width) float64 in [0, 1]
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.shape != (self.height, self.width):
-            raise ValueError("pixel buffer must be (height, width)")
+        if px.ndim != 2:
+            raise ValueError("pixels must be a 2-D (height, width) array")
         # min and max are NaN when any pixel is, which fails both comparisons
         if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
             raise ValueError("pixels must be finite and in [0, 1]")
         self.pixels = px
 
-    @staticmethod
-    def from_array(pixels):
-        px = np.asarray(pixels, dtype=np.float64)
-        return GrayImage(width=px.shape[1], height=px.shape[0], pixels=px)
+    height = property(lambda self: self.pixels.shape[0])
+    width = property(lambda self: self.pixels.shape[1])
 
 
 def _orientation_planes(img, x0, y0, x1, y1):
@@ -205,4 +201,4 @@ def read_pgm(path):
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     if px.max() > maxval:
         raise ValueError("%s: PGM sample exceeds maxval %d" % (path, maxval))
-    return GrayImage(width=width, height=height, pixels=px / maxval)
+    return GrayImage(px / maxval)

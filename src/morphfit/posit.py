@@ -2,10 +2,9 @@
 scaled-orthographic solves with perspective correction.
 
 The solve runs in the usual computer-vision frame (x right, y down,
-z forward, depths positive). Results are converted back to this
-package's camera convention (y up, camera looking down -z) before they
-are returned, so angles are directly comparable with the pose vectors
-[rx ry rz tx ty tz] that camera.project_points takes.
+z forward, depths positive). Its result is converted back to this
+package's camera convention (y up, camera looking down -z) and returned
+as the pose vector [rx ry rz tx ty tz] that camera.project_points takes.
 """
 
 from dataclasses import dataclass
@@ -42,8 +41,7 @@ class Correspondences:
 
 @dataclass
 class PositResult:
-    rotation: np.ndarray     # (3, 3), this package's camera convention
-    translation: np.ndarray  # (3,), model origin in camera space, mm
+    pose: np.ndarray  # (6,) [rx ry rz tx ty tz]: degrees, then the model origin in mm
     iters: int
     converged: bool
 
@@ -112,7 +110,7 @@ def posit(corr, max_iters=MAX_ITERS, tol=TOL):
 
     t_ref = np.array([x[0] * z0 / corr.focal, y[0] * z0 / corr.focal, z0])
     t_origin = t_ref - rot @ ref
-    return PositResult(rotation=_FLIP @ rot, translation=_FLIP @ t_origin,
+    return PositResult(pose=np.array([*euler_from_rotation(_FLIP @ rot), *(_FLIP @ t_origin)]),
                        iters=iters, converged=converged)
 
 

@@ -13,12 +13,9 @@ import numpy as np
 
 from .util import TokenReader, atomic_write, fmt_row
 
-LANDMARK_COUNT = 17
-
 
 @dataclass
 class ShapeModel:
-    vertex_count: int
     mean: np.ndarray          # (3V,) mm
     basis: np.ndarray         # (3V, K), orthonormal columns
     sigmas: np.ndarray        # (K,) positive, non-increasing
@@ -34,15 +31,18 @@ class ShapeModel:
         self.validate()
 
     @property
+    def vertex_count(self):
+        return len(self.mean) // 3
+
+    @property
     def num_modes(self):
         return self.basis.shape[1]
 
     def validate(self):
-        v = int(self.vertex_count)
-        if v <= 0:
-            raise ValueError("vertex_count must be positive")
-        if self.mean.shape != (3 * v,):
-            raise ValueError("mean must have length 3*vertex_count")
+        v = self.vertex_count
+        if v == 0 or len(self.mean) % 3:
+            raise ValueError("mean must hold xyz of one or more vertices, got length %d"
+                             % len(self.mean))
         if self.basis.ndim != 2 or self.basis.shape[0] != 3 * v:
             raise ValueError("basis must be (3V, K)")
         k = self.basis.shape[1]
@@ -275,7 +275,6 @@ def make_procedural_model(seed, vertex_count, modes):
     sigmas = sigma0 * 0.78 ** np.arange(modes)
 
     return ShapeModel(
-        vertex_count=vertex_count,
         mean=verts.reshape(-1),
         basis=fields.T,
         sigmas=sigmas,
@@ -321,5 +320,5 @@ def load_model(path):
     basis = r.array("basis:", float, 3 * v, k)
     tris = r.array("tris:", int, t, 3)
     r.finish()
-    return r.make("model", ShapeModel, vertex_count=v, mean=mean, basis=basis, sigmas=sigmas,
+    return r.make("model", ShapeModel, mean=mean, basis=basis, sigmas=sigmas,
                   landmark_ids=landmark_ids, triangles=tris)

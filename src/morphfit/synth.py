@@ -8,13 +8,12 @@ quantized to 8-bit levels so a PGM round-trip is lossless.
 
 Coverage needs no loop over triangles. Each row of a front face's clipped
 bounding box is cut to the x-span its three edge functions allow (Pineda,
-SIGGRAPH 1988), loosened by a bound on the hit test's rounding and widened
-by a pixel on each side, so that it holds every pixel the barycentric hit
-test accepts. The spans expand into candidate pixels, at most RASTER_BATCH
-at a time. Two minimum reductions give each pixel its nearest triangle
-and, among equally near ones, the lowest index, as a strict depth test
-drawing the triangles in index order would; triangle and batch order do
-not matter.
+SIGGRAPH 1988), loosened by a bound on the hit test's rounding, so that it
+holds every pixel the barycentric hit test accepts. The spans expand into
+candidate pixels, at most RASTER_BATCH at a time. Two minimum reductions
+give each pixel its nearest triangle and, among equally near ones, the
+lowest index, as a strict depth test drawing the triangles in index order
+would; triangle and batch order do not matter.
 
 Set generation follows a fixed protocol: a yaw/pitch grid with Gaussian
 x/y translation noise on the ground truth, several backgrounds per
@@ -109,14 +108,17 @@ class ProtocolConfig:
             if getattr(self, name) < low:
                 raise ValueError("field %r is below %d" % (name, low))
         for step in (self.step_train, self.step_test):
-            if step <= 0 or abs(self.range_deg / step - round(self.range_deg / step)) > 1e-9:
-                raise ValueError("grid step %g must divide range_deg %g" % (step, self.range_deg))
+            if step <= 0:
+                raise ValueError("grid step %g must be positive" % step)
 
     def camera(self):
         return CameraConfig(focal=self.focal, width=self.width, height=self.height)
 
     def grid(self, mode):
+        """Yaw and pitch values of the `mode` set; its step must divide range_deg."""
         step = self.step_train if mode == "train" else self.step_test
+        if abs(self.range_deg / step - round(self.range_deg / step)) > 1e-9:
+            raise ValueError("grid step %g must divide range_deg %g" % (step, self.range_deg))
         n = int(round(2.0 * self.range_deg / step)) + 1
         return np.linspace(-self.range_deg, self.range_deg, n)
 
@@ -161,7 +163,7 @@ def _rasterize(uv, visible, depth, tris, w, h):
     tri_depth = depth[tris[tri_ids]].T
 
     # one span per (triangle, box row): l0, l1, l2 >= 0 as a * dx <= c in
-    # dx = x - x2, widened by a pixel each side and clipped to the box
+    # dx = x - x2, clipped to the box
     rows_per = hi[:, 1] - lo[:, 1] + 1
     span_t = np.repeat(np.arange(len(tri_ids)), rows_per)
     span_row = np.arange(len(span_t)) - np.repeat(np.cumsum(rows_per) - rows_per - lo[:, 1],
@@ -171,7 +173,9 @@ def _rasterize(uv, visible, depth, tris, w, h):
     # The hit test rounds: by a hair for l0 and l1, but l2 = 1 - l0 - l1 by
     # up to ~eps (|l0| + |l1|), which next to a nearly horizontal edge 2 admits
     # hits many pixels past the row's exact crossing. Each c is loosened by a
-    # bound on that rounding; the pixel of widening is a margin beyond it.
+    # bound on that rounding. That clears every accepted pixel by ~29 eps
+    # (max|dx| + |c/a|), more than x2 + c/a rounds, so the bounds' ceiling
+    # and floor keep every hit.
     dx_max = np.maximum(np.abs(lo[:, 0] - coef[0]), np.abs(hi[:, 0] - coef[0]))[span_t]
     slack = 2.0 ** -48 * (np.abs(det) + (np.abs(a0) + np.abs(a1)) * dx_max
                           + (np.abs(b0) + np.abs(b1)) * np.abs(dy))
@@ -182,8 +186,8 @@ def _rasterize(uv, visible, depth, tris, w, h):
             x = sx2 + (c + slack) / np.where(a == 0, 1.0, a)
         left = np.where(a < 0, np.maximum(left, x), left)
         right = np.where(a > 0, np.minimum(right, x), right)
-    span_x = np.clip(np.ceil(left) - 1, lo[span_t, 0], hi[span_t, 0] + 1).astype(np.int64)
-    span_end = np.clip(np.floor(right) + 1, lo[span_t, 0] - 1, hi[span_t, 0]).astype(np.int64)
+    span_x = np.clip(np.ceil(left), lo[span_t, 0], hi[span_t, 0] + 1).astype(np.int64)
+    span_end = np.clip(np.floor(right), lo[span_t, 0] - 1, hi[span_t, 0]).astype(np.int64)
     size = np.maximum(span_end - span_x + 1, 0)
 
     ends = np.cumsum(size)
@@ -275,7 +279,7 @@ def _over_background(face, cam, background_seed):
     pixels = np.clip(img, 0.0, 1.0)
     pixels *= 255.0
     np.rint(pixels, out=pixels)
-    return GrayImage(width=w, height=h, pixels=pixels / 255.0)
+    return GrayImage(pixels / 255.0)
 
 
 def render(model, theta, cam, texture_seed, background_seed):

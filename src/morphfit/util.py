@@ -79,9 +79,9 @@ class TokenReader:
         text, self._end = read_ascii(path)
         self._tokens, self._pos = text.split(), 0
         if self.take(None, 2) != [magic, "1"]:
-            raise self._error("not a %s1 file" % magic)
+            raise self.error("not a %s1 file" % magic)
 
-    def _error(self, problem):
+    def error(self, problem):
         return ValueError("%s: %s: %s" % (self.path, self.field, problem))
 
     def take(self, label, n):
@@ -90,9 +90,9 @@ class TokenReader:
             self.field = label.rstrip(":")
             got = self.take(None, 1)[0]
             if got != label:
-                raise self._error("expected %r, found %r" % (label, got))
+                raise self.error("expected %r, found %r" % (label, got))
         if self._pos + n > len(self._tokens):
-            raise self._error(self._end or "unexpected end of file")
+            raise self.error(self._end or "unexpected end of file")
         self._pos += n
         return self._tokens[self._pos - n:self._pos]
 
@@ -101,12 +101,12 @@ class TokenReader:
         try:
             return np.array(tokens, dtype=dtype).reshape(shape)
         except (ValueError, OverflowError) as e:
-            raise self._error(e) from None
+            raise self.error(e) from None
 
     def count(self, label):
         n = int(self.array(label, int, 1)[0])
         if n < 0:
-            raise self._error("negative count %d" % n)
+            raise self.error("negative count %d" % n)
         return n
 
     def make(self, field, cls, **kwargs):
@@ -115,12 +115,12 @@ class TokenReader:
         try:
             return cls(**kwargs)
         except ValueError as e:
-            raise self._error(e) from None
+            raise self.error(e) from None
 
     def finish(self):
         self.field = "end"
         if self._pos != len(self._tokens) or self._end:
-            raise self._error(self._end or "trailing data")
+            raise self.error(self._end or "trailing data")
 
 
 def parallel_map(fn, items, jobs=1):

@@ -30,4 +30,4 @@ def random_unit_basis(rng, dim, k):
 def quantized_noise_image(rng, width, height, levels=512, lo=0.1, hi=0.6):
     """Random image with dyadic pixel values (exact float arithmetic)."""
     px = np.floor(rng.uniform(lo, hi, size=(height, width)) * levels) / levels
-    return GrayImage(width=width, height=height, pixels=px)
+    return GrayImage(px)

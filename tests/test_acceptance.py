@@ -18,7 +18,7 @@ from test_cascade import gd_ridge_oracle
 from test_features import oracle_descriptor
 
 from morphfit import CameraConfig, Correspondences, TrainConfig, \
-    euler_from_rotation, extract_descriptor, make_procedural_model, posit, \
+    extract_descriptor, make_procedural_model, posit, \
     project_points, save_model, save_regressor, select_landmarks, train_cascade, \
     train_stage
 from morphfit.camera import rotation_from_angles
@@ -132,8 +132,7 @@ def _posit_mae(model, samples, cam, noise_px, seed):
             uv = uv + rng.normal(0.0, noise_px, uv.shape)
         res = posit(Correspondences(points2d=uv, points3d=pts3d,
                                     focal=cam.focal, cx=cam.cx, cy=cam.cy))
-        angles = euler_from_rotation(res.rotation)
-        errs.append(np.abs(np.array(angles) - s.theta_gt[:3]))
+        errs.append(np.abs(res.pose[:3] - s.theta_gt[:3]))
     return float(np.mean(np.stack(errs)))
 
 

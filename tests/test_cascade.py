@@ -5,7 +5,7 @@ import pytest
 
 from morphfit import CascadeRegressor, FitError, ParamScale, TrainConfig, WeakRegressor, \
     fit, load_regressor, predict_update, save_regressor, train_cascade, train_stage
-from morphfit.cascade import param_layout, relative_lambda
+from morphfit.cascade import relative_lambda
 from morphfit.synth import ProtocolConfig, generate_set
 
 
@@ -175,7 +175,7 @@ def test_identity_cascade_fit(mini_training, small_model_mod):
     p = 6
     zero = WeakRegressor(A=np.zeros((p, 17 * 128)), b=np.zeros(p))
     reg = CascadeRegressor(stages=[zero, zero], scale=ParamScale(np.zeros(p), np.ones(p)),
-                           feature_dim=17 * 128, layout=param_layout(0))
+                           feature_dim=17 * 128)
     s = samples[0]
     res = fit(s.image, s.theta_init, reg, small_model_mod, pc.camera())
     np.testing.assert_array_equal(res.theta, s.theta_init)
@@ -188,7 +188,7 @@ def test_fit_reports_failing_stage(mini_training, small_model_mod):
     p = 6
     zero = WeakRegressor(A=np.zeros((p, 17 * 128)), b=np.zeros(p))
     reg = CascadeRegressor(stages=[zero], scale=ParamScale(np.zeros(p), np.ones(p)),
-                           feature_dim=17 * 128, layout=param_layout(0))
+                           feature_dim=17 * 128)
     behind = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2000.0])
     with pytest.raises(FitError) as exc:
         fit(samples[0].image, behind, reg, small_model_mod, pc.camera())
@@ -206,7 +206,7 @@ def test_fit_fails_loudly_on_non_finite_theta(mini_training, small_model_mod):
     for n_stages in (1, 2):
         reg = CascadeRegressor(stages=[huge_update] * n_stages,
                                scale=ParamScale(np.zeros(p), np.full(p, 10.0)),
-                               feature_dim=17 * 128, layout=param_layout(0))
+                               feature_dim=17 * 128)
         with pytest.raises(FitError) as exc, np.errstate(over="ignore"):
             fit(s.image, s.theta_init, reg, small_model_mod, pc.camera())
         assert exc.value.stage == 0
@@ -222,7 +222,7 @@ def test_fit_fails_loudly_when_windows_leave_the_image(mini_training, small_mode
     p = 6
     shove = WeakRegressor(A=np.zeros((p, 17 * 128)), b=[0, 0, 0, 1e9, 0, 0])
     reg = CascadeRegressor(stages=[shove, shove], scale=ParamScale(np.zeros(p), np.ones(p)),
-                           feature_dim=17 * 128, layout=param_layout(0))
+                           feature_dim=17 * 128)
     with pytest.raises(FitError, match="no landmark window overlaps the image") as exc:
         fit(samples[0].image, samples[0].theta_init, reg, small_model_mod, pc.camera())
     assert exc.value.stage == 1
@@ -296,7 +296,7 @@ def test_mfr_rejects_unknown_version(tmp_path):
     p = 6
     reg = CascadeRegressor(
         stages=[WeakRegressor(A=np.ones((p, 3)), b=np.zeros(p))],
-        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=param_layout(0))
+        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3)
     path = tmp_path / "reg.mfr"
     save_regressor(reg, path)
     text = path.read_text()
@@ -313,7 +313,7 @@ def test_mfr_rejects_non_finite_scale(tmp_path):
     p = 6
     reg = CascadeRegressor(
         stages=[WeakRegressor(A=np.ones((p, 3)), b=np.zeros(p))],
-        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3, layout=param_layout(0))
+        scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3)
     path = tmp_path / "reg.mfr"
     save_regressor(reg, path)
     lines = path.read_text().splitlines()
@@ -335,13 +335,20 @@ def test_cascade_regressor_validates_dimensions():
     with pytest.raises(ValueError):
         CascadeRegressor(stages=[WeakRegressor(A=np.ones((6, 5)), b=np.zeros(6))],
                          scale=ParamScale(np.zeros(6), np.ones(6)),
-                         feature_dim=4, layout=param_layout(0))
+                         feature_dim=4)
+
+
+def test_cascade_regressor_derives_layout_from_scale():
+    reg = CascadeRegressor(stages=[], scale=ParamScale(np.zeros(8), np.ones(8)), feature_dim=3)
+    assert (reg.param_dim, reg.layout) == (8, ["rx", "ry", "rz", "tx", "ty", "tz", "a0", "a1"])
+    for p in (0, 2, 5):
+        with pytest.raises(ValueError, match="the pose alone takes 6"):
+            CascadeRegressor(stages=[], scale=ParamScale(np.zeros(p), np.ones(p)), feature_dim=3)
 
 
 def test_mfr_rejects_a_layout_other_than_pose_then_shape(tmp_path):
     reg = CascadeRegressor(stages=[WeakRegressor(A=np.ones((7, 3)), b=np.zeros(7))],
-                           scale=ParamScale(np.zeros(7), np.ones(7)), feature_dim=3,
-                           layout=param_layout(1))
+                           scale=ParamScale(np.zeros(7), np.ones(7)), feature_dim=3)
     path = tmp_path / "reg.mfr"
     save_regressor(reg, path)
     text = path.read_text()
@@ -350,9 +357,6 @@ def test_mfr_rejects_a_layout_other_than_pose_then_shape(tmp_path):
         path.write_text(text.replace("rx ry rz tx ty tz a0", layout))
         with pytest.raises(ValueError, match="reg.mfr: layout: .*expected"):
             load_regressor(path)
-    with pytest.raises(ValueError, match="layout"):
-        CascadeRegressor(stages=[], scale=ParamScale(np.zeros(2), np.ones(2)), feature_dim=3,
-                         layout=["rx", "ry"])
 
 
 # ---------------------------------------------------------------------------

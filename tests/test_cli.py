@@ -318,6 +318,11 @@ def test_synth_grid_and_shape_mode_errors_exit_2(workspace, tmp_path, capsys):
         assert main(["synth", "--model", workspace["model"], "--out", str(out), *flags]) == 2
         assert problem in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+    # only the generated mode's step must divide the range: train's 10 does not divide 15
+    assert main(["synth", "--model", workspace["model"], "--out", str(out), "--mode", "test",
+                 "--range-deg", "15", "--grid-step", "5", "--width", "160", "--height", "120",
+                 "--focal", "500"]) == 0
+    assert len(os.listdir(out / "images")) == 49
 
 
 def test_too_few_point_rows_exit_2(workspace, tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from morphfit import CascadeRegressor, ParamScale, WeakRegressor, angle_errors, evaluate, \
     shape_cosine
-from morphfit.cascade import param_layout
 from morphfit.evaluate import initial_theta, write_report
 from morphfit.synth import ProtocolConfig, generate_set
 
@@ -80,7 +79,7 @@ def test_shape_cosine_stacked_equals_elementwise():
 def test_initial_theta_regimes():
     from morphfit.synth import TrainingSample
     from morphfit import GrayImage
-    img = GrayImage(width=4, height=4, pixels=np.zeros((4, 4)))
+    img = GrayImage(np.zeros((4, 4)))
     s = TrainingSample(image=img, theta_gt=np.array([1.0, 2, 0, 0, 0, -1200, 0.7, -0.3]),
                        theta_init=np.array([3.0, 1, 2, 0, 0, -1200, 0, 0]), id="x")
     np.testing.assert_array_equal(initial_theta(s, "uniform"), s.theta_init)
@@ -104,7 +103,7 @@ def tiny_eval_setup():
 def test_zero_stage_cascade_reports_init_error(tiny_eval_setup):
     model, pc, samples = tiny_eval_setup
     reg = CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)),
-                           feature_dim=17 * 128, layout=param_layout(0))
+                           feature_dim=17 * 128)
     rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
     assert rep.mae_per_stage.shape == (1,)
     init_err = angle_errors([s.theta_init for s in samples], [s.theta_gt for s in samples]).mean()
@@ -116,7 +115,7 @@ def test_zero_stage_cascade_reports_init_error(tiny_eval_setup):
 def test_fixed_regime_stage0_is_eleven(tiny_eval_setup):
     model, pc, samples = tiny_eval_setup
     reg = CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)),
-                           feature_dim=17 * 128, layout=param_layout(0))
+                           feature_dim=17 * 128)
     rep = evaluate(samples, reg, model, pc.camera(), regime="fixed")
     assert rep.mae_per_stage[0] == pytest.approx(11.0)
 
@@ -129,8 +128,8 @@ def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
     # all-zero descriptors, so its update stays finite
     huge = WeakRegressor(A=np.full((6, 17 * 128), 1e308), b=np.zeros(6))
     reg = CascadeRegressor(stages=[huge, huge], scale=ParamScale(np.zeros(6), np.ones(6)),
-                           feature_dim=17 * 128, layout=param_layout(0))
-    blank = TrainingSample(image=GrayImage(width=160, height=120, pixels=np.zeros((120, 160))),
+                           feature_dim=17 * 128)
+    blank = TrainingSample(image=GrayImage(np.zeros((120, 160))),
                            theta_gt=samples[0].theta_gt, theta_init=samples[0].theta_init,
                            id="blank")
     with np.errstate(over="ignore"):
@@ -144,7 +143,7 @@ def test_report_round_trip(tmp_path, tiny_eval_setup):
     model, pc, samples = tiny_eval_setup
     zero = WeakRegressor(A=np.zeros((6, 17 * 128)), b=np.zeros(6))
     reg = CascadeRegressor(stages=[zero], scale=ParamScale(np.zeros(6), np.ones(6)),
-                           feature_dim=17 * 128, layout=param_layout(0))
+                           feature_dim=17 * 128)
     rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
     path = tmp_path / "report.csv"
     write_report(rep, path)
@@ -170,7 +169,7 @@ def test_shape_cosine_column_is_the_mean_over_samples():
         A[6] = rng.normal(scale=0.05, size=17 * 128)
         stages.append(WeakRegressor(A=A, b=np.zeros(7)))
     reg = CascadeRegressor(stages=stages, scale=ParamScale(np.zeros(7), np.ones(7)),
-                           feature_dim=17 * 128, layout=param_layout(1))
+                           feature_dim=17 * 128)
     cam = pc.camera()
     rep = evaluate(samples, reg, model, cam, regime="fixed")
     assert rep.n_samples == len(samples) and rep.n_failures == 0

@@ -13,7 +13,6 @@ from morphfit import CameraConfig, CascadeRegressor, FeatureError, GrayImage, Pa
     ShapeModel, WeakRegressor, assemble_feature, extract_descriptor, load_model, \
     load_regressor, make_procedural_model, project_points, read_pgm, save_model, \
     save_regressor, write_pgm
-from morphfit.cascade import param_layout
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ def test_matches_oracle_on_random_patches():
 
 
 def test_constant_image_gives_zero_descriptor():
-    img = GrayImage(width=64, height=64, pixels=np.full((64, 64), 0.5))
+    img = GrayImage(np.full((64, 64), 0.5))
     d = extract_descriptor(img, (32.0, 32.0), 32)
     assert np.array_equal(d, np.zeros(128))
 
@@ -100,7 +99,7 @@ def test_step_edges_fill_only_horizontal_bins():
     # bright band: left edge votes bin 0, right edge votes bin 4
     px = np.full((64, 64), 0.2)
     px[:, 28:36] = 0.8
-    img = GrayImage(width=64, height=64, pixels=px)
+    img = GrayImage(px)
     d = extract_descriptor(img, (31.5, 31.5), 16)
     np.testing.assert_allclose(d, oracle_descriptor(img, (31.5, 31.5), 16), atol=1e-9)
     cells = d.reshape(4, 4, 8)
@@ -114,7 +113,7 @@ def test_rot90_permutes_cells_and_orientations():
     img = quantized_noise_image(rng, 64, 64)
     center = (31.5, 31.5)  # fixed point of np.rot90 on a 64x64 raster
     d = extract_descriptor(img, center, 32).reshape(4, 4, 8)
-    rot = GrayImage.from_array(np.rot90(img.pixels).copy())
+    rot = GrayImage(np.rot90(img.pixels).copy())
     d_rot = extract_descriptor(rot, center, 32).reshape(4, 4, 8)
     for r in range(4):
         for c in range(4):
@@ -125,7 +124,7 @@ def test_rot90_permutes_cells_and_orientations():
 def test_additive_shift_invariance_exact():
     rng = np.random.default_rng(12)
     img = quantized_noise_image(rng, 48, 48)  # dyadic values in [0.1, 0.6]
-    shifted = GrayImage.from_array(img.pixels + 0.25)
+    shifted = GrayImage(img.pixels + 0.25)
     a = extract_descriptor(img, (24.0, 24.0), 16)
     b = extract_descriptor(shifted, (24.0, 24.0), 16)
     assert np.array_equal(a, b)
@@ -138,7 +137,7 @@ def test_gain_invariance():
     img = quantized_noise_image(rng, 48, 48, lo=0.1, hi=0.45)
     assert (img.pixels * 2.0 <= 1.0).all()
     a = extract_descriptor(img, (24.0, 24.0), 16)
-    doubled = GrayImage.from_array(img.pixels * 2.0)
+    doubled = GrayImage(img.pixels * 2.0)
     b = extract_descriptor(doubled, (24.0, 24.0), 16)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -149,13 +148,21 @@ def test_gray_image_rejects_pixels_outside_unit_range():
         px = np.full((64, 64), 0.5)
         px[32, 32] = bad
         with pytest.raises(ValueError, match=r"pixels must be finite and in \[0, 1\]"):
-            GrayImage.from_array(px)
+            GrayImage(px)
     px = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
-    assert GrayImage.from_array(px).pixels is px  # valid pixels are kept, not copied
+    assert GrayImage(px).pixels is px  # valid pixels are kept, not copied
+
+
+def test_gray_image_size_is_the_pixel_shape():
+    img = GrayImage(np.zeros((33, 47)))
+    assert (img.width, img.height) == (47, 33)
+    for shape in ((47,), (2, 33, 47)):
+        with pytest.raises(ValueError, match="pixels must be a 2-D"):
+            GrayImage(np.zeros(shape))
 
 
 def test_patch_size_validation():
-    img = GrayImage(width=16, height=16, pixels=np.zeros((16, 16)))
+    img = GrayImage(np.zeros((16, 16)))
     with pytest.raises(ValueError):
         extract_descriptor(img, (8, 8), 30)
     with pytest.raises(ValueError):
@@ -165,7 +172,7 @@ def test_patch_size_validation():
 def two_landmark_model():
     basis = np.zeros((6, 1))
     basis[2, 0] = 1.0
-    return ShapeModel(vertex_count=2, mean=[-100.0, 0.0, 0.0, 100.0, 0.0, 0.0],
+    return ShapeModel(mean=[-100.0, 0.0, 0.0, 100.0, 0.0, 0.0],
                       basis=basis, sigmas=[1.0], landmark_ids=[0, 1])
 
 
@@ -174,7 +181,7 @@ def test_assemble_order_length_and_zero_blocks():
     cam = CameraConfig(focal=1500.0, width=640, height=480)
     px = np.full((480, 640), 0.5)
     px[:, :330] = quantized_noise_image(rng, 330, 480).pixels
-    img = GrayImage.from_array(px)
+    img = GrayImage(px)
     model = two_landmark_model()
     theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
     f = assemble_feature(img, theta, model, cam, patch_size=32)
@@ -196,7 +203,7 @@ def pinned_landmark_model(uv, cam, depth=1200.0):
     pts = np.zeros((uv.shape[0], 3))
     pts[:, 0] = (uv[:, 0] - cam.cx) * depth / cam.focal
     pts[:, 1] = -(uv[:, 1] - cam.cy) * depth / cam.focal
-    return ShapeModel(vertex_count=uv.shape[0], mean=pts.reshape(-1),
+    return ShapeModel(mean=pts.reshape(-1),
                       basis=np.zeros((pts.size, 0)), sigmas=[],
                       landmark_ids=np.arange(uv.shape[0]))
 
@@ -247,7 +254,7 @@ def test_far_off_landmark_gives_zero_block_without_large_allocation():
 
 def test_assemble_fails_when_no_window_overlaps_the_image():
     cam = CameraConfig(focal=500.0, width=160, height=120)
-    img = GrayImage(width=160, height=120, pixels=np.full((120, 160), 0.5))
+    img = GrayImage(np.full((120, 160), 0.5))
     model = pinned_landmark_model([(-60.0, 60.0), (300.0, 60.0)], cam)
     with pytest.raises(FeatureError, match="no landmark window overlaps the image"):
         assemble_feature(img, AHEAD, model, cam, patch_size=32)
@@ -255,7 +262,7 @@ def test_assemble_fails_when_no_window_overlaps_the_image():
 
 def test_assemble_rejects_bad_theta_and_behind_camera():
     cam = CameraConfig(focal=1500.0, width=640, height=480)
-    img = GrayImage(width=640, height=480, pixels=np.zeros((480, 640)))
+    img = GrayImage(np.zeros((480, 640)))
     model = two_landmark_model()
     with pytest.raises(ValueError):
         assemble_feature(img, np.zeros(9), model, cam)  # 6 + K' > 6 + K
@@ -266,7 +273,7 @@ def test_assemble_rejects_bad_theta_and_behind_camera():
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     px = np.round(rng.uniform(0, 1, (33, 47)) * 255.0) / 255.0
-    img = GrayImage.from_array(px)
+    img = GrayImage(px)
     path = tmp_path / "img.pgm"
     write_pgm(img, path)
     back = read_pgm(path)
@@ -334,8 +341,7 @@ def _saved_bytes(name):
     rng = np.random.default_rng(4)
     obj = make_procedural_model(9, 50, 2) if name == "model.mfm" else CascadeRegressor(
         stages=[WeakRegressor(A=rng.normal(size=(6, 3)), b=rng.normal(size=6)) for _ in range(2)],
-        scale=ParamScale(rng.normal(size=6), [1.5, 2.0, 1.0, 0.5, 3.0, 1.25]), feature_dim=3,
-        layout=param_layout(0))
+        scale=ParamScale(rng.normal(size=6), [1.5, 2.0, 1.0, 0.5, 3.0, 1.25]), feature_dim=3)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, name)
         LOADERS[name][0](obj, path)

@@ -10,7 +10,6 @@ def tiny_model(rng, v=10, k=3, n_landmarks=4):
     basis = random_unit_basis(rng, 3 * v, k)
     sigmas = np.sort(rng.uniform(1.0, 5.0, k))[::-1]
     return ShapeModel(
-        vertex_count=v,
         mean=rng.normal(0.0, 50.0, 3 * v),
         basis=basis,
         sigmas=sigmas,
@@ -85,7 +84,7 @@ def test_select_landmarks_order_and_gather():
         np.testing.assert_array_equal(row, verts[lid])
     # permuting landmark ids permutes rows identically
     perm = np.array([3, 1, 4, 0, 2])
-    m2 = ShapeModel(vertex_count=m.vertex_count, mean=m.mean, basis=m.basis,
+    m2 = ShapeModel(mean=m.mean, basis=m.basis,
                     sigmas=m.sigmas, landmark_ids=m.landmark_ids[perm])
     np.testing.assert_array_equal(select_landmarks(m2, alpha), pts[perm])
 
@@ -126,17 +125,25 @@ def test_invariant_violations_rejected():
     rng = np.random.default_rng(7)
     m = tiny_model(rng)
     with pytest.raises(ValueError):
-        ShapeModel(vertex_count=m.vertex_count, mean=m.mean, basis=m.basis * 2.0,
+        ShapeModel(mean=m.mean, basis=m.basis * 2.0,
                    sigmas=m.sigmas, landmark_ids=m.landmark_ids)
     with pytest.raises(ValueError):
-        ShapeModel(vertex_count=m.vertex_count, mean=m.mean, basis=m.basis,
+        ShapeModel(mean=m.mean, basis=m.basis,
                    sigmas=m.sigmas[::-1], landmark_ids=m.landmark_ids)
     with pytest.raises(ValueError):
-        ShapeModel(vertex_count=m.vertex_count, mean=m.mean, basis=m.basis,
+        ShapeModel(mean=m.mean, basis=m.basis,
                    sigmas=m.sigmas, landmark_ids=[1, 1, 2])
     with pytest.raises(ValueError):
-        ShapeModel(vertex_count=m.vertex_count, mean=m.mean, basis=m.basis,
+        ShapeModel(mean=m.mean, basis=m.basis,
                    sigmas=m.sigmas, landmark_ids=[m.vertex_count])
+
+
+def test_vertex_count_is_derived_from_the_mean():
+    assert tiny_model(np.random.default_rng(8), v=10).vertex_count == 10
+    for length in (0, 29):
+        with pytest.raises(ValueError, match="mean must hold xyz of one or more vertices"):
+            ShapeModel(mean=np.zeros(length), basis=np.zeros((length, 0)), sigmas=[],
+                       landmark_ids=[])
 
 
 def test_mfm_round_trip_is_bit_exact(tmp_path):

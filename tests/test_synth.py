@@ -58,7 +58,7 @@ def overlap_model(z_near, z_far):
     ]).reshape(-1)
     basis = np.zeros((18, 1))
     basis[0, 0] = 1.0
-    return ShapeModel(vertex_count=6, mean=mean, basis=basis, sigmas=[1.0],
+    return ShapeModel(mean=mean, basis=basis, sigmas=[1.0],
                       landmark_ids=[0, 1, 2, 3],
                       triangles=[[0, 1, 2], [3, 4, 5]])
 
@@ -68,10 +68,10 @@ def test_zbuffer_keeps_nearer_triangle(small_cam):
     theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
     both = render(overlap_model(z_near=40.0, z_far=0.0), theta, small_cam, 3, 4)
 
-    near_only = ShapeModel(vertex_count=6, mean=overlap_model(40.0, 0.0).mean,
+    near_only = ShapeModel(mean=overlap_model(40.0, 0.0).mean,
                            basis=overlap_model(40.0, 0.0).basis, sigmas=[1.0],
                            landmark_ids=[0], triangles=[[3, 4, 5]])
-    far_only = ShapeModel(vertex_count=6, mean=overlap_model(40.0, 0.0).mean,
+    far_only = ShapeModel(mean=overlap_model(40.0, 0.0).mean,
                           basis=overlap_model(40.0, 0.0).basis, sigmas=[1.0],
                           landmark_ids=[0], triangles=[[0, 1, 2]])
     near_img = render(near_only, theta, small_cam, 3, 4)
@@ -82,7 +82,7 @@ def test_zbuffer_keeps_nearer_triangle(small_cam):
 
 
 def test_render_requires_triangles_and_visibility(small_model, small_cam):
-    no_tris = ShapeModel(vertex_count=small_model.vertex_count, mean=small_model.mean,
+    no_tris = ShapeModel(mean=small_model.mean,
                          basis=small_model.basis, sigmas=small_model.sigmas,
                          landmark_ids=small_model.landmark_ids)
     with pytest.raises(ValueError):
@@ -516,7 +516,7 @@ def test_load_dataset_rejects_an_image_of_another_size(tmp_path, small_model):
     pc = ProtocolConfig(seed=8, **SMALL_PC)
     samples = generate_set(small_model, pc, "test")[:2]
     write_dataset(tmp_path, samples, pc)
-    small = GrayImage.from_array(samples[1].image.pixels[:10, :12])
+    small = GrayImage(samples[1].image.pixels[:10, :12])
     write_pgm(small, tmp_path / "images" / (samples[1].id + ".pgm"))
     with pytest.raises(ValueError, match="images/%s.pgm is 12x10, protocol.txt says 160x120"
                        % samples[1].id):
@@ -545,8 +545,15 @@ def test_load_protocol_rejects_duplicate_and_unknown_fields(tmp_path, small_mode
 
 
 def test_protocol_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(range_deg=30.0, step_train=7.0)
+    # only the grid a set uses must divide the range
+    with pytest.raises(ValueError, match="grid step 7 must divide range_deg 30"):
+        ProtocolConfig(range_deg=30.0, step_train=7.0).grid("train")
+    assert len(ProtocolConfig(range_deg=30.0, step_train=7.0).grid("test")) == 13
+    for step in ("step_train", "step_test"):
+        with pytest.raises(ValueError, match="grid step 0 must be positive"):
+            ProtocolConfig(**{step: 0.0})
+        with pytest.raises(ValueError, match="field '%s' is not finite" % step):
+            ProtocolConfig(**{step: float("nan")})
     # a bound violation names the field; a negative range used to pass here and
     # fail later in grid(), a zero size only in camera()
     for field, bad in (("range_deg", -10.0), ("width", 0), ("height", 0), ("backgrounds", 0),
