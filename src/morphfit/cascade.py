@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureError, assemble_feature
+from .features import FeatureError, PlaneStore, assemble_feature
 from .util import TokenReader, atomic_write, fmt_row, parallel_map
 
 log = logging.getLogger(__name__)
@@ -31,7 +31,7 @@ class FitError(RuntimeError):
         self.stage = stage
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamScale:
     mean: np.ndarray
     std: np.ndarray  # finite, strictly positive
@@ -62,7 +62,7 @@ class ParamScale:
         return np.asarray(normed, dtype=np.float64) * self.std + self.mean
 
 
-@dataclass
+@dataclass(eq=False)
 class WeakRegressor:
     A: np.ndarray  # (p, F)
     b: np.ndarray  # (p,)
@@ -77,7 +77,7 @@ class WeakRegressor:
                 raise ValueError("%s must be finite" % name)
 
 
-@dataclass
+@dataclass(eq=False)
 class CascadeRegressor:
     stages: list
     scale: ParamScale
@@ -207,7 +207,7 @@ def train_cascade(samples, config):
                             train_residuals=residuals)
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     trajectory: np.ndarray  # (n_stages + 1, p), row 0 = initialization
 
@@ -218,7 +218,8 @@ def fit(img, theta_init, reg, model, cam):
     """Apply every cascade stage to refine theta_init on one image.
 
     A non-finite theta_init is a ValueError; a stage whose update leaves
-    theta non-finite raises FitError for that stage.
+    theta non-finite raises FitError for that stage. The stages read one
+    PlaneStore of `img`, so a pixel's orientation planes are built once.
     """
     theta = np.asarray(theta_init, dtype=np.float64).reshape(-1).copy()
     if theta.shape[0] != reg.param_dim:
@@ -227,9 +228,10 @@ def fit(img, theta_init, reg, model, cam):
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta_init must be finite")
     traj = [theta.copy()]
+    planes = PlaneStore(img)
     for i, wr in enumerate(reg.stages):
         try:
-            f = assemble_feature(img, theta, model, cam)
+            f = assemble_feature(img, theta, model, cam, planes=planes)
         except FeatureError as e:
             raise FitError(i, str(e)) from e
         theta = theta + predict_update(wr, f, reg.scale)

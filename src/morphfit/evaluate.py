@@ -51,7 +51,7 @@ def shape_cosine(alpha_e, alpha_g):
     return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den > 0)[()]
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     regime: str
     n_samples: int

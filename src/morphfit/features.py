@@ -4,10 +4,18 @@ Each descriptor summarizes a square window around a (possibly fractional)
 pixel location as a 4x4 grid of cells with 8 orientation bins per cell:
 128 values, L2-normalized, clamped at 0.2 and renormalized. No scale
 pyramid, no dominant-orientation alignment, no keypoint detection.
-Binning is dense, HOG style (Dalal & Triggs, CVPR 2005): one call builds 8
-soft-binned gradient-magnitude planes over the bounding box of its windows.
-The Gaussian and bilinear cell weights are separable, so each descriptor is
+Binning is dense, HOG style (Dalal & Triggs, CVPR 2005): 8 soft-binned
+gradient-magnitude planes cover the bounding box of a call's windows. The
+Gaussian and bilinear cell weights are separable, so each descriptor is
 Wr . planes[:, window] . Wc^T, with Wr and Wc the 4 x patch_size weights.
+
+Descriptors read the planes from a PlaneStore, which holds them over a box
+that only grows. A plane value is a function of the pixel alone (central
+differences of the zero-padded image), not of the box it was built over,
+so a held box is sliced and a larger one adds only its new edge strips,
+bit for bit equal to building it whole. A one-shot call makes its own
+store; `cascade.fit` keeps one for its stages, whose boxes overlap, so
+each pixel's planes are built once per fit.
 """
 
 from dataclasses import dataclass
@@ -31,7 +39,7 @@ class FeatureError(RuntimeError):
     """No landmark window reads the image: feature vector cannot be assembled."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GrayImage:
     pixels: np.ndarray  # (height, width) float64 in [0, 1]
 
@@ -65,9 +73,11 @@ def _orientation_planes(img, x0, y0, x1, y1):
     fo = np.arctan2(gy, gx).ravel()
     fo *= 4.0 / np.pi
     n = fo.shape[0]
-    idx = np.floor(fo)
-    fo -= idx  # the share of the upper bin
-    idx = (idx.astype(np.int64) & 7) * n + np.arange(n)  # lower bin mod 8, then pixel
+    lo = np.floor(fo)
+    fo -= lo  # the share of the upper bin
+    lo = lo.astype(np.int8) & 7  # the lower bin; int8, as it lives to the second write
+    idx = np.multiply(lo, n, dtype=np.int64)  # an int64 loop under either promotion rule
+    idx += np.arange(n)  # bin, then pixel
     gx *= gx
     gx += np.square(gy, out=gy)
     del gy
@@ -75,22 +85,54 @@ def _orientation_planes(img, x0, y0, x1, y1):
     planes = np.zeros(8 * n)
     planes[idx] = mag * (1.0 - fo)
     fo *= mag
-    idx += n
-    idx %= 8 * n
+    lo += 1
+    lo &= 7  # the upper bin: & 7 wraps 8 to 0
+    np.multiply(lo, n, dtype=np.int64, out=idx)
+    idx += np.arange(n)
     planes[idx] = fo
     return planes.reshape(8, y1 - y0, x1 - x0)
 
 
-def _descriptors(img, centers, patch_size):
-    """(n, 128) descriptors of the windows at `centers` (n, 2), and the mask
-    of windows that read the raster: gradients are nonzero only on the image
-    grown by one pixel. The other windows (NaN centers too) get the zero
-    vector and are left out of the planes' box, which is clipped to it.
+class PlaneStore:
+    """One image's orientation planes over a box that only grows: a held
+    box is sliced; any other grows the store to the union box, with the held
+    planes copied in and only the (at most 4) new edge strips built.
+    """
+
+    def __init__(self, img):
+        self.img = img
+        self.box = None  # (x0, y0, x1, y1) held
+        self.planes = None
+
+    def over(self, x0, y0, x1, y1):
+        """(8, y1-y0, x1-x0) planes over [x0, x1) x [y0, y1)."""
+        if self.box is None:
+            self.box, self.planes = (x0, y0, x1, y1), _orientation_planes(self.img, x0, y0, x1, y1)
+        hx0, hy0, hx1, hy1 = self.box
+        ux0, uy0, ux1, uy1 = min(x0, hx0), min(y0, hy0), max(x1, hx1), max(y1, hy1)
+        if (ux0, uy0, ux1, uy1) != self.box:
+            planes = np.empty((8, uy1 - uy0, ux1 - ux0))
+            planes[:, hy0 - uy0:hy1 - uy0, hx0 - ux0:hx1 - ux0] = self.planes
+            for sx0, sy0, sx1, sy1 in ((ux0, uy0, ux1, hy0), (ux0, hy1, ux1, uy1),
+                                       (ux0, hy0, hx0, hy1), (hx1, hy0, ux1, hy1)):
+                if sx0 < sx1 and sy0 < sy1:
+                    planes[:, sy0 - uy0:sy1 - uy0, sx0 - ux0:sx1 - ux0] = \
+                        _orientation_planes(self.img, sx0, sy0, sx1, sy1)
+            self.box, self.planes = (ux0, uy0, ux1, uy1), planes
+        return self.planes[:, y0 - uy0:y1 - uy0, x0 - ux0:x1 - ux0]
+
+
+def _descriptors(store, centers, patch_size):
+    """(n, 128) descriptors of the windows at `centers` (n, 2) on the image
+    of `store`, and the mask of windows that read the raster: gradients are
+    nonzero only on the image grown by one pixel. The other windows (NaN
+    centers too) get the zero vector and are left out of the planes' box,
+    which is clipped to it.
     """
     patch_size = int(patch_size)
     if patch_size <= 0 or patch_size % 4 != 0:
         raise ValueError("patch_size must be a positive multiple of 4")
-    h, w = img.pixels.shape
+    h, w = store.img.pixels.shape
     half = patch_size / 2.0
     corners = np.ceil(centers - half)
     reads = np.all((corners < [w + 1, h + 1]) & (corners + patch_size > -1), axis=1)
@@ -100,7 +142,7 @@ def _descriptors(img, centers, patch_size):
         return out, reads
     bx0, by0 = np.maximum(corners[idx].min(axis=0), -1).astype(np.int64)
     bx1, by1 = np.minimum(corners[idx].max(axis=0) + patch_size, [w + 1, h + 1]).astype(np.int64)
-    planes = _orientation_planes(img, bx0, by0, bx1, by1)
+    planes = store.over(bx0, by0, bx1, by1)
     # Wc, Wr of every window, (n, x/y, cell, pixel): Gaussian x bilinear
     offsets = (corners[idx, :, None] + np.arange(patch_size) - centers[idx, :, None])[:, :, None]
     dist = np.abs((offsets + half) / (patch_size / 4.0) - 0.5 - np.arange(4.0)[:, None])
@@ -127,23 +169,28 @@ def extract_descriptor(img, center, patch_size=DEFAULT_PATCH_SIZE):
     center = np.asarray(center, dtype=np.float64).reshape(1, 2)
     if not np.all(np.isfinite(center)):
         raise ValueError("descriptor center must be finite")
-    return _descriptors(img, center, patch_size)[0][0]
+    return _descriptors(PlaneStore(img), center, patch_size)[0][0]
 
 
-def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE):
+def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE, planes=None):
     """Concatenated landmark descriptors for parameter vector theta.
 
     theta is [rx ry rz tx ty tz alpha...], split by `split_theta`: missing
     trailing shape coefficients are treated as zero. Landmarks that fail to
     project or whose window lies off the image contribute a zero descriptor;
     if all do (the model is behind the camera or off the image),
-    FeatureError is raised.
+    FeatureError is raised. `planes` is a PlaneStore of `img` to read and
+    grow; without one the call builds its own.
     """
+    if planes is None:
+        planes = PlaneStore(img)
+    elif planes.img is not img:
+        raise ValueError("the plane store holds another image")
     pose, alpha = split_theta(model, theta)
     uv, valid = project_points(select_landmarks(model, alpha), pose, cam)
     if not np.any(valid):
         raise FeatureError("all landmark projections failed")
-    blocks, reads = _descriptors(img, uv, patch_size)
+    blocks, reads = _descriptors(planes, uv, patch_size)
     if not np.any(reads):
         raise FeatureError("no landmark window overlaps the image")
     return blocks.reshape(-1)

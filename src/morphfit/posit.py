@@ -16,7 +16,7 @@ class DegenerateGeometryError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Correspondences:
     points2d: np.ndarray  # (n, 2) pixel coordinates, v down
     points3d: np.ndarray  # (n, 3) model points, mm
@@ -39,7 +39,7 @@ class Correspondences:
             raise ValueError("non-finite correspondences")
 
 
-@dataclass
+@dataclass(eq=False)
 class PositResult:
     pose: np.ndarray  # (6,) [rx ry rz tx ty tz]: degrees, then the model origin in mm
     iters: int

@@ -14,7 +14,7 @@ import numpy as np
 from .util import TokenReader, atomic_write, fmt_row
 
 
-@dataclass
+@dataclass(eq=False)
 class ShapeModel:
     mean: np.ndarray          # (3V,) mm
     basis: np.ndarray         # (3V, K), orthonormal columns

@@ -66,7 +66,7 @@ BACKGROUND_SCALE = 18.0       # px
 RASTER_BATCH = 1 << 15
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainingSample:
     image: GrayImage
     theta_gt: np.ndarray

@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from morphfit import CascadeRegressor, FitError, ParamScale, TrainConfig, WeakRegressor, \
-    fit, load_regressor, predict_update, save_regressor, train_cascade, train_stage
+from morphfit import CascadeRegressor, Correspondences, EvalReport, FitError, FitResult, \
+    GrayImage, ParamScale, PositResult, TrainConfig, WeakRegressor, fit, load_regressor, \
+    make_procedural_model, predict_update, save_regressor, train_cascade, train_stage
 from morphfit.cascade import relative_lambda
-from morphfit.synth import ProtocolConfig, generate_set
+from morphfit.synth import ProtocolConfig, TrainingSample, generate_set
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +330,24 @@ def test_mfr_rejects_non_finite_scale(tmp_path):
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(ValueError, match="reg.mfr: " + problem):
             load_regressor(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GrayImage(np.zeros((2, 2))),
+    lambda: make_procedural_model(3, 80, 1),
+    lambda: ParamScale(np.zeros(6), np.ones(6)),
+    lambda: WeakRegressor(A=np.zeros((6, 2)), b=np.zeros(6)),
+    lambda: CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)), feature_dim=2),
+    lambda: FitResult(np.zeros((2, 6))),
+    lambda: Correspondences(np.zeros((4, 2)), np.eye(4, 3), 500.0),
+    lambda: PositResult(np.zeros(6), 3, True),
+    lambda: TrainingSample(GrayImage(np.zeros((2, 2))), np.zeros(6), np.zeros(6), "a"),
+    lambda: EvalReport("uniform", 1, np.zeros(2), np.zeros(2)),
+], ids=lambda make: type(make()).__name__)
+def test_array_holding_types_compare_by_identity(make):
+    # a generated __eq__ would compare the array fields and raise ValueError
+    a, b = make(), make()
+    assert a == a and a != b
 
 
 def test_cascade_regressor_validates_dimensions():

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import quantized_noise_image
 from morphfit import CameraConfig, CascadeRegressor, FeatureError, GrayImage, ParamScale, \
-    ShapeModel, WeakRegressor, assemble_feature, extract_descriptor, load_model, \
-    load_regressor, make_procedural_model, project_points, read_pgm, save_model, \
-    save_regressor, write_pgm
+    ShapeModel, WeakRegressor, assemble_feature, extract_descriptor, fit, load_model, \
+    load_regressor, make_procedural_model, predict_update, project_points, read_pgm, \
+    save_model, save_regressor, select_landmarks, write_pgm
+from morphfit.features import PlaneStore, _orientation_planes
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,122 @@ def test_assemble_rejects_bad_theta_and_behind_camera():
         assemble_feature(img, np.zeros(9), model, cam)  # 6 + K' > 6 + K
     with pytest.raises(FeatureError):
         assemble_feature(img, np.array([0, 0, 0, 0, 0, 1200.0]), model, cam)
+
+
+# ---------------------------------------------------------------------------
+# plane store: a pixel's planes do not depend on the box they are built over
+# ---------------------------------------------------------------------------
+
+def _draw_box(draw, w, h):
+    """A nonempty box inside the w x h image grown by one pixel."""
+    x0, y0 = draw(st.integers(-1, w)), draw(st.integers(-1, h))
+    return x0, y0, draw(st.integers(x0 + 1, w + 1)), draw(st.integers(y0 + 1, h + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(1, 24), h=st.integers(1, 24), levels=st.sampled_from([2, 4, 512]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_planes_over_any_box_are_slices_of_the_full_frame(w, h, levels, seed, data):
+    # coarse levels give flat runs and gradients on the bin boundaries
+    img = quantized_noise_image(np.random.default_rng(seed), w, h, levels=levels)
+    full = _orientation_planes(img, -1, -1, w + 1, h + 1)
+    x0, y0, x1, y1 = _draw_box(data.draw, w, h)
+    assert np.array_equal(_orientation_planes(img, x0, y0, x1, y1),
+                          full[:, y0 + 1:y1 + 1, x0 + 1:x1 + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(1, 24), h=st.integers(1, 24), seed=st.integers(0, 2 ** 16),
+       n=st.integers(1, 5), data=st.data())
+def test_plane_store_grows_to_the_union_and_returns_full_frame_slices(w, h, seed, n, data):
+    img = quantized_noise_image(np.random.default_rng(seed), w, h, levels=4)
+    full = _orientation_planes(img, -1, -1, w + 1, h + 1)
+    store = PlaneStore(img)
+    boxes = [_draw_box(data.draw, w, h) for _ in range(n)]
+    for x0, y0, x1, y1 in boxes:
+        assert np.array_equal(store.over(x0, y0, x1, y1), full[:, y0 + 1:y1 + 1, x0 + 1:x1 + 1])
+    x0s, y0s, x1s, y1s = zip(*boxes)
+    assert store.box == (min(x0s), min(y0s), max(x1s), max(y1s))
+
+
+def one_shot_trajectory(img, theta, reg, model, cam):
+    """fit's trajectory, each stage's features assembled without a store."""
+    traj = [theta]
+    for wr in reg.stages:
+        traj.append(traj[-1] + predict_update(wr, assemble_feature(img, traj[-1], model, cam),
+                                              reg.scale))
+    return np.stack(traj)
+
+
+# per-stage updates b of a 3-stage cascade fitted from AHEAD; tz +200 brings the
+# face closer, so its windows spread, and tx moves them sideways
+STORE_CASES = {
+    "grows on all sides": [[0, 0, 0, 0, 0, 200], [0, 0, 0, 0, 0, 100], [0] * 6],
+    "inside the held box": [[0, 0, 0, 0, 0, -300], [0, 0, 0, 0, 0, -300], [0] * 6],
+    "windows leave the image": [[0, 0, 0, 480, 0, 0], [0, 0, 0, -240, 0, 0], [0] * 6],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_CASES))
+def test_fit_through_one_plane_store_equals_one_shot_features(case, monkeypatch):
+    rng = np.random.default_rng(18)
+    cam = CameraConfig(focal=500.0, width=320, height=240)
+    img = quantized_noise_image(rng, 320, 240)
+    model = pinned_landmark_model([(110.3, 70.6), (210.2, 69.9), (109.8, 170.1),
+                                   (210.5, 170.4)], cam)
+    # small random weights: every feature bit reaches theta, but barely moves the windows
+    reg = CascadeRegressor(stages=[WeakRegressor(A=rng.normal(scale=1e-3, size=(6, 512)), b=b)
+                                   for b in STORE_CASES[case]],
+                           scale=ParamScale(np.zeros(6), np.ones(6)), feature_dim=512)
+    boxes, over = [], PlaneStore.over
+    monkeypatch.setattr(PlaneStore, "over", lambda store, *box: boxes.append(box)
+                        or over(store, *box))
+    traj = fit(img, AHEAD, reg, model, cam).trajectory
+    monkeypatch.undo()
+    np.testing.assert_array_equal(traj, one_shot_trajectory(img, AHEAD, reg, model, cam))
+    assert len(boxes) == 3
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes[:2]
+    if case == "grows on all sides":
+        assert bx0 < ax0 and by0 < ay0 and bx1 > ax1 and by1 > ay1
+    elif case == "inside the held box":
+        assert ax0 < bx0 and ay0 < by0 and bx1 < ax1 and by1 < ay1
+    else:
+        assert bx1 - bx0 < ax1 - ax0
+        blocks = assemble_feature(img, traj[1], model, cam).reshape(4, 128)
+        assert np.any(blocks) and not np.all(np.any(blocks, axis=1))
+
+
+def test_fit_sending_a_landmark_far_off_grows_no_large_store():
+    rng = np.random.default_rng(19)
+    cam = CameraConfig(focal=500.0, width=160, height=120)
+    img = quantized_noise_image(rng, 160, 120)
+    rigid = pinned_landmark_model([(70.2, 50.9), (90.4, 60.0)], cam)
+    basis = np.zeros((6, 1))
+    basis[3, 0] = 1.0  # moves landmark 1 along x
+    model = ShapeModel(mean=rigid.mean, basis=basis, sigmas=[1.0], landmark_ids=[0, 1])
+    shove = (1e7 - 90.4) * 1200.0 / cam.focal  # stage 0 sends landmark 1 to u = 1e7
+    reg = CascadeRegressor(stages=[WeakRegressor(A=np.zeros((7, 256)), b=[0] * 6 + [shove]),
+                                   WeakRegressor(A=np.zeros((7, 256)), b=np.zeros(7))],
+                           scale=ParamScale(np.zeros(7), np.ones(7)), feature_dim=256)
+    tracemalloc.start()
+    try:
+        traj = fit(img, np.append(AHEAD, 0.0), reg, model, cam).trajectory
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    uv, _ = project_points(select_landmarks(model, traj[1, 6:]), AHEAD, cam)
+    assert uv[1, 0] == pytest.approx(1e7)
+    # the store's box stays inside the image and its one-pixel margin:
+    # 8 * 162 * 122 * 8 B = 1.3 MB at most
+    assert peak < 8 * 1024 * 1024
+
+
+def test_assemble_rejects_a_store_of_another_image():
+    cam = CameraConfig(focal=500.0, width=160, height=120)
+    img = GrayImage(np.full((120, 160), 0.5))
+    model = pinned_landmark_model([(80.0, 60.0)], cam)
+    with pytest.raises(ValueError, match="another image"):
+        assemble_feature(img, AHEAD, model, cam, planes=PlaneStore(GrayImage(img.pixels)))
 
 
 def test_pgm_round_trip(tmp_path):
