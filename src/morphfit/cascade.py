@@ -13,17 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureError, PlaneStore, assemble_feature
+from .shape_model import param_layout
 from .util import TokenReader, atomic_write, fmt_row, parallel_map
 
 log = logging.getLogger(__name__)
-
-POSE_NAMES = ["rx", "ry", "rz", "tx", "ty", "tz"]
-
-
-def param_layout(n_shape):
-    """Parameter names for a pose + n_shape coefficient vector."""
-    return POSE_NAMES + ["a%d" % i for i in range(n_shape)]
-
 
 class FitError(RuntimeError):
     def __init__(self, stage, message):

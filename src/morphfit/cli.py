@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .camera import CameraConfig, project_points
-from .cascade import POSE_NAMES, TrainConfig, fit, load_regressor, save_regressor, train_cascade
+from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
-from .posit import MAX_ITERS, MIN_POINTS, TOL, Correspondences, posit
-from .shape_model import MAX_MODES, MIN_VERTICES, load_model, make_procedural_model, save_model, \
-    select_landmarks, split_theta
+from .posit import MAX_ITERS, MIN_POINTS, TOL, posit
+from .shape_model import MAX_MODES, MIN_VERTICES, POSE_NAMES, load_model, \
+    make_procedural_model, save_model, select_landmarks, split_theta
 from .synth import PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, subseed, \
     write_dataset
 from .util import ascii_lines, atomic_write, write_csv
@@ -148,7 +148,7 @@ def cmd_fit(args, seed):
         theta0 = _parse_inline_theta(args.init, reg.param_dim)
     else:
         theta0 = np.zeros(reg.param_dim)
-        theta0[:6] = _posit(*_read_point_rows(args.init_landmarks), cam).pose
+        theta0[:6] = posit(*_read_point_rows(args.init_landmarks), cam).pose
     if args.init_noise:
         rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
         theta0[:3] += rng.uniform(-args.init_noise, args.init_noise, size=3)
@@ -177,8 +177,7 @@ def cmd_eval(args, seed):
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
     for regime in regimes:
-        report = evaluate(samples, reg, model, pc.camera(), regime=regime,
-                          init_offset=pc.init_offset, jobs=args.jobs)
+        report = evaluate(samples, reg, model, pc, regime=regime, jobs=args.jobs)
         path = os.path.join(args.out, "report_%s.csv" % regime)
         write_report(report, path)
         outputs["report_%s" % regime] = path
@@ -190,15 +189,11 @@ def cmd_eval(args, seed):
             outputs, {})
 
 
-def _posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
-    return posit(Correspondences(uv, pts3d, cam.focal, cam.cx, cam.cy), max_iters, tol)
-
-
 def cmd_posit(args, seed):
     if args.points is not None:
         uv, pts = _read_point_rows(args.points)
         cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
-        res = _posit(uv, pts, cam, args.max_iters, args.tol)
+        res = posit(uv, pts, cam, args.max_iters, args.tol)
         write_csv(args.out, [*POSE_NAMES, "iters", "converged"],
                   [[*res.pose, res.iters, int(res.converged)]])
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
@@ -220,7 +215,7 @@ def cmd_posit(args, seed):
         if args.noise_px > 0:
             rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
             uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
-        res = _posit(uv, pts3d, cam, args.max_iters, args.tol)
+        res = posit(uv, pts3d, cam, args.max_iters, args.tol)
         errs.append(np.abs(res.pose[:3] - s.theta_gt[:3]))
         rows.append([s.id, *res.pose, *errs[-1], res.iters, int(res.converged)])
     if not errs:

@@ -76,18 +76,20 @@ def initial_theta(sample, regime, init_offset=ProtocolConfig.init_offset):
     raise ValueError("unknown regime %r" % regime)
 
 
-def evaluate(samples, reg, model, cam, regime="uniform", init_offset=ProtocolConfig.init_offset,
-             jobs=1):
+def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
     """Run the cascade on every sample and aggregate per-stage metrics.
 
-    Per-sample fit failures are counted and excluded, not fatal.
+    `pc` is the samples' ProtocolConfig: it gives the camera and the fixed
+    regime's init_offset. Per-sample fit failures are counted and excluded,
+    not fatal.
     """
+    cam = pc.camera()
     samples = list(samples)
     if not samples:
         raise ValueError("no samples to evaluate")
 
     def run(sample):
-        theta0 = initial_theta(sample, regime, init_offset)
+        theta0 = initial_theta(sample, regime, pc.init_offset)
         try:
             return fit(sample.image, theta0, reg, model, cam).trajectory
         except FitError as e:

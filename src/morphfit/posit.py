@@ -17,29 +17,6 @@ class DegenerateGeometryError(ValueError):
 
 
 @dataclass(eq=False)
-class Correspondences:
-    points2d: np.ndarray  # (n, 2) pixel coordinates, v down
-    points3d: np.ndarray  # (n, 3) model points, mm
-    focal: float          # pixels
-    cx: float = 0.0       # principal point used to center points2d
-    cy: float = 0.0
-
-    def __post_init__(self):
-        self.points2d = np.asarray(self.points2d, dtype=np.float64).reshape(-1, 2)
-        self.points3d = np.asarray(self.points3d, dtype=np.float64)
-        if self.points3d.ndim != 2 or self.points3d.shape[1] != 3:
-            raise ValueError("points3d must be (n, 3)")
-        if self.points2d.shape[0] != self.points3d.shape[0]:
-            raise ValueError("2D/3D point counts differ")
-        if self.points2d.shape[0] < MIN_POINTS:
-            raise ValueError("need at least %d correspondences" % MIN_POINTS)
-        if self.focal <= 0:
-            raise ValueError("focal must be positive")
-        if not (np.all(np.isfinite(self.points2d)) and np.all(np.isfinite(self.points3d))):
-            raise ValueError("non-finite correspondences")
-
-
-@dataclass(eq=False)
 class PositResult:
     pose: np.ndarray  # (6,) [rx ry rz tx ty tz]: degrees, then the model origin in mm
     iters: int
@@ -63,23 +40,37 @@ TOL = 1e-5
 MIN_POINTS = 4  # a reference point and three non-coplanar vectors from it
 
 
-def posit(corr, max_iters=MAX_ITERS, tol=TOL):
-    """Estimate pose from correspondences; reference point is points3d[0].
+def posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
+    """Estimate pose from pixel points uv (n, 2), v down, seen through the
+    CameraConfig `cam`, and their model points pts3d (n, 3) in mm; the
+    reference point is pts3d[0].
 
     Iterates the scaled-orthographic solve, updating the perspective
     correction terms until their largest change is below `tol`. Raises
     DegenerateGeometryError for coplanar or collinear 3D points, and
-    ValueError for max_iters < 1 or a negative or non-finite tol. If the
-    iteration does not converge, the best iterate is returned flagged.
+    ValueError for pts3d not shaped (n, 3), unequal 2D/3D counts, fewer
+    than MIN_POINTS rows, a non-finite point, max_iters < 1, or a negative
+    or non-finite tol. If the iteration does not converge, the best
+    iterate is returned flagged.
     """
+    uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
+    pts3d = np.asarray(pts3d, dtype=np.float64)
+    if pts3d.ndim != 2 or pts3d.shape[1] != 3:
+        raise ValueError("points3d must be (n, 3)")
+    if uv.shape[0] != pts3d.shape[0]:
+        raise ValueError("2D/3D point counts differ")
+    if uv.shape[0] < MIN_POINTS:
+        raise ValueError("need at least %d correspondences" % MIN_POINTS)
+    if not (np.all(np.isfinite(uv)) and np.all(np.isfinite(pts3d))):
+        raise ValueError("non-finite correspondences")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and nonnegative, got %r" % (tol,))
-    x = corr.points2d[:, 0] - corr.cx
-    y = corr.points2d[:, 1] - corr.cy
-    ref = corr.points3d[0]
-    a = corr.points3d - ref
+    x = uv[:, 0] - cam.cx
+    y = uv[:, 1] - cam.cy
+    ref = pts3d[0]
+    a = pts3d - ref
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[0] < 1e-12 or sv[2] < 1e-9 * sv[0]:
         raise DegenerateGeometryError("3D points are coplanar or collinear")
@@ -87,7 +78,7 @@ def posit(corr, max_iters=MAX_ITERS, tol=TOL):
 
     eps = np.zeros(len(x))
     rot = np.eye(3)
-    z0 = corr.focal
+    z0 = cam.focal
     converged = False
     for iters in range(1, max_iters + 1):
         xp = x * (1.0 + eps) - x[0]
@@ -100,7 +91,7 @@ def posit(corr, max_iters=MAX_ITERS, tol=TOL):
         scale = 0.5 * (s1 + s2)
         k_vec = np.cross(i_vec / s1, j_vec / s2)
         rot = _nearest_rotation(np.stack([i_vec / s1, j_vec / s2, k_vec]))
-        z0 = corr.focal / scale
+        z0 = cam.focal / scale
         eps_new = (a @ rot[2]) / z0
         change = np.max(np.abs(eps_new - eps))
         eps = eps_new
@@ -108,7 +99,7 @@ def posit(corr, max_iters=MAX_ITERS, tol=TOL):
             converged = True
             break
 
-    t_ref = np.array([x[0] * z0 / corr.focal, y[0] * z0 / corr.focal, z0])
+    t_ref = np.array([x[0] * z0 / cam.focal, y[0] * z0 / cam.focal, z0])
     t_origin = t_ref - rot @ ref
     return PositResult(pose=np.array([*euler_from_rotation(_FLIP @ rot), *(_FLIP @ t_origin)]),
                        iters=iters, converged=converged)

@@ -81,6 +81,14 @@ def instance_shape(model, alpha):
     return model.mean + model.basis @ (alpha * model.sigmas)
 
 
+POSE_NAMES = ["rx", "ry", "rz", "tx", "ty", "tz"]
+
+
+def param_layout(n_shape):
+    """Parameter names for a pose + n_shape coefficient vector."""
+    return POSE_NAMES + ["a%d" % i for i in range(n_shape)]
+
+
 def split_theta(model, theta):
     """Split theta = [rx ry rz tx ty tz alpha...] into the pose (6,) and the
     model's K shape coefficients, missing trailing ones zero.

@@ -35,10 +35,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .camera import CameraConfig, project_points, to_camera
-from .cascade import param_layout
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_image
-from .shape_model import instance_shape, split_theta
+from .shape_model import instance_shape, param_layout, split_theta
 from .util import ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
 
 

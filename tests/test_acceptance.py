@@ -17,7 +17,7 @@ import pytest
 from test_cascade import gd_ridge_oracle
 from test_features import oracle_descriptor
 
-from morphfit import CameraConfig, Correspondences, TrainConfig, \
+from morphfit import CameraConfig, TrainConfig, \
     extract_descriptor, make_procedural_model, posit, \
     project_points, save_model, save_regressor, select_landmarks, train_cascade, \
     train_stage
@@ -49,8 +49,8 @@ def pose_experiment(model42):
     test = generate_set(model42, pc, "test")
     t0 = time.perf_counter()
     reg = train_cascade(train, TrainConfig(model=model42, cam=pc.camera(), stages=3))
-    uniform = evaluate(test, reg, model42, pc.camera(), regime="uniform")
-    fixed = evaluate(test, reg, model42, pc.camera(), regime="fixed")
+    uniform = evaluate(test, reg, model42, pc, regime="uniform")
+    fixed = evaluate(test, reg, model42, pc, regime="fixed")
     wall = time.perf_counter() - t0
     return {"pc": pc, "train": train, "test": test, "reg": reg,
             "uniform": uniform, "fixed": fixed, "train_eval_seconds": wall}
@@ -62,7 +62,7 @@ def shape_experiment(model42):
     train = generate_set(model42, pc, "train")
     test = generate_set(model42, pc, "test")
     reg = train_cascade(train, TrainConfig(model=model42, cam=pc.camera(), stages=3))
-    uniform = evaluate(test, reg, model42, pc.camera(), regime="uniform")
+    uniform = evaluate(test, reg, model42, pc, regime="uniform")
     return {"pc": pc, "test": test, "reg": reg, "uniform": uniform}
 
 
@@ -130,8 +130,7 @@ def _posit_mae(model, samples, cam, noise_px, seed):
         assert ok.all()
         if noise_px > 0:
             uv = uv + rng.normal(0.0, noise_px, uv.shape)
-        res = posit(Correspondences(points2d=uv, points3d=pts3d,
-                                    focal=cam.focal, cx=cam.cx, cy=cam.cy))
+        res = posit(uv, pts3d, cam)
         errs.append(np.abs(res.pose[:3] - s.theta_gt[:3]))
     return float(np.mean(np.stack(errs)))
 

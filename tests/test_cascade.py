@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from morphfit import CascadeRegressor, Correspondences, EvalReport, FitError, FitResult, \
-    GrayImage, ParamScale, PositResult, TrainConfig, WeakRegressor, fit, load_regressor, \
-    make_procedural_model, predict_update, save_regressor, train_cascade, train_stage
+from morphfit import CascadeRegressor, EvalReport, FitError, FitResult, GrayImage, ParamScale, \
+    PositResult, TrainConfig, WeakRegressor, fit, load_regressor, make_procedural_model, \
+    predict_update, save_regressor, train_cascade, train_stage
 from morphfit.cascade import relative_lambda
 from morphfit.synth import ProtocolConfig, TrainingSample, generate_set
 
@@ -339,7 +339,6 @@ def test_mfr_rejects_non_finite_scale(tmp_path):
     lambda: WeakRegressor(A=np.zeros((6, 2)), b=np.zeros(6)),
     lambda: CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)), feature_dim=2),
     lambda: FitResult(np.zeros((2, 6))),
-    lambda: Correspondences(np.zeros((4, 2)), np.eye(4, 3), 500.0),
     lambda: PositResult(np.zeros(6), 3, True),
     lambda: TrainingSample(GrayImage(np.zeros((2, 2))), np.zeros(6), np.zeros(6), "a"),
     lambda: EvalReport("uniform", 1, np.zeros(2), np.zeros(2)),
@@ -410,8 +409,7 @@ def pipeline_digests(model, n_shape, tmp_path):
     test = generate_set(model, pc, "test")
     traj = np.stack([fit(s.image, initial_theta(s, regime, pc.init_offset), reg, model,
                          cam).trajectory for regime in REGIMES for s in test])
-    reports = [evaluate(test, reg, model, cam, regime=regime, init_offset=pc.init_offset)
-               for regime in REGIMES]
+    reports = [evaluate(test, reg, model, pc, regime=regime) for regime in REGIMES]
     text = "\n".join(fmt_row(row) for rep in reports
                      for row in (rep.mae_per_stage, rep.cosine_per_stage))
     return {"mfr": hashlib.sha256(path.read_bytes()).hexdigest(),

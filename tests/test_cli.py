@@ -355,7 +355,7 @@ def test_eval_both_regimes(workspace, tmp_path):
     samples, pc = load_dataset(workspace["test"])
     reg = load_regressor(workspace["reg"])
     model = load_model(workspace["model"])
-    rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
+    rep = evaluate(samples, reg, model, pc, regime="uniform")
     np.testing.assert_array_equal(rep.mae_per_stage, uni["mae_deg"])
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ def test_zero_stage_cascade_reports_init_error(tiny_eval_setup):
     model, pc, samples = tiny_eval_setup
     reg = CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)),
                            feature_dim=17 * 128)
-    rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
+    rep = evaluate(samples, reg, model, pc, regime="uniform")
     assert rep.mae_per_stage.shape == (1,)
     init_err = angle_errors([s.theta_init for s in samples], [s.theta_gt for s in samples]).mean()
     assert rep.mae_per_stage[0] == pytest.approx(init_err)
@@ -112,12 +114,16 @@ def test_zero_stage_cascade_reports_init_error(tiny_eval_setup):
     assert np.isnan(rep.cosine_per_stage).all()
 
 
-def test_fixed_regime_stage0_is_eleven(tiny_eval_setup):
-    model, pc, samples = tiny_eval_setup
+@pytest.mark.parametrize("init_offset", [11.0, 5.0])
+def test_fixed_regime_stage0_is_eleven(tiny_eval_setup, init_offset):
+    # the fixed regime's offset is the one the set was generated with
+    model, pc, _ = tiny_eval_setup
+    pc = dataclasses.replace(pc, init_offset=init_offset)
+    samples = generate_set(model, pc, "test")
     reg = CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)),
                            feature_dim=17 * 128)
-    rep = evaluate(samples, reg, model, pc.camera(), regime="fixed")
-    assert rep.mae_per_stage[0] == pytest.approx(11.0)
+    rep = evaluate(samples, reg, model, pc, regime="fixed")
+    assert rep.mae_per_stage[0] == pytest.approx(init_offset)
 
 
 def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
@@ -133,7 +139,7 @@ def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
                            theta_gt=samples[0].theta_gt, theta_init=samples[0].theta_init,
                            id="blank")
     with np.errstate(over="ignore"):
-        rep = evaluate(list(samples) + [blank], reg, model, pc.camera(), regime="uniform")
+        rep = evaluate(list(samples) + [blank], reg, model, pc, regime="uniform")
     assert rep.n_samples == 1
     assert rep.n_failures == len(samples)
     assert np.all(np.isfinite(rep.mae_per_stage))
@@ -144,7 +150,7 @@ def test_report_round_trip(tmp_path, tiny_eval_setup):
     zero = WeakRegressor(A=np.zeros((6, 17 * 128)), b=np.zeros(6))
     reg = CascadeRegressor(stages=[zero], scale=ParamScale(np.zeros(6), np.ones(6)),
                            feature_dim=17 * 128)
-    rep = evaluate(samples, reg, model, pc.camera(), regime="uniform")
+    rep = evaluate(samples, reg, model, pc, regime="uniform")
     path = tmp_path / "report.csv"
     write_report(rep, path)
     back = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="ascii")
@@ -171,7 +177,7 @@ def test_shape_cosine_column_is_the_mean_over_samples():
     reg = CascadeRegressor(stages=stages, scale=ParamScale(np.zeros(7), np.ones(7)),
                            feature_dim=17 * 128)
     cam = pc.camera()
-    rep = evaluate(samples, reg, model, cam, regime="fixed")
+    rep = evaluate(samples, reg, model, pc, regime="fixed")
     assert rep.n_samples == len(samples) and rep.n_failures == 0
     assert np.isnan(rep.cosine_per_stage[0])  # every fit starts at the mean face
     trajectories = [fit(s.image, initial_theta(s, "fixed"), reg, model, cam).trajectory
