@@ -3,8 +3,8 @@ fitting, evaluation, and the POSIT baseline.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. `main` runs
 every command: it resolves the seed, calls the command, and writes the JSON
-run manifest next to the command's primary output, recording the
-arguments, resolved seed, inputs/outputs, and wall-clock timings. All
+run manifest next to the command's output, recording the arguments,
+resolved seed, input files, outputs, and wall-clock timings. All
 randomness flows from one --seed (or MORPHFIT_SEED) through named
 sub-streams; outputs are byte-identical for any --jobs value.
 """
@@ -20,15 +20,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .camera import CameraConfig, project_points
+from .camera import MAX_ITERS, MIN_POINTS, TOL, CameraConfig, posit, project_points
 from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, write_report
 from .features import read_pgm
-from .posit import MAX_ITERS, MIN_POINTS, TOL, posit
-from .shape_model import MAX_MODES, MIN_VERTICES, POSE_NAMES, load_model, \
-    make_procedural_model, save_model, select_landmarks, split_theta
-from .synth import PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, subseed, \
-    write_dataset
+from .shape_model import DEFAULT_MODES, DEFAULT_VERTICES, MAX_MODES, MIN_VERTICES, POSE_NAMES, \
+    load_model, make_procedural_model, save_model, select_landmarks, split_theta
+from .synth import MODE_TAGS, PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, \
+    subseed, write_dataset
 from .util import ascii_lines, atomic_write, write_csv
 
 
@@ -51,7 +50,7 @@ def _resolve_seed(args):
 
 # ---------------------------------------------------------------------------
 # commands: each takes (args, seed), does its work and returns
-# (manifest path, inputs, outputs, timings of its own phases)
+# (outputs, timings of its own phases)
 # ---------------------------------------------------------------------------
 
 def cmd_make_model(args, seed):
@@ -59,7 +58,7 @@ def cmd_make_model(args, seed):
     save_model(model, args.out)
     print("wrote model: %d vertices, %d modes, %d landmarks -> %s"
           % (model.vertex_count, model.num_modes, len(model.landmark_ids), args.out))
-    return args.out + ".manifest.json", {}, {"model": args.out}, {}
+    return {"model": args.out}, {}
 
 
 def cmd_synth(args, seed):
@@ -80,8 +79,7 @@ def cmd_synth(args, seed):
     write_dataset(args.out, samples, pc)
     timings = {"render": t_write - t_render, "write": time.perf_counter() - t_write}
     print("wrote %d samples to %s" % (len(samples), args.out))
-    return (os.path.join(args.out, "manifest.json"), {"model": args.model},
-            {"dataset": args.out, "n_samples": len(samples)}, timings)
+    return {"dataset": args.out, "n_samples": len(samples)}, timings
 
 
 def cmd_train(args, seed):
@@ -95,8 +93,7 @@ def cmd_train(args, seed):
         print("stage %d: residual %.6g" % (i, res))
     print("wrote regressor (%d stages, pdim %d, fdim %d) -> %s"
           % (reg.n_stages, reg.param_dim, reg.feature_dim, args.out))
-    return (args.out + ".manifest.json", {"dataset": args.data, "model": args.model},
-            {"regressor": args.out, "train_residuals": reg.train_residuals}, {})
+    return {"regressor": args.out, "train_residuals": reg.train_residuals}, {}
 
 
 def _parse_inline_theta(text, pdim):
@@ -163,10 +160,7 @@ def cmd_fit(args, seed):
     print("final theta: " + " ".join("%s=%.4g" % (n, v)
                                      for n, v in zip(reg.layout, result.theta)))
     print("fit runtime: %.1f ms" % (fit_seconds * 1000.0))
-    return (args.out + ".manifest.json",
-            {"image": args.image, "model": args.model, "regressor": args.regressor},
-            {"trajectory": args.out, "theta": [float(v) for v in result.theta]},
-            {"fit": fit_seconds})
+    return {"trajectory": args.out, "theta": [float(v) for v in result.theta]}, {"fit": fit_seconds}
 
 
 def cmd_eval(args, seed):
@@ -181,15 +175,16 @@ def cmd_eval(args, seed):
         path = os.path.join(args.out, "report_%s.csv" % regime)
         write_report(report, path)
         outputs["report_%s" % regime] = path
-        print("regime %s (n=%d): mae per stage %s" % (
-            regime, report.n_samples,
+        outputs["failures_%s" % regime] = report.n_failures
+        print("regime %s (n=%d, failures=%d): mae per stage %s" % (
+            regime, report.n_samples, report.n_failures,
             " ".join("%.3f" % m for m in report.mae_per_stage)))
-    return (os.path.join(args.out, "manifest.json"),
-            {"dataset": args.data, "model": args.model, "regressor": args.regressor},
-            outputs, {})
+    return outputs, {}
 
 
 def cmd_posit(args, seed):
+    if (args.model is None) == (args.data is not None):  # the model is read only with --data
+        raise UsageError("--model must be given with --data, and only with it")
     if args.points is not None:
         uv, pts = _read_point_rows(args.points)
         cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
@@ -198,10 +193,8 @@ def cmd_posit(args, seed):
                   [[*res.pose, res.iters, int(res.converged)]])
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
               % (*res.pose, res.iters))
-        return args.out + ".manifest.json", {"points": args.points}, {"pose": args.out}, {}
+        return {"pose": args.out}, {}
 
-    if args.model is None:
-        raise UsageError("--data requires --model")
     model = load_model(args.model)
     samples, pc = load_dataset(args.data)
     cam = pc.camera()
@@ -225,8 +218,7 @@ def cmd_posit(args, seed):
               rows)
     print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
           % (len(errs), args.noise_px, mae))
-    return (args.out + ".manifest.json", {"dataset": args.data, "model": args.model},
-            {"report": args.out, "mae_deg": mae}, {})
+    return {"report": args.out, "mae_deg": mae}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +269,13 @@ def build_parser():
 
     mm = sub.add_parser("make-model", parents=[common],
                         help="generate the procedural shape model")
-    mm.add_argument("--vertices", type=at_least(MIN_VERTICES), default=500)
-    mm.add_argument("--modes", type=at_least(1, high=MAX_MODES), default=10)
+    mm.add_argument("--vertices", type=at_least(MIN_VERTICES), default=DEFAULT_VERTICES)
+    mm.add_argument("--modes", type=at_least(1, high=MAX_MODES), default=DEFAULT_MODES)
     mm.set_defaults(func=cmd_make_model)
 
     sy = sub.add_parser("synth", parents=[common, jobs, model, focal, size],
                         help="render a train or test dataset")
-    sy.add_argument("--mode", choices=["train", "test"], default="train")
+    sy.add_argument("--mode", choices=list(MODE_TAGS), default="train")
     sy.add_argument("--grid-step", type=positive_float, help="step of the --mode grid, degrees")
     sy.add_argument("--range-deg", type=at_least(PROTOCOL_MINIMUMS["range_deg"], float),
                     default=ProtocolConfig.range_deg)
@@ -317,7 +309,7 @@ def build_parser():
                         help="per-stage error curves over a dataset")
     ev.add_argument("--data", required=True)
     ev.add_argument("--regressor", required=True)
-    ev.add_argument("--regime", choices=["uniform", "fixed", "both"], default="uniform")
+    ev.add_argument("--regime", choices=[*REGIMES, "both"], default="uniform")
     ev.set_defaults(func=cmd_eval)
 
     po = sub.add_parser("posit", parents=[common, focal, size],
@@ -334,6 +326,11 @@ def build_parser():
     return p
 
 
+# the input files a manifest records: each flag's dest and the key it records it under
+INPUTS = {"model": "model", "data": "dataset", "regressor": "regressor", "image": "image",
+          "points": "points", "init_landmarks": "init_landmarks"}
+
+
 def main(argv=None):
     """Run one command and write its manifest; returns the exit code."""
     args = build_parser().parse_args(argv)
@@ -341,14 +338,17 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         seed = _resolve_seed(args)
-        path, inputs, outputs, timings = args.func(args, seed)
+        outputs, timings = args.func(args, seed)
         timings["total"] = time.perf_counter() - t0
+        path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \
+            else args.out + ".manifest.json"
         manifest = {
             "command": args.command,
             "version": __version__,
             "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "seed": seed,
-            "inputs": inputs,
+            "inputs": {key: getattr(args, flag) for flag, key in INPUTS.items()
+                       if getattr(args, flag, None) is not None},
             "outputs": outputs,
             "timings_s": {k: round(v, 6) for k, v in timings.items()},
             "started": started,

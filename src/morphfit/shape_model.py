@@ -246,11 +246,13 @@ def _orthonormalize(rows):
     return out
 
 
-MIN_VERTICES = 50  # procedural model limits; the CLI's flag types read them
+MIN_VERTICES = 50  # procedural model limits and defaults; the CLI's flags read them
 MAX_MODES = 20
+DEFAULT_VERTICES = 500
+DEFAULT_MODES = 10
 
 
-def make_procedural_model(seed, vertex_count, modes):
+def make_procedural_model(seed, vertex_count=DEFAULT_VERTICES, modes=DEFAULT_MODES):
     """Deterministic face-like model: ellipsoid with nose/brow/chin relief,
     smooth orthonormal deformation modes, geometrically decaying sigmas,
     and 17 landmark vertices at distinctive spots.

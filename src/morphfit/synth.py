@@ -286,7 +286,7 @@ def render(model, theta, cam, texture_seed, background_seed):
     return _over_background(_render_face(model, theta, cam, texture_seed), cam, background_seed)
 
 
-_MODE_TAGS = {"train": 1, "test": 2}
+MODE_TAGS = {"train": 1, "test": 2}  # set modes and their sub-seed tags
 # Half-width of the training inits' angle perturbations, in units of
 # init_offset. Each cascade stage only learns to correct the init errors its
 # training set spans, and uniform draws within +/-init_offset almost never
@@ -305,9 +305,9 @@ def generate_set(model, pc, mode, jobs=1):
     regime is derived from the labels downstream) and within
     +/-TRAIN_INIT_SPREAD * `pc.init_offset` in train mode.
     """
-    if mode not in _MODE_TAGS:
+    if mode not in MODE_TAGS:
         raise ValueError("mode must be 'train' or 'test'")
-    tag = _MODE_TAGS[mode]
+    tag = MODE_TAGS[mode]
 
     rng_trans, rng_alpha, rng_init = (np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, k)))
                                       for k in (11, 12, 13))
@@ -426,10 +426,13 @@ def load_dataset(path):
     labels = _read_csv(os.path.join(path, "labels.csv"), header)
     inits = _read_csv(os.path.join(path, "inits.csv"), header)
     if set(labels) != set(inits):
-        raise ValueError("labels.csv and inits.csv disagree on sample ids")
+        raise ValueError("%s: labels.csv and inits.csv disagree on sample ids" % path)
     samples = []
     for sid in sorted(labels):
-        img = read_pgm(os.path.join(path, "images", sid + ".pgm"))
+        image = os.path.join(path, "images", sid + ".pgm")
+        if sid in ("", ".", "..") or os.path.basename(sid) != sid or not os.path.isfile(image):
+            raise ValueError("%s: images/%s.pgm: no image for id %r" % (path, sid, sid))
+        img = read_pgm(image)
         if (img.width, img.height) != (pc.width, pc.height):
             raise ValueError("%s: images/%s.pgm is %dx%d, protocol.txt says %dx%d"
                              % (path, sid, img.width, img.height, pc.width, pc.height))

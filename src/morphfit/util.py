@@ -7,7 +7,6 @@ are renamed into place, so interrupted runs never leave partial files.
 
 import math
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,10 +21,11 @@ def fmt_row(values):
 
 
 def atomic_write(path, data):
-    """Write bytes to path atomically; text callers encode first."""
+    """Write bytes to path atomically, with open()'s mode: 0o666 less the umask."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix="~")
+    tmp = os.path.join(d, ".tmp_%s~" % os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 
 import morphfit
 from morphfit import CameraConfig, ProtocolConfig, TrainConfig, load_model, load_regressor, \
-    read_pgm
+    make_procedural_model, read_pgm
 from morphfit.cli import build_parser, main
+from morphfit.evaluate import REGIMES
+from morphfit.synth import MODE_TAGS
 
 # the directory this process imports morphfit from, so the child does too
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(morphfit.__file__)))
@@ -196,6 +199,23 @@ def test_parsed_defaults_are_the_library_defaults():
     iteration = inspect.signature(morphfit.posit).parameters
     assert (posit.max_iters, posit.tol) == (iteration["max_iters"].default,
                                             iteration["tol"].default)
+    model = parser.parse_args(["make-model", "--out", "o"])
+    procedural = inspect.signature(make_procedural_model).parameters
+    assert (model.vertices, model.modes) == (procedural["vertex_count"].default,
+                                             procedural["modes"].default)
+    # --mode offers the set modes synth generates, --regime evaluate's regimes and both
+    synth_args = ["synth", "--model", "m", "--out", "o"]
+    assert synth.mode in MODE_TAGS
+    for mode in MODE_TAGS:
+        assert parser.parse_args([*synth_args, "--mode", mode]).mode == mode
+    eval_args = ["eval", "--data", "d", "--model", "m", "--regressor", "r", "--out", "o"]
+    assert parser.parse_args(eval_args).regime == \
+        inspect.signature(morphfit.evaluate).parameters["regime"].default
+    for regime in (*REGIMES, "both"):
+        assert parser.parse_args([*eval_args, "--regime", regime]).regime == regime
+    for args in ([*synth_args, "--mode", "neither"], [*eval_args, "--regime", "neither"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(args)
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -292,6 +312,11 @@ def test_fit_from_landmark_csv(workspace, tmp_path):
     theta0 = np.array([float(v) for v in rows[1][1:]])
     np.testing.assert_allclose(theta0[:3], s.theta_gt[:3], rtol=0, atol=1e-3)
     assert abs(theta0[5] - s.theta_gt[5]) < 0.1
+    # the manifest records the landmark CSV with the other files the fit read
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["inputs"] == {
+        "image": os.path.join(workspace["test"], "images", s.id + ".pgm"),
+        "model": workspace["model"], "regressor": workspace["reg"], "init_landmarks": lm_path}
 
 
 def test_fit_from_coplanar_landmarks_exits_1(workspace, tmp_path, capsys):
@@ -359,7 +384,29 @@ def test_eval_both_regimes(workspace, tmp_path):
     np.testing.assert_array_equal(rep.mae_per_stage, uni["mae_deg"])
 
 
-def test_posit_single_pose(workspace, tmp_path):
+def test_eval_reports_failed_fits(workspace, tmp_path, capsys):
+    # two stored inits start off the image, so the uniform regime loses those fits;
+    # the fixed regime starts from the labels and loses none
+    data = tmp_path / "set"
+    shutil.copytree(workspace["test"], data)
+    lines = (data / "inits.csv").read_text().splitlines()
+    tx = lines[0].split(",").index("tx")
+    for i in (1, 2):
+        row = lines[i].split(",")
+        row[tx] = "1e9"
+        lines[i] = ",".join(row)
+    (data / "inits.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "reports"
+    assert main(["eval", "--data", str(data), "--model", workspace["model"],
+                 "--regressor", workspace["reg"], "--out", str(out), "--regime", "both"]) == 0
+    stdout = capsys.readouterr().out
+    assert "regime uniform (n=23, failures=2)" in stdout
+    assert "regime fixed (n=25, failures=0)" in stdout
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert (outputs["failures_uniform"], outputs["failures_fixed"]) == (2, 0)
+
+
+def test_posit_single_pose(workspace, tmp_path, capsys):
     from morphfit import CameraConfig, project_points, select_landmarks
     model = load_model(workspace["model"])
     cam = CameraConfig(focal=1500.0, width=640, height=480)
@@ -378,6 +425,13 @@ def test_posit_single_pose(workspace, tmp_path):
     assert float(vals["rx"]) == pytest.approx(10.0, abs=0.05)
     assert float(vals["ry"]) == pytest.approx(-15.0, abs=0.05)
     assert int(vals["converged"]) == 1
+    # the model is read only with --data, so the manifest cannot record one it did not read
+    other = str(tmp_path / "other.csv")
+    for source in (["--points", path, "--model", workspace["model"]],
+                   ["--data", workspace["test"]]):
+        assert main(["posit", *source, "--out", other]) == 2
+        assert "--model must be given with --data, and only with it" in capsys.readouterr().err
+    assert not os.path.exists(other)
 
 
 def test_posit_malformed_csv_exits_2(tmp_path):
@@ -432,9 +486,19 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
     ]
     keys = {"command", "version", "config", "seed", "inputs", "outputs", "timings_s",
             "started", "finished"}
+    inputs = {  # the input flags each run gave, under their manifest names
+        "make-model": {},
+        "synth": {"model": workspace["model"]},
+        "train": {"dataset": workspace["train"], "model": workspace["model"]},
+        "fit": {"image": img_path, "model": workspace["model"], "regressor": workspace["reg"]},
+        "eval": {"dataset": workspace["test"], "model": workspace["model"],
+                 "regressor": workspace["reg"]},
+        "posit": {"dataset": workspace["test"], "model": workspace["model"]},
+    }
     for path, command, seed in expected:
         manifest = json.loads(Path(path).read_text())
         assert set(manifest) == keys, path
+        assert manifest["inputs"] == inputs[command], path
         assert manifest["command"] == manifest["config"]["command"] == command
         assert manifest["seed"] == seed, path
         assert manifest["timings_s"]["total"] >= 0

@@ -40,6 +40,20 @@ def test_euler_gimbal_lock_convention():
     np.testing.assert_allclose(ry, 25.0 - 40.0, atol=1e-7)
     rebuilt = rotation_from_angles(rx, ry, rz)
     np.testing.assert_allclose(rebuilt, r, atol=1e-9)
+    # only ry + rz is observable at the -90 pole
+    r = rotation_from_angles(-90.0, 25.0, 40.0)
+    rx, ry, rz = euler_from_rotation(r)
+    assert rz == 0.0
+    assert rx == pytest.approx(-90.0, abs=1e-7)
+    np.testing.assert_allclose(ry, 25.0 + 40.0, atol=1e-7)
+    np.testing.assert_allclose(rotation_from_angles(rx, ry, rz), r, atol=1e-9)
+
+
+def test_pose_inverse_lives_with_the_camera():
+    # POSIT and the Euler angles are defined next to the convention they invert
+    import morphfit
+    for fn in (morphfit.posit, morphfit.euler_from_rotation):
+        assert fn.__module__ == "morphfit.camera"
 
 
 def test_euler_rejects_non_rotation():

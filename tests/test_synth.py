@@ -523,6 +523,58 @@ def test_load_dataset_rejects_an_image_of_another_size(tmp_path, small_model):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("bad_id, plant", [
+    ("", True), (".", True), ("..", True), ("../images/test_p-20_y-10_b0", False),
+    ("sub/x", True), ("test_p-20_y-10_b", False),
+], ids=["empty", "dot", "dotdot", "parent", "separator", "missing-image"])
+def test_load_dataset_rejects_ids_that_name_no_image(tmp_path, small_model, bad_id, plant):
+    # an id names images/<id>.pgm, so it must be a plain file name with an image there
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    samples = generate_set(small_model, pc, "test")[:2]
+    assert samples[1].id == "test_p-20_y-10_b0"
+    write_dataset(tmp_path, samples, pc)
+    for name in ("labels.csv", "inits.csv"):
+        text = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(text.replace("\ntest_p-20_y-10_b0,", "\n%s," % bad_id))
+    if plant:  # an image where the id points, so that only the id's form is at fault
+        target = tmp_path / "images" / (bad_id + ".pgm")
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes((tmp_path / "images" / "test_p-20_y-10_b0.pgm").read_bytes())
+    with pytest.raises(ValueError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == "%s: images/%s.pgm: no image for id %r" % (tmp_path, bad_id, bad_id)
+
+
+@pytest.fixture(scope="module")
+def written_set(tmp_path_factory, small_model):
+    """A small dataset on disk and the bytes of its three text files."""
+    pc = ProtocolConfig(seed=8, n_shape=1, **SMALL_PC)
+    out = tmp_path_factory.mktemp("fuzzset")
+    write_dataset(out, generate_set(small_model, pc, "test")[:3], pc)
+    return out, {name: (out / name).read_bytes()
+                 for name in ("labels.csv", "inits.csv", "protocol.txt")}
+
+
+# whatever the damage to a text file, the only outcome besides a valid load
+# is a ValueError naming the dataset
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["labels.csv", "inits.csv", "protocol.txt"]),
+       cut=st.integers(0, 2 ** 16),
+       edits=st.lists(st.tuples(st.integers(0, 2 ** 16), st.integers(0, 255)), max_size=4))
+def test_dataset_truncated_or_corrupt_raises_only_value_error(written_set, name, cut, edits):
+    out, texts = written_set
+    for n, data in texts.items():
+        (out / n).write_bytes(data)
+    data = bytearray(texts[name])
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    (out / name).write_bytes(bytes(data[:len(data) - cut % (len(data) + 1)]))
+    try:
+        load_dataset(out)
+    except ValueError as e:
+        assert str(out) in str(e)
+
+
 def test_generate_rejects_more_shape_modes_than_the_model_has(small_model):
     pc = ProtocolConfig(seed=8, n_shape=small_model.num_modes + 1, **SMALL_PC)
     with pytest.raises(ValueError, match="the model takes 6..%d" % (6 + small_model.num_modes)):
