@@ -9,7 +9,8 @@ from .camera import CameraConfig, DegenerateGeometryError, PositResult, euler_fr
 from .cascade import CascadeRegressor, FitError, FitResult, ParamScale, TrainConfig, \
     WeakRegressor, fit, load_regressor, predict_update, save_regressor, train_cascade, \
     train_stage
-from .evaluate import EvalReport, angle_errors, evaluate, shape_cosine, write_report
+from .evaluate import EvalReport, angle_errors, evaluate, posit_baseline, shape_cosine, \
+    write_report
 from .features import DESCRIPTOR_SIZE, FeatureError, GrayImage, assemble_feature, \
     extract_descriptor, read_pgm, write_pgm
 from .shape_model import ShapeModel, instance_shape, load_model, make_procedural_model, \

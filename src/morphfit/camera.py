@@ -136,24 +136,25 @@ def _nearest_rotation(m):
 _FLIP = np.diag([1.0, -1.0, -1.0])
 
 
-# iteration defaults of posit(), also read by the CLI's posit --max-iters/--tol
+# posit()'s stopping rule: at most MAX_ITERS solves, until no correction term
+# moves by TOL or more
 MAX_ITERS = 100
 TOL = 1e-5
 MIN_POINTS = 4  # a reference point and three non-coplanar vectors from it
 
 
-def posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
+def posit(uv, pts3d, cam):
     """Estimate pose from pixel points uv (n, 2), v down, seen through the
     CameraConfig `cam`, and their model points pts3d (n, 3) in mm; the
     reference point is pts3d[0].
 
     Iterates the scaled-orthographic solve, updating the perspective
-    correction terms until their largest change is below `tol`. Raises
+    correction terms until their largest change is below TOL. Raises
     DegenerateGeometryError for coplanar or collinear 3D points, and
     ValueError for pts3d not shaped (n, 3), unequal 2D/3D counts, fewer
-    than MIN_POINTS rows, a non-finite point, max_iters < 1, or a negative
-    or non-finite tol. If the iteration does not converge within max_iters,
-    the last iterate is returned with converged False.
+    than MIN_POINTS rows or a non-finite point. If the iteration does not
+    converge within MAX_ITERS, the last iterate is returned with converged
+    False.
     """
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
     pts3d = np.asarray(pts3d, dtype=np.float64)
@@ -165,10 +166,6 @@ def posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
         raise ValueError("need at least %d correspondences" % MIN_POINTS)
     if not (np.all(np.isfinite(uv)) and np.all(np.isfinite(pts3d))):
         raise ValueError("non-finite correspondences")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1, got %r" % (max_iters,))
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be finite and nonnegative, got %r" % (tol,))
     x = uv[:, 0] - cam.cx
     y = uv[:, 1] - cam.cy
     ref = pts3d[0]
@@ -182,7 +179,7 @@ def posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
     rot = np.eye(3)
     z0 = cam.focal
     converged = False
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         xp = x * (1.0 + eps) - x[0]
         yp = y * (1.0 + eps) - y[0]
         i_vec = b @ xp
@@ -197,7 +194,7 @@ def posit(uv, pts3d, cam, max_iters=MAX_ITERS, tol=TOL):
         eps_new = (a @ rot[2]) / z0
         change = np.max(np.abs(eps_new - eps))
         eps = eps_new
-        if change < tol:
+        if change < TOL:
             converged = True
             break
 

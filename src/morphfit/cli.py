@@ -20,12 +20,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .camera import MAX_ITERS, MIN_POINTS, TOL, CameraConfig, posit, project_points
+from .camera import MIN_POINTS, CameraConfig, posit
 from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
-from .evaluate import REGIMES, evaluate, write_report
+from .evaluate import REGIMES, evaluate, posit_baseline, write_report
 from .features import read_pgm
 from .shape_model import DEFAULT_MODES, DEFAULT_VERTICES, MAX_MODES, MIN_VERTICES, POSE_NAMES, \
-    load_model, make_procedural_model, save_model, select_landmarks, split_theta
+    load_model, make_procedural_model, save_model
 from .synth import MODE_TAGS, PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, \
     subseed, write_dataset
 from .util import ascii_lines, atomic_write, write_csv
@@ -82,9 +82,17 @@ def cmd_synth(args, seed):
     return {"dataset": args.out, "n_samples": len(samples)}, timings
 
 
+def _check_shape_modes(path, n, model_path, model):
+    """A ValueError naming both files when `path` has more shape modes than the model."""
+    if n > model.num_modes:
+        raise ValueError("%s has %d shape modes, more than the %d of %s"
+                         % (path, n, model.num_modes, model_path))
+
+
 def cmd_train(args, seed):
     model = load_model(args.model)
     samples, pc = load_dataset(args.data)
+    _check_shape_modes(args.data, pc.n_shape, args.model, model)
     config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages,
                          lam=getattr(args, "lambda"), jobs=args.jobs)
     reg = train_cascade(samples, config)
@@ -114,17 +122,16 @@ def _read_point_rows(path):
         lines = ascii_lines(path)
     except ValueError as e:
         raise UsageError(e) from None
+    lines = [(ln_no, line) for ln_no, line in lines if not line.startswith("#")]
     rows = []
     for ln_no, line in lines:
-        if line.startswith("#"):
-            continue
         parts = line.split(",")
         if len(parts) != 5:
             raise UsageError("%s: line %d: expected 5 values u,v,X,Y,Z" % (path, ln_no))
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
-            if ln_no == 1:  # tolerate a header line
+            if ln_no == lines[0][0]:  # tolerate a header on the first line not a comment
                 continue
             raise UsageError("%s: line %d: malformed number" % (path, ln_no))
         if not np.all(np.isfinite(rows[-1])):
@@ -138,6 +145,7 @@ def _read_point_rows(path):
 def cmd_fit(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
+    _check_shape_modes(args.regressor, reg.param_dim - 6, args.model, model)
     img = read_pgm(args.image)
     cam = CameraConfig(focal=args.focal, width=img.width, height=img.height)
 
@@ -167,11 +175,17 @@ def cmd_eval(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
     samples, pc = load_dataset(args.data)
+    _check_shape_modes(args.regressor, reg.param_dim - 6, args.model, model)
+    if pc.n_shape != reg.param_dim - 6:
+        raise ValueError("%s has %d shape modes, but %s fits %d"
+                         % (args.data, pc.n_shape, args.regressor, reg.param_dim - 6))
     regimes = list(REGIMES) if args.regime == "both" else [args.regime]
+    # every regime is evaluated before --out is made, so a failed run writes nothing
+    reports = [evaluate(samples, reg, model, pc, regime=regime, jobs=args.jobs)
+               for regime in regimes]
     os.makedirs(args.out, exist_ok=True)
     outputs = {}
-    for regime in regimes:
-        report = evaluate(samples, reg, model, pc, regime=regime, jobs=args.jobs)
+    for regime, report in zip(regimes, reports):
         path = os.path.join(args.out, "report_%s.csv" % regime)
         write_report(report, path)
         outputs["report_%s" % regime] = path
@@ -185,10 +199,20 @@ def cmd_eval(args, seed):
 def cmd_posit(args, seed):
     if (args.model is None) == (args.data is not None):  # the model is read only with --data
         raise UsageError("--model must be given with --data, and only with it")
+    # --data reads the camera from the set's protocol.txt, and only --data adds noise
+    mode, ignored = ("points", ["noise_px"]) if args.points is not None else \
+        ("data", ["focal", "width", "height"])
+    for dest in ignored:
+        if getattr(args, dest) is not None:
+            raise UsageError("--%s is not used with --%s" % (dest.replace("_", "-"), mode))
+    # a flag not given takes its default, and the manifest records the values
+    cam = CameraConfig(**{k: getattr(args, k) for k in ("focal", "width", "height")
+                          if getattr(args, k) is not None})
+    args.focal, args.width, args.height = cam.focal, cam.width, cam.height
+    args.noise_px = args.noise_px or 0.0
     if args.points is not None:
         uv, pts = _read_point_rows(args.points)
-        cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
-        res = posit(uv, pts, cam, args.max_iters, args.tol)
+        res = posit(uv, pts, cam)
         write_csv(args.out, [*POSE_NAMES, "iters", "converged"],
                   [[*res.pose, res.iters, int(res.converged)]])
         print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
@@ -197,27 +221,13 @@ def cmd_posit(args, seed):
 
     model = load_model(args.model)
     samples, pc = load_dataset(args.data)
-    cam = pc.camera()
-    rows, errs = [], []
-    for idx, s in enumerate(samples):
-        pose, alpha = split_theta(model, s.theta_gt)
-        pts3d = select_landmarks(model, alpha)
-        uv, valid = project_points(pts3d, pose, cam)
-        if not valid.all():
-            continue
-        if args.noise_px > 0:
-            rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
-            uv = uv + rng.normal(0.0, args.noise_px, size=uv.shape)
-        res = posit(uv, pts3d, cam, args.max_iters, args.tol)
-        errs.append(np.abs(res.pose[:3] - s.theta_gt[:3]))
-        rows.append([s.id, *res.pose, *errs[-1], res.iters, int(res.converged)])
-    if not errs:
-        raise RuntimeError("no sample produced a valid POSIT estimate")
-    mae = float(np.mean(np.stack(errs)))
+    baseline = posit_baseline(samples, model, pc, args.noise_px, seed)
+    mae = float(np.mean([err for _, _, err in baseline]))
     write_csv(args.out, ["id", *POSE_NAMES, "err_rx", "err_ry", "err_rz", "iters", "converged"],
-              rows)
+              [[sid, *res.pose, *err, res.iters, int(res.converged)]
+               for sid, res, err in baseline])
     print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
-          % (len(errs), args.noise_px, mae))
+          % (len(baseline), args.noise_px, mae))
     return {"report": args.out, "mae_deg": mae}, {}
 
 
@@ -249,19 +259,26 @@ nonnegative_float = _number(float, lambda v: v >= 0, "finite and nonnegative")
 positive_float = _number(float, lambda v: v > 0, "finite and positive")
 
 
+def _camera_flags(cam):
+    """Parent parsers of --focal and of --width/--height, defaulting to the
+    fields of `cam`, or to None (not given) when `cam` is None."""
+    focal, size = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    focal.add_argument("--focal", type=positive_float, default=cam and cam.focal)
+    size.add_argument("--width", type=at_least(PROTOCOL_MINIMUMS["width"]),
+                      default=cam and cam.width)
+    size.add_argument("--height", type=at_least(PROTOCOL_MINIMUMS["height"]),
+                      default=cam and cam.height)
+    return focal, size
+
+
 def build_parser():
     # shared parent parsers; a default the library holds is read from its config class
-    common, jobs, model, focal, size = [argparse.ArgumentParser(add_help=False)
-                                        for _ in range(5)]
+    common, jobs, model = [argparse.ArgumentParser(add_help=False) for _ in range(3)]
     common.add_argument("--out", required=True)
     common.add_argument("--seed", type=int)
     jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
-    focal.add_argument("--focal", type=positive_float, default=CameraConfig.focal)
-    size.add_argument("--width", type=at_least(PROTOCOL_MINIMUMS["width"]),
-                      default=CameraConfig.width)
-    size.add_argument("--height", type=at_least(PROTOCOL_MINIMUMS["height"]),
-                      default=CameraConfig.height)
+    focal, size = _camera_flags(CameraConfig)
 
     p = argparse.ArgumentParser(prog="morphfit",
                                 description="3D shape-model fitting via cascaded regression")
@@ -312,15 +329,13 @@ def build_parser():
     ev.add_argument("--regime", choices=[*REGIMES, "both"], default="uniform")
     ev.set_defaults(func=cmd_eval)
 
-    po = sub.add_parser("posit", parents=[common, focal, size],
+    po = sub.add_parser("posit", parents=[common, *_camera_flags(None)],
                         help="POSIT baseline from 2D/3D correspondences")
     source = po.add_mutually_exclusive_group(required=True)
     source.add_argument("--points", help="CSV of u,v,X,Y,Z rows")
     source.add_argument("--data", help="dataset directory for batch mode")
     po.add_argument("--model", help="shape model, required with --data")
-    po.add_argument("--noise-px", type=nonnegative_float, default=0.0)
-    po.add_argument("--max-iters", type=positive_int, default=MAX_ITERS)
-    po.add_argument("--tol", type=nonnegative_float, default=TOL)
+    po.add_argument("--noise-px", type=nonnegative_float, help="--data only; default 0")
     po.set_defaults(func=cmd_posit)
 
     return p

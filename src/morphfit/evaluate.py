@@ -1,4 +1,4 @@
-"""Error metrics and per-stage evaluation curves.
+"""Error metrics, per-stage evaluation curves, and the POSIT baseline.
 
 Angle errors are raw degree differences averaged over the three rotation
 components and all samples; no wrap-around handling, which is valid while
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .camera import posit, project_points
 from .cascade import FitError, fit
-from .synth import ProtocolConfig
+from .shape_model import select_landmarks, split_theta
+from .synth import ProtocolConfig, subseed
 from .util import parallel_map, write_csv
 
 log = logging.getLogger(__name__)
@@ -116,6 +118,33 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
         cosine_per_stage=cos_mean,
         n_failures=len(samples) - len(used),
     )
+
+
+def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
+    """POSIT from each sample's landmarks, projected at its ground truth (pose
+    and shape) through `pc`'s camera, plus Gaussian pixel noise of standard
+    deviation `noise_px` drawn from subseed(seed, 3, index).
+
+    Returns (id, PositResult, absolute rx/ry/rz errors) per sample. A sample
+    whose landmarks do not all project is left out; a RuntimeError if none
+    is left.
+    """
+    cam = pc.camera()
+    results = []
+    for idx, s in enumerate(samples):
+        pose, alpha = split_theta(model, s.theta_gt)
+        pts3d = select_landmarks(model, alpha)
+        uv, valid = project_points(pts3d, pose, cam)
+        if not valid.all():
+            continue
+        if noise_px > 0:
+            rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
+            uv = uv + rng.normal(0.0, noise_px, size=uv.shape)
+        res = posit(uv, pts3d, cam)
+        results.append((s.id, res, np.abs(res.pose[:3] - s.theta_gt[:3])))
+    if not results:
+        raise RuntimeError("no sample produced a valid POSIT estimate")
+    return results
 
 
 def write_report(report, path):

@@ -17,13 +17,11 @@ import pytest
 from test_cascade import gd_ridge_oracle
 from test_features import oracle_descriptor
 
-from morphfit import CameraConfig, TrainConfig, \
-    extract_descriptor, make_procedural_model, posit, \
-    project_points, save_model, save_regressor, select_landmarks, train_cascade, \
-    train_stage
+from morphfit import CameraConfig, TrainConfig, extract_descriptor, make_procedural_model, \
+    project_points, save_model, save_regressor, train_cascade, train_stage
 from morphfit.camera import rotation_from_angles
 from morphfit.cli import main
-from morphfit.evaluate import evaluate
+from morphfit.evaluate import evaluate, posit_baseline
 from morphfit.synth import ProtocolConfig, generate_set
 from conftest import quantized_noise_image
 
@@ -121,30 +119,17 @@ def test_criterion_3_joint_shape_pose(shape_experiment, pose_experiment):
     assert ok
 
 
-def _posit_mae(model, samples, cam, noise_px, seed):
-    rng = np.random.default_rng(seed)
-    errs = []
-    for s in samples:
-        pts3d = select_landmarks(model, np.zeros(model.num_modes))
-        uv, ok = project_points(pts3d, s.theta_gt[:6], cam)
-        assert ok.all()
-        if noise_px > 0:
-            uv = uv + rng.normal(0.0, noise_px, uv.shape)
-        res = posit(uv, pts3d, cam)
-        errs.append(np.abs(res.pose[:3] - s.theta_gt[:3]))
-    return float(np.mean(np.stack(errs)))
-
-
 def test_criterion_4_posit_baseline(model42, pose_experiment):
-    cam = pose_experiment["pc"].camera()
-    test = pose_experiment["test"]
-    # POSIT is exact on exact correspondences up to its stopping tolerance,
-    # so the noise-degradation ratio is taken against half the noise: the
-    # same poses and the same draws, scaled. Error in proportion to the noise
-    # doubles with it.
-    clean = _posit_mae(model42, test, cam, 0.0, seed=1)
-    half = _posit_mae(model42, test, cam, 2.5, seed=1)
-    noisy = _posit_mae(model42, test, cam, 5.0, seed=1)
+    # the baseline `posit --data` runs. POSIT is exact on exact correspondences
+    # up to its stopping tolerance, so the noise-degradation ratio is taken
+    # against half the noise: the same poses and the same draws, scaled. Error
+    # in proportion to the noise doubles with it.
+    def mae(noise_px):
+        baseline = posit_baseline(pose_experiment["test"], model42, pose_experiment["pc"],
+                                  noise_px, seed=1)
+        assert len(baseline) == len(pose_experiment["test"])  # every sample projects
+        return float(np.mean([err for _, _, err in baseline]))
+    clean, half, noisy = mae(0.0), mae(2.5), mae(5.0)
     ratio = noisy / half if half > 0 else float("inf")
     lo, hi = POSIT_NOISE_RATIO_RANGE
     ok_clean = clean <= 2.0

@@ -11,9 +11,10 @@ import pytest
 
 import morphfit
 from morphfit import CameraConfig, ProtocolConfig, TrainConfig, load_model, load_regressor, \
-    make_procedural_model, read_pgm
+    make_procedural_model, project_points, read_pgm, save_regressor, select_landmarks
 from morphfit.cli import build_parser, main
 from morphfit.evaluate import REGIMES
+from morphfit.shape_model import POSE_NAMES
 from morphfit.synth import MODE_TAGS
 
 # the directory this process imports morphfit from, so the child does too
@@ -28,6 +29,16 @@ def run_cli(*args, **env):
     proc = subprocess.run([sys.executable, "-m", "morphfit.cli", *args],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def landmark_rows(model_path, pose, cam):
+    """The mean face's landmark pixels at `pose` through `cam`, its model points,
+    and both as the text of u,v,X,Y,Z rows."""
+    model = load_model(model_path)
+    pts3d = select_landmarks(model, np.zeros(model.num_modes))
+    uv, _ = project_points(pts3d, pose, cam)
+    return uv, pts3d, "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (*q, *p)
+                              for q, p in zip(uv, pts3d))
 
 
 @pytest.fixture(scope="module")
@@ -119,16 +130,8 @@ def test_usage_errors_exit_2(workspace, tmp_path):
                                "--jobs", value)
         assert code == 2 and "--jobs: must be at least 1, got %s" % value in err
     assert not synth_out.exists()
-    # POSIT needs at least one iteration and a finite nonnegative tolerance
     points = tmp_path / "points.csv"
     points.write_text("1,2,3,4,5\n")
-    for flag, value, problem in (("--max-iters", "0", "must be at least 1, got 0"),
-                                 ("--tol", "-1", "must be finite and nonnegative, got -1"),
-                                 ("--tol", "nan", "must be finite and nonnegative, got nan")):
-        code, _, err = run_cli("posit", "--points", str(points), "--out", str(posit_out),
-                               flag, value)
-        assert code == 2 and "%s: %s" % (flag, problem) in err
-    assert not posit_out.exists()
     # numeric flags are checked before any input is read; each error names its flag
     train_out = tmp_path / "c.mfr"
     commands = {
@@ -194,11 +197,10 @@ def test_parsed_defaults_are_the_library_defaults():
     fit = parser.parse_args(["fit", "--image", "i", "--model", "m", "--regressor", "r",
                              "--out", "o", "--init", "0"])
     assert fit.focal == cam.focal
+    # posit's camera and noise flags parse as not given; cmd_posit fills in the defaults
+    # (test_posit_rejects_flags_its_mode_ignores)
     posit = parser.parse_args(["posit", "--points", "p", "--out", "o"])
-    assert (posit.focal, posit.width, posit.height) == (cam.focal, cam.width, cam.height)
-    iteration = inspect.signature(morphfit.posit).parameters
-    assert (posit.max_iters, posit.tol) == (iteration["max_iters"].default,
-                                            iteration["tol"].default)
+    assert (posit.focal, posit.width, posit.height, posit.noise_px) == (None,) * 4
     model = parser.parse_args(["make-model", "--out", "o"])
     procedural = inspect.signature(make_procedural_model).parameters
     assert (model.vertices, model.modes) == (procedural["vertex_count"].default,
@@ -289,20 +291,14 @@ def test_fit_init_noise_is_seeded(workspace, tmp_path):
 
 def test_fit_from_landmark_csv(workspace, tmp_path):
     """--init-landmarks starts the fit at the POSIT pose of the CSV's points."""
-    from morphfit import CameraConfig, project_points, select_landmarks
     from morphfit.synth import load_dataset
     samples, pc = load_dataset(workspace["test"])
     s = next(s for s in samples if s.id == "test_p+10_y-20_b0")
     assert s.theta_gt[0] == 10.0 and s.theta_gt[1] == -20.0
-    model = load_model(workspace["model"])
-    cam = CameraConfig(focal=500.0, width=160, height=120)
-    pts3d = select_landmarks(model, np.zeros(model.num_modes))
-    uv, ok = project_points(pts3d, s.theta_gt[:6], cam)
+    _, _, rows = landmark_rows(workspace["model"], s.theta_gt[:6],
+                               CameraConfig(focal=500.0, width=160, height=120))
     lm_path = str(tmp_path / "landmarks.csv")
-    with open(lm_path, "w") as f:
-        f.write("u,v,X,Y,Z\n")
-        for (u, v), p in zip(uv, pts3d):
-            f.write("%.8f,%.8f,%.8f,%.8f,%.8f\n" % (u, v, p[0], p[1], p[2]))
+    Path(lm_path).write_text("u,v,X,Y,Z\n" + rows)
     out = str(tmp_path / "traj.csv")
     assert main(["fit", "--image",
                  os.path.join(workspace["test"], "images", s.id + ".pgm"),
@@ -348,6 +344,55 @@ def test_synth_grid_and_shape_mode_errors_exit_2(workspace, tmp_path, capsys):
                  "--range-deg", "15", "--grid-step", "5", "--width", "160", "--height", "120",
                  "--focal", "500"]) == 0
     assert len(os.listdir(out / "images")) == 49
+
+
+@pytest.fixture(scope="module")
+def shape_mismatch(workspace):
+    """A 1-mode model, and a 2-shape-mode set and 1-stage regressor of the 2-mode model."""
+    root = workspace["root"]
+    files = {"model1": str(root / "model1.mfm"), "set2": str(root / "set2"),
+             "reg2": str(root / "reg2.mfr")}
+    assert main(["make-model", "--out", files["model1"], "--vertices", "80", "--modes", "1",
+                 "--seed", "3"]) == 0
+    assert main(["synth", "--out", files["set2"], "--model", workspace["model"],
+                 "--shape-modes", "2", "--range-deg", "20", "--grid-step", "20", "--focal", "500",
+                 "--width", "160", "--height", "120", "--seed", "5"]) == 0
+    assert main(["train", "--data", files["set2"], "--model", workspace["model"],
+                 "--out", files["reg2"], "--stages", "1"]) == 0
+    return files
+
+
+def test_train_names_set_and_model_with_too_few_modes(shape_mismatch, tmp_path, capsys):
+    out = tmp_path / "c.mfr"
+    assert main(["train", "--data", shape_mismatch["set2"], "--model", shape_mismatch["model1"],
+                 "--out", str(out)]) == 1
+    assert "error: %s has 2 shape modes, more than the 1 of %s" % (
+        shape_mismatch["set2"], shape_mismatch["model1"]) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_fit_names_regressor_and_model_with_too_few_modes(workspace, shape_mismatch, tmp_path,
+                                                          capsys):
+    img = os.path.join(workspace["test"], "images", "test_p+0_y+0_b0.pgm")
+    assert main(["fit", "--image", img, "--model", shape_mismatch["model1"],
+                 "--regressor", shape_mismatch["reg2"], "--init", "0,0,0,0,0,-1200,0,0",
+                 "--focal", "500", "--out", str(tmp_path / "traj.csv")]) == 1
+    assert "error: %s has 2 shape modes, more than the 1 of %s" % (
+        shape_mismatch["reg2"], shape_mismatch["model1"]) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_eval_names_files_whose_shape_modes_differ(workspace, shape_mismatch, tmp_path, capsys):
+    out = tmp_path / "reports"
+    for data, model, problem in (
+            (shape_mismatch["set2"], shape_mismatch["model1"], "%s has 2 shape modes, more "
+             "than the 1 of %s" % (shape_mismatch["reg2"], shape_mismatch["model1"])),
+            (workspace["test"], workspace["model"], "%s has 0 shape modes, but %s fits 2" % (
+                workspace["test"], shape_mismatch["reg2"]))):
+        assert main(["eval", "--data", data, "--model", model,
+                     "--regressor", shape_mismatch["reg2"], "--out", str(out)]) == 1
+        assert "error: " + problem in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_too_few_point_rows_exit_2(workspace, tmp_path, capsys):
@@ -406,17 +451,39 @@ def test_eval_reports_failed_fits(workspace, tmp_path, capsys):
     assert (outputs["failures_uniform"], outputs["failures_fixed"]) == (2, 0)
 
 
+def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
+    # a 2-stage cascade whose first stage moves tx by 1e9, so every fit fails
+    reg = load_regressor(workspace["reg"])
+    shift = np.zeros(reg.param_dim)
+    shift[POSE_NAMES.index("tx")] = 1e9
+    for wr in reg.stages:
+        wr.A[:] = 0.0
+        wr.b[:] = reg.scale.normalize(shift)
+    off = str(tmp_path / "off.mfr")
+    save_regressor(reg, off)
+    # and a copy of the test set whose labels put the fixed regime's inits off the image,
+    # so --regime both fails in its second regime after the first succeeded
+    data = tmp_path / "set"
+    shutil.copytree(workspace["test"], data)
+    lines = (data / "labels.csv").read_text().splitlines()
+    tx = lines[0].split(",").index("tx")
+    (data / "labels.csv").write_text("\n".join(
+        [lines[0]] + [",".join(v if i != tx else "1e9" for i, v in enumerate(ln.split(",")))
+                      for ln in lines[1:]]) + "\n")
+    out = tmp_path / "reports"
+    for regressor, dataset, regime in ((off, workspace["test"], "uniform"),
+                                       (workspace["reg"], str(data), "both")):
+        assert main(["eval", "--data", dataset, "--model", workspace["model"],
+                     "--regressor", regressor, "--out", str(out), "--regime", regime]) == 1
+        assert "error: every sample failed to evaluate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_posit_single_pose(workspace, tmp_path, capsys):
-    from morphfit import CameraConfig, project_points, select_landmarks
-    model = load_model(workspace["model"])
-    cam = CameraConfig(focal=1500.0, width=640, height=480)
-    pose = np.array([10.0, -15.0, 4.0, 0.0, 0.0, -1200.0])
-    pts3d = select_landmarks(model, np.zeros(model.num_modes))
-    uv, _ = project_points(pts3d, pose, cam)
+    _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
+                               CameraConfig(focal=1500.0, width=640, height=480))
     path = str(tmp_path / "pts.csv")
-    with open(path, "w") as f:
-        for (u, v), p in zip(uv, pts3d):
-            f.write("%.10f,%.10f,%.10f,%.10f,%.10f\n" % (u, v, p[0], p[1], p[2]))
+    Path(path).write_text(rows)
     out = str(tmp_path / "pose.csv")
     assert main(["posit", "--points", path, "--out", out,
                  "--focal", "1500", "--width", "640", "--height", "480"]) == 0
@@ -432,6 +499,61 @@ def test_posit_single_pose(workspace, tmp_path, capsys):
         assert main(["posit", *source, "--out", other]) == 2
         assert "--model must be given with --data, and only with it" in capsys.readouterr().err
     assert not os.path.exists(other)
+
+
+def test_posit_rejects_flags_its_mode_ignores(workspace, tmp_path, capsys):
+    uv, pts3d, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
+                                    CameraConfig())
+    points = tmp_path / "pts.csv"
+    points.write_text(rows)
+    out = tmp_path / "pose.csv"
+    # --data reads the camera from the set's protocol.txt; only --data adds noise
+    data = ["--data", workspace["test"], "--model", workspace["model"]]
+    for source, flags, problem in (
+            (data, ["--focal", "900", "--width", "33", "--height", "44"], "--focal"),
+            (data, ["--width", "33"], "--width"),
+            (data, ["--height", "44"], "--height"),
+            (["--points", str(points)], ["--noise-px", "5"], "--noise-px"),
+            (["--points", str(points)], ["--noise-px", "0"], "--noise-px")):
+        assert main(["posit", *source, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: %s is not used with %s" % (problem, source[0]) in err
+    assert os.listdir(tmp_path) == ["pts.csv"]
+    # without camera flags --points keeps CameraConfig's camera, and its manifest says so
+    assert main(["posit", "--points", str(points), "--out", str(out)]) == 0
+    _, values = out.read_text().splitlines()
+    np.testing.assert_array_equal([float(v) for v in values.split(",")[:6]],
+                                  morphfit.posit(uv, pts3d, CameraConfig()).pose)
+    config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+    cam = CameraConfig()
+    assert (config["focal"], config["width"], config["height"], config["noise_px"]) == \
+        (cam.focal, cam.width, cam.height, 0.0)
+
+
+def test_point_csv_header_may_follow_comments(workspace, tmp_path):
+    uv, _, rows = landmark_rows(workspace["model"], [10.0, -20.0, 0.0, 0.0, 0.0, -1200.0],
+                                CameraConfig(focal=500.0, width=160, height=120))
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    plain.write_text("u,v,X,Y,Z\n" + rows)
+    commented.write_text("# exported by X\n\n# pixels, then mm\nu,v,X,Y,Z\n" + rows)
+    camera = ["--focal", "500", "--width", "160", "--height", "120"]
+    for path in (plain, commented):
+        assert main(["posit", "--points", str(path), *camera,
+                     "--out", str(path) + ".pose"]) == 0
+    assert Path(str(commented) + ".pose").read_bytes() == Path(str(plain) + ".pose").read_bytes()
+    img = os.path.join(workspace["test"], "images", "test_p+10_y-20_b0.pgm")
+    fit = ["fit", "--image", img, "--model", workspace["model"], "--regressor", workspace["reg"],
+           "--focal", "500"]
+    for path in (plain, commented):
+        assert main([*fit, "--init-landmarks", str(path), "--out", str(path) + ".traj"]) == 0
+    assert Path(str(commented) + ".traj").read_bytes() == Path(str(plain) + ".traj").read_bytes()
+    # a header is taken only on the first line that is not a comment
+    commented.write_text("# exported by X\nu,v,X,Y,Z\n" + rows + "u,v,X,Y,Z\n")
+    for cmd in (["posit", "--points", str(commented), *camera],
+                [*fit, "--init-landmarks", str(commented)]):
+        code, _, err = run_cli(*cmd, "--out", str(tmp_path / "late.csv"))
+        assert code == 2 and "commented.csv: line %d: malformed number" % (len(uv) + 3) in err
+    assert not (tmp_path / "late.csv").exists()
 
 
 def test_posit_malformed_csv_exits_2(tmp_path):
