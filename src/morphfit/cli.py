@@ -123,6 +123,8 @@ def _read_point_rows(path):
     except ValueError as e:
         raise UsageError(e) from None
     lines = [(ln_no, line) for ln_no, line in lines if not line.startswith("#")]
+    if lines and lines[0][1] == "u,v,X,Y,Z":
+        lines = lines[1:]  # a header, taken only on the first line not a comment
     rows = []
     for ln_no, line in lines:
         parts = line.split(",")
@@ -131,9 +133,7 @@ def _read_point_rows(path):
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
-            if ln_no == lines[0][0]:  # tolerate a header on the first line not a comment
-                continue
-            raise UsageError("%s: line %d: malformed number" % (path, ln_no))
+            raise UsageError("%s: line %d: malformed number" % (path, ln_no)) from None
         if not np.all(np.isfinite(rows[-1])):
             raise UsageError("%s: line %d: non-finite value" % (path, ln_no))
     if len(rows) < MIN_POINTS:
@@ -205,12 +205,12 @@ def cmd_posit(args, seed):
     for dest in ignored:
         if getattr(args, dest) is not None:
             raise UsageError("--%s is not used with --%s" % (dest.replace("_", "-"), mode))
-    # a flag not given takes its default, and the manifest records the values
-    cam = CameraConfig(**{k: getattr(args, k) for k in ("focal", "width", "height")
-                          if getattr(args, k) is not None})
-    args.focal, args.width, args.height = cam.focal, cam.width, cam.height
     args.noise_px = args.noise_px or 0.0
     if args.points is not None:
+        # a flag not given takes its default, and the manifest records the values
+        cam = CameraConfig(**{k: getattr(args, k) for k in ("focal", "width", "height")
+                              if getattr(args, k) is not None})
+        args.focal, args.width, args.height = cam.focal, cam.width, cam.height
         uv, pts = _read_point_rows(args.points)
         res = posit(uv, pts, cam)
         write_csv(args.out, [*POSE_NAMES, "iters", "converged"],
@@ -221,6 +221,8 @@ def cmd_posit(args, seed):
 
     model = load_model(args.model)
     samples, pc = load_dataset(args.data)
+    cam = pc.camera()  # the manifest records the set's camera, which the run uses
+    args.focal, args.width, args.height = cam.focal, cam.width, cam.height
     baseline = posit_baseline(samples, model, pc, args.noise_px, seed)
     mae = float(np.mean([err for _, _, err in baseline]))
     write_csv(args.out, ["id", *POSE_NAMES, "err_rx", "err_ry", "err_rz", "iters", "converged"],

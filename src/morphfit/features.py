@@ -16,9 +16,11 @@ so a held box is sliced and a larger one adds only its new edge strips,
 bit for bit equal to building it whole. A one-shot call makes its own
 store; `cascade.fit` keeps one for its stages, whose boxes overlap, so
 each pixel's planes are built once per fit.
-"""
 
-from dataclasses import dataclass
+A GrayImage holds a uint8 array of 8-bit levels (renders and 8-bit PGMs)
+or a float array of pixels in [0, 1]. The planes read a zero-padded
+float64 box of it, so levels become floats only where windows read them.
+"""
 
 import numpy as np
 
@@ -39,21 +41,57 @@ class FeatureError(RuntimeError):
     """No landmark window reads the image: feature vector cannot be assembled."""
 
 
-@dataclass(eq=False)
 class GrayImage:
-    pixels: np.ndarray  # (height, width) float64 in [0, 1]
+    """A grayscale image over the array it is given, held uncopied: a uint8
+    array holds 8-bit levels, each read as level / 255; any other array holds
+    pixels in [0, 1], read as float64. A box is read into a caller's buffer,
+    and `pixels` makes levels into a new float64 array on every read, so an
+    image of levels keeps one byte per pixel.
+    """
 
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+    def __init__(self, pixels):
+        px = np.asarray(pixels)
         if px.ndim != 2:
             raise ValueError("pixels must be a 2-D (height, width) array")
-        # min and max are NaN when any pixel is, which fails both comparisons
-        if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
-            raise ValueError("pixels must be finite and in [0, 1]")
-        self.pixels = px
+        if px.dtype != np.uint8:
+            px = np.asarray(px, dtype=np.float64)
+            # min and max are NaN when any pixel is, which fails both comparisons
+            if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
+                raise ValueError("pixels must be finite and in [0, 1]")
+        self._data = px
 
-    height = property(lambda self: self.pixels.shape[0])
-    width = property(lambda self: self.pixels.shape[1])
+    height = property(lambda self: self._data.shape[0])
+    width = property(lambda self: self._data.shape[1])
+
+    @property
+    def pixels(self):
+        """(height, width) float64 in [0, 1]."""
+        if self._data.dtype != np.uint8:
+            return self._data
+        return self.read_box(0, 0, np.empty(self._data.shape))
+
+    @property
+    def levels(self):
+        """(height, width) uint8 8-bit levels: the held ones, or the pixels
+        rounded to the nearest level."""
+        if self._data.dtype == np.uint8:
+            return self._data
+        return np.rint(self._data * 255.0).astype(np.uint8)
+
+    def read_box(self, x0, y0, out):
+        """Write the pixels of the box of out's shape whose top-left pixel is
+        (x0, y0) into the float64 array `out`, and return it. The part of the
+        box outside the image is left as it is."""
+        h, w = out.shape
+        xa, ya = max(x0, 0), max(y0, 0)
+        xb, yb = min(x0 + w, self.width), min(y0 + h, self.height)
+        if xa < xb and ya < yb:
+            src, dst = self._data[ya:yb, xa:xb], out[ya - y0:yb - y0, xa - x0:xb - x0]
+            if src.dtype == np.uint8:
+                np.divide(src, 255.0, out=dst)
+            else:
+                dst[...] = src
+        return out
 
 
 def _orientation_planes(img, x0, y0, x1, y1):
@@ -63,10 +101,7 @@ def _orientation_planes(img, x0, y0, x1, y1):
     Updates run in place and temporaries go early: fresh box-sized arrays
     cost more than the arithmetic, and raise the process's peak memory.
     """
-    pad = np.zeros((y1 - y0 + 2, x1 - x0 + 2))
-    ya, xa = max(y0 - 1, 0), max(x0 - 1, 0)
-    src = img.pixels[ya:y1 + 1, xa:x1 + 1]
-    pad[ya - y0 + 1:ya - y0 + 1 + src.shape[0], xa - x0 + 1:xa - x0 + 1 + src.shape[1]] = src
+    pad = img.read_box(x0 - 1, y0 - 1, np.zeros((y1 - y0 + 2, x1 - x0 + 2)))
     gx = pad[1:-1, 2:] - pad[1:-1, :-2]
     gy = pad[2:, 1:-1] - pad[:-2, 1:-1]
     del pad
@@ -132,7 +167,7 @@ def _descriptors(store, centers, patch_size):
     patch_size = int(patch_size)
     if patch_size <= 0 or patch_size % 4 != 0:
         raise ValueError("patch_size must be a positive multiple of 4")
-    h, w = store.img.pixels.shape
+    h, w = store.img.height, store.img.width
     half = patch_size / 2.0
     corners = np.ceil(centers - half)
     reads = np.all((corners < [w + 1, h + 1]) & (corners + patch_size > -1), axis=1)
@@ -201,9 +236,8 @@ def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE, plan
 # ---------------------------------------------------------------------------
 
 def write_pgm(img, path):
-    data = np.rint(img.pixels * 255.0).astype(np.uint8)
     header = b"P5\n%d %d\n255\n" % (img.width, img.height)
-    atomic_write(path, header + data.tobytes())
+    atomic_write(path, header + img.levels.tobytes())
 
 
 def _read_pgm_token(buf, pos):
@@ -248,4 +282,5 @@ def read_pgm(path):
     px = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     if px.max() > maxval:
         raise ValueError("%s: PGM sample exceeds maxval %d" % (path, maxval))
-    return GrayImage(px / maxval)
+    # 8-bit levels are held as they are; other maxvals are scaled into [0, 1]
+    return GrayImage(px if maxval == 255 else px / maxval)

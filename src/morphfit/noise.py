@@ -71,18 +71,24 @@ def value_noise3(points, seed):
     return total
 
 
-def _fractal(octave, scale, seed, octaves):
-    """Sum of `octave(spacing, seed)` over octaves that each halve the
-    spacing and the amplitude, divided by the total amplitude."""
+def _octaves(scale, seed, octaves):
+    """(spacing, seed, amplitude) of each octave of a fractal sum: each octave
+    halves the spacing and the amplitude of the one before."""
     if octaves < 1:
         raise ValueError("octaves must be at least 1, got %r" % (octaves,))
-    amps = [0.5 ** o for o in range(octaves)]
-    total = octave(scale, seed)  # amplitude 1
-    for o, a in enumerate(amps[1:], 1):
-        v = octave(scale * a, seed + 101 * o)
+    return [(scale * 0.5 ** o, seed + 101 * o, 0.5 ** o) for o in range(octaves)]
+
+
+def _fractal(octave, octaves):
+    """Sum of `octave(spacing, seed)` times its amplitude over `octaves`,
+    divided by the total amplitude."""
+    (step, s, _), *rest = octaves
+    total = octave(step, s)  # amplitude 1
+    for step, s, a in rest:
+        v = octave(step, s)
         v *= a
         total += v
-    total /= sum(amps)
+    total /= sum(a for _, _, a in octaves)
     return total
 
 
@@ -93,15 +99,16 @@ def fbm3(points, scale, seed, octaves=2):
     same units. Each octave halves the spacing. Output in [0, 1).
     """
     pts = np.asarray(points, dtype=np.float64)
-    return _fractal(lambda step, s: value_noise3(pts / step, s), scale, seed, octaves)
+    return _fractal(lambda step, s: value_noise3(pts / step, s), _octaves(scale, seed, octaves))
 
 
 def _grid_noise2(width, height, scale, seed):
-    """One octave of 2D value noise over a pixel grid.
+    """One octave of 2D value noise over a pixel grid, as a function of a row
+    range [y0, y1) that returns those rows, (y1 - y0, width).
 
     Exploits the regular grid: only the lattice corners the image covers
-    are hashed, each lattice row is blended along x once, and pixel rows
-    blend two of those rows along y.
+    are hashed and each lattice row is blended along x, once, up front;
+    pixel rows blend two of those rows along y.
     """
     ix, wx = _cell(np.arange(width) / scale)
     iy, wy = _cell(np.arange(height) / scale)
@@ -110,15 +117,25 @@ def _grid_noise2(width, height, scale, seed):
                             0, seed)
     rows = lattice[:, ix] * (1.0 - wx) + lattice[:, ix + 1] * wx
     wy = wy[:, None]
-    out = rows[iy]
-    out *= 1.0 - wy
-    below = rows[iy + 1]
-    below *= wy
-    out += below
-    return out
+
+    def block(y0, y1):
+        out = rows[iy[y0:y1]]
+        out *= 1.0 - wy[y0:y1]
+        below = rows[iy[y0:y1] + 1]
+        below *= wy[y0:y1]
+        out += below
+        return out
+    return block
+
+
+def noise_rows(width, height, scale, seed):
+    """`noise_image` by row blocks: a function of a row range [y0, y1) that
+    returns those rows of the raster. Each octave's lattice is hashed once."""
+    octaves = _octaves(scale, seed, NOISE_IMAGE_OCTAVES)
+    blocks = {(step, s): _grid_noise2(width, height, step, s) for step, s, _ in octaves}
+    return lambda y0, y1: _fractal(lambda step, s: blocks[step, s](y0, y1), octaves)
 
 
 def noise_image(width, height, scale, seed):
     """Grayscale noise raster (height, width) with values in [0, 1)."""
-    return _fractal(lambda step, s: _grid_noise2(width, height, step, s), scale, seed,
-                    NOISE_IMAGE_OCTAVES)
+    return noise_rows(width, height, scale, seed)(0, height)

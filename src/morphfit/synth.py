@@ -4,7 +4,8 @@ The renderer is a minimal z-buffered triangle rasterizer: per-pixel value
 noise anchored to the mean-shape surface (so texture sticks to the mesh
 across pose and identity), flat Lambertian shading from a fixed light in
 camera space, and a procedural noise background. Output images are
-quantized to 8-bit levels so a PGM round-trip is lossless.
+quantized to 8-bit levels and held as them, one byte per pixel, so a PGM
+round-trip is lossless.
 
 Coverage needs no loop over triangles. Each row of a front face's clipped
 bounding box is cut to the x-span its three edge functions allow (Pineda,
@@ -22,10 +23,11 @@ within +/-init_offset in test sets, within twice that in training sets.
 Everything is deterministic given the seeds.
 
 A render is a face pass (geometry, texture, shading) and a background pass
-(noise, paste, quantization). Consecutive samples with one ground truth
-share a face pass: without shape draws, a training pose's face is shaded
-once per set and laid over each of its backgrounds. Every image equals the
-one `render` gives for its sample alone.
+(noise, paste, quantization, a block of rows at a time). Consecutive
+samples with one ground truth share a face pass: without shape draws, a
+training pose's face is shaded once per set and laid over each of its
+backgrounds. Every image equals the one `render` gives for its sample
+alone.
 """
 
 import math
@@ -36,7 +38,7 @@ import numpy as np
 
 from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
-from .noise import fbm3, noise_image
+from .noise import fbm3, noise_rows
 from .shape_model import instance_shape, param_layout, split_theta
 from .util import ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
 
@@ -63,6 +65,8 @@ BACKGROUND_SCALE = 18.0       # px
 # Candidate (span) pixels the geometry pass holds at once; a longer span
 # forms a batch by itself.
 RASTER_BATCH = 1 << 15
+# Frame rows the background pass holds as floats at once.
+BACKGROUND_BLOCK_ROWS = 32
 
 
 @dataclass(eq=False)
@@ -263,22 +267,27 @@ def _render_face(model, theta, cam, texture_seed):
 
 def _over_background(face, cam, background_seed):
     """Background pass: paste a face pass's pixels over a noise background
-    and quantize the frame to 8 bits."""
+    and quantize the frame to 8-bit levels."""
     rows, cols, values = face
     h, w = cam.height, cam.width
-    img = noise_image(w, h, BACKGROUND_SCALE, background_seed)
-    img *= 0.8
-    img += 0.1
-    img[rows, cols] = values
-
-    # quantize to 8 bits; the image that outlives render is allocated last,
-    # above both frame-sized temporaries freed here, so the next render reuses
-    # their memory instead of faulting in new pages (a one-temporary hole
-    # tripled the minor faults of a 125-image set)
-    pixels = np.clip(img, 0.0, 1.0)
-    pixels *= 255.0
-    np.rint(pixels, out=pixels)
-    return GrayImage(pixels / 255.0)
+    noise = noise_rows(w, h, BACKGROUND_SCALE, background_seed)
+    # the frame is made a block of rows at a time, straight into the levels
+    # that outlive the pass: a block's float temporaries (160 kB at 640 px)
+    # stay in the allocator's free lists for the next block and render, where
+    # frame-sized ones would fault in fresh pages on every render
+    levels = np.empty((h, w), dtype=np.uint8)
+    starts = range(0, h, BACKGROUND_BLOCK_ROWS)
+    cuts = np.searchsorted(rows, [*starts, h])  # face pixels come in row-major order
+    for y0, i0, i1 in zip(starts, cuts, cuts[1:]):
+        y1 = min(y0 + BACKGROUND_BLOCK_ROWS, h)
+        block = noise(y0, y1)
+        block *= 0.8
+        block += 0.1
+        block[rows[i0:i1] - y0, cols[i0:i1]] = values[i0:i1]
+        np.clip(block, 0.0, 1.0, out=block)
+        block *= 255.0
+        levels[y0:y1] = np.rint(block, out=block)
+    return GrayImage(levels)
 
 
 def render(model, theta, cam, texture_seed, background_seed):

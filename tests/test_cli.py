@@ -556,6 +556,31 @@ def test_point_csv_header_may_follow_comments(workspace, tmp_path):
     assert not (tmp_path / "late.csv").exists()
 
 
+def test_point_csv_malformed_first_row_is_an_error(workspace, tmp_path):
+    # a header must name u,v,X,Y,Z: a first row that does not parse is not one
+    uv, _, rows = landmark_rows(workspace["model"], [10.0, -20.0, 0.0, 0.0, 0.0, -1200.0],
+                                CameraConfig(focal=500.0, width=160, height=120))
+    pts = tmp_path / "pts.csv"
+    img = os.path.join(workspace["test"], "images", "test_p+10_y-20_b0.pgm")
+    for first in ("10,20,0,0,0x", "u,v,x,y,z", "U,V,X,Y,Z"):
+        pts.write_text("# no header\n%s\n%s" % (first, rows))
+        for cmd in (["posit", "--points", str(pts), "--focal", "500", "--width", "160",
+                     "--height", "120"],
+                    ["fit", "--image", img, "--model", workspace["model"], "--regressor",
+                     workspace["reg"], "--focal", "500", "--init-landmarks", str(pts)]):
+            code, _, err = run_cli(*cmd, "--out", str(tmp_path / "out.csv"))
+            assert code == 2 and "pts.csv: line 2: malformed number" in err, (first, err)
+        assert sorted(os.listdir(tmp_path)) == ["pts.csv"]
+
+
+def test_posit_data_manifest_records_the_set_camera(workspace, tmp_path):
+    out = str(tmp_path / "posit.csv")
+    assert main(["posit", "--data", workspace["test"], "--model", workspace["model"],
+                 "--out", out]) == 0
+    config = json.loads(Path(out + ".manifest.json").read_text())["config"]
+    assert (config["focal"], config["width"], config["height"]) == (500.0, 160, 120)
+
+
 def test_posit_malformed_csv_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     out = str(tmp_path / "o.csv")

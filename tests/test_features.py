@@ -155,11 +155,23 @@ def test_gray_image_rejects_pixels_outside_unit_range():
 
 
 def test_gray_image_size_is_the_pixel_shape():
-    img = GrayImage(np.zeros((33, 47)))
-    assert (img.width, img.height) == (47, 33)
-    for shape in ((47,), (2, 33, 47)):
-        with pytest.raises(ValueError, match="pixels must be a 2-D"):
-            GrayImage(np.zeros(shape))
+    for dtype in (np.float64, np.uint8):
+        img = GrayImage(np.zeros((33, 47), dtype=dtype))
+        assert (img.width, img.height) == (47, 33)
+        for shape in ((47,), (2, 33, 47)):
+            with pytest.raises(ValueError, match="pixels must be a 2-D"):
+                GrayImage(np.zeros(shape, dtype=dtype))
+
+
+def test_gray_image_of_levels_makes_new_pixels_on_every_read():
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    img = GrayImage(levels)
+    assert img.levels is levels  # held, not copied
+    a, b = img.pixels, img.pixels
+    assert a is not b and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a, np.arange(256).reshape(16, 16) / 255.0)
+    a[:] = 0.0  # a read is the caller's own array
+    assert np.array_equal(img.pixels, b)
 
 
 def test_patch_size_validation():
@@ -307,6 +319,26 @@ def test_plane_store_grows_to_the_union_and_returns_full_frame_slices(w, h, seed
     assert store.box == (min(x0s), min(y0s), max(x1s), max(y1s))
 
 
+# ---------------------------------------------------------------------------
+# 8-bit levels: a uint8 image reads as its float twin, level / 255, bit for bit
+# ---------------------------------------------------------------------------
+
+def level_twins(rng, w, h, top=255):
+    """An image of random 8-bit levels in [0, top] and its float twin."""
+    levels = rng.integers(0, top + 1, (h, w)).astype(np.uint8)
+    return GrayImage(levels), GrayImage(levels / 255.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.integers(1, 24), h=st.integers(1, 24), top=st.sampled_from([1, 3, 255]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_levels_give_the_planes_of_their_float_twin(w, h, top, seed, data):
+    # boxes reach into the one-pixel margin past the frame on any side
+    levels, twin = level_twins(np.random.default_rng(seed), w, h, top)
+    box = _draw_box(data.draw, w, h)
+    assert np.array_equal(_orientation_planes(levels, *box), _orientation_planes(twin, *box))
+
+
 def one_shot_trajectory(img, theta, reg, model, cam):
     """fit's trajectory, each stage's features assembled without a store."""
     traj = [theta]
@@ -354,6 +386,26 @@ def test_fit_through_one_plane_store_equals_one_shot_features(case, monkeypatch)
         assert np.any(blocks) and not np.all(np.any(blocks, axis=1))
 
 
+def test_levels_give_the_features_and_fits_of_their_float_twin():
+    rng = np.random.default_rng(21)
+    cam = CameraConfig(focal=500.0, width=320, height=240)
+    levels, twin = level_twins(rng, 320, 240)
+    model = pinned_landmark_model([(110.3, 70.6), (210.2, 69.9), (109.8, 170.1),
+                                   (210.5, 170.4), (5.5, 230.2)], cam)
+    stores = PlaneStore(levels), PlaneStore(twin)
+    for b in STORE_CASES.values():  # windows that grow, stay inside and leave the image
+        for theta in np.cumsum([AHEAD, *b], axis=0):
+            assert np.array_equal(assemble_feature(levels, theta, model, cam, planes=stores[0]),
+                                  assemble_feature(twin, theta, model, cam, planes=stores[1]))
+    assert stores[0].box == stores[1].box
+    for b in STORE_CASES.values():
+        reg = CascadeRegressor(stages=[WeakRegressor(A=rng.normal(scale=1e-3, size=(6, 640)),
+                                                     b=stage) for stage in b],
+                               scale=ParamScale(np.zeros(6), np.ones(6)), feature_dim=640)
+        assert np.array_equal(fit(levels, AHEAD, reg, model, cam).trajectory,
+                              fit(twin, AHEAD, reg, model, cam).trajectory)
+
+
 def test_fit_sending_a_landmark_far_off_grows_no_large_store():
     rng = np.random.default_rng(19)
     cam = CameraConfig(focal=500.0, width=160, height=120)
@@ -399,6 +451,21 @@ def test_pgm_round_trip(tmp_path):
     # second round trip is byte-identical
     write_pgm(back, tmp_path / "img2.pgm")
     assert (tmp_path / "img.pgm").read_bytes() == (tmp_path / "img2.pgm").read_bytes()
+
+
+def test_pgm_holds_8_bit_levels_and_writes_either_form_alike(tmp_path):
+    levels, twin = level_twins(np.random.default_rng(22), 47, 33)
+    write_pgm(levels, tmp_path / "levels.pgm")
+    write_pgm(twin, tmp_path / "twin.pgm")
+    assert (tmp_path / "levels.pgm").read_bytes() == (tmp_path / "twin.pgm").read_bytes()
+    back = read_pgm(tmp_path / "levels.pgm")
+    assert back.levels.dtype == np.uint8 and back.levels is back.levels  # held levels
+    assert np.array_equal(back.levels, levels.levels)
+    # other maxvals are scaled into [0, 1] and held as floats
+    p = tmp_path / "m100.pgm"
+    p.write_bytes(b"P5\n3 1\n100\n\x00\x32\x64")
+    img = read_pgm(p)
+    assert img.pixels is img.pixels and np.array_equal(img.pixels, [[0.0, 0.5, 1.0]])
 
 
 def test_pgm_rejects_garbage(tmp_path):

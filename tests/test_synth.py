@@ -444,6 +444,24 @@ def test_dataset_round_trip(tmp_path, small_model):
         np.testing.assert_allclose(s.image.pixels, orig.image.pixels, atol=1e-12)
 
 
+def test_generated_and_loaded_sets_hold_one_byte_per_pixel(tmp_path, small_model):
+    # tracemalloc sees numpy's data buffers; what a call still holds when it
+    # returns is its images' 8-bit levels and a few kB of samples and labels
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    out = tmp_path / "ds"
+    write_dataset(out, generate_set(small_model, pc, "train"), pc)  # warms every cache
+    load_dataset(out)
+    for make in (lambda: generate_set(small_model, pc, "train"), lambda: load_dataset(out)[0]):
+        tracemalloc.start()
+        try:
+            samples = make()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= len(samples) * pc.width * pc.height + 64 * 1024
+        del samples
+
+
 def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
     pc = ProtocolConfig(seed=8, **SMALL_PC)
     out = tmp_path / "ds"
