@@ -4,13 +4,16 @@ fitting, evaluation, and the POSIT baseline.
 Exit codes: 0 success, 1 runtime failure, 2 usage error. `main` runs
 every command: it resolves the seed, calls the command, and writes the JSON
 run manifest next to the command's output, recording the arguments,
-resolved seed, input files, outputs, and wall-clock timings. All
-randomness flows from one --seed (or MORPHFIT_SEED) through named
-sub-streams; outputs are byte-identical for any --jobs value.
+resolved seed, input files, outputs, and wall-clock timings. --log-level
+picks which of the library's log lines (each training stage's lambda and
+residual, dropped or failed samples) reach stderr. All randomness flows
+from one --seed (or MORPHFIT_SEED) through named sub-streams; outputs are
+byte-identical for any --jobs value.
 """
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -273,11 +276,16 @@ def _camera_flags(cam):
     return focal, size
 
 
+LOG_LEVELS = ["debug", "info", "warning", "error"]
+
+
 def build_parser():
     # shared parent parsers; a default the library holds is read from its config class
     common, jobs, model = [argparse.ArgumentParser(add_help=False) for _ in range(3)]
     common.add_argument("--out", required=True)
     common.add_argument("--seed", type=int)
+    common.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="least severe library log line printed to stderr")
     jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
     focal, size = _camera_flags(CameraConfig)
@@ -353,6 +361,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
+    # the package's logger, for this run only: its handler writes to the
+    # current stderr and is removed afterwards, so runs in one process do not
+    # stack handlers or leak a level
+    logger, handler = logging.getLogger("morphfit"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved_level = logger.level
+    logger.setLevel(args.log_level.upper())
+    logger.addHandler(handler)
     try:
         seed = _resolve_seed(args)
         outputs, timings = args.func(args, seed)
@@ -379,6 +395,9 @@ def main(argv=None):
     except Exception as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
 
 
 if __name__ == "__main__":

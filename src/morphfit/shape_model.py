@@ -5,6 +5,13 @@ orthonormal deformation basis with per-mode standard deviations, a fixed
 list of landmark vertex ids used for feature extraction, and a triangle
 list used only by the renderer. Coefficients are in standard-deviation
 units: an instance is  mean + sum_i alpha_i * sigma_i * basis[:, i].
+
+The procedural model places its vertices along unit directions on a
+Fibonacci sphere, and its triangles are the convex hull of those
+directions: `_sphere_triangles` finds each facet among a point's nearest
+neighbours by an empty-cap test, and `_check_hull` proves the result is the
+hull (2N - 4 facets, every edge shared by two facets wound opposite ways,
+convex across every edge) or raises RuntimeError; there is no fallback.
 """
 
 from dataclasses import dataclass, field
@@ -155,7 +162,7 @@ _SEMI_AXES = (80.0, 105.0, 78.0)  # mm, half extents in x / y / z
 
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
-    return v / np.linalg.norm(v)
+    return v / np.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic, without its overhead
 
 
 def _fibonacci_sphere(n):
@@ -165,6 +172,87 @@ def _fibonacci_sphere(n):
     y = 1.0 - 2.0 * (i + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
     return np.stack([r * np.cos(phi), y, r * np.sin(phi)], axis=1)
+
+
+_NEAREST = 7        # neighbour candidates kept per point
+_PAIRS = np.triu_indices(_NEAREST, 1)
+_PLANE_TOL = 1e-12  # times |n|: a point this close above a facet's plane counts as on it
+
+
+def _facet_normals(dirs, tris):
+    """First corners (T, 3) and unnormalised normals (T, 3) of the triangles."""
+    p = np.take(dirs, tris, axis=0)
+    return p[:, 0], np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+
+
+def _above(points, base, n):
+    """Per facet, whether any of its points (k, T, 3) lies above the plane
+    through base (T, 3) with unnormalised normal n (T, 3), by more than
+    _PLANE_TOL * |n|."""
+    height = np.einsum("ktj,tj->kt", points, n).max(axis=0) - np.einsum("tj,tj->t", base, n)
+    return height > _PLANE_TOL * np.sqrt(np.einsum("tj,tj->t", n, n))
+
+
+def _sphere_triangles(dirs):
+    """The convex hull of Fibonacci-sphere directions as (2N - 4, 3) triangles,
+    each wound outward and starting at its smallest index, rows sorted.
+
+    On a sphere the hull is the Delaunay triangulation, and a Fibonacci
+    point's nearest neighbours sit at index offsets that are Fibonacci numbers
+    (Keinert et al., "Spherical Fibonacci Mapping", 2015). So each point i
+    keeps its _NEAREST nearest among i +- F, every pair (a, b) of them with
+    i < a, b is a candidate facet, and a candidate is kept when none of i's
+    neighbours lies above its plane (an empty cap). `_check_hull` then proves
+    the result is the hull or raises RuntimeError.
+    """
+    n = len(dirs)
+    fib = [1, 2]
+    while fib[-1] < n:
+        fib.append(fib[-1] + fib[-2])
+    ids = np.arange(n)
+    cand = ids[:, None] + np.array([-f for f in fib[:-1]] + fib[:-1])
+    outside = (cand < 0) | (cand >= n)  # past either end: never among the nearest
+    cand[outside] = 0
+    dots = np.einsum("ij,ikj->ik", dirs, np.take(dirs, cand, axis=0))
+    dots[outside] = -np.inf
+    near = np.take_along_axis(cand, np.argpartition(-dots, _NEAREST - 1)[:, :_NEAREST], axis=1)
+
+    a, b = near[:, _PAIRS[0]], near[:, _PAIRS[1]]
+    i, k = np.nonzero((a > ids[:, None]) & (b > ids[:, None]))
+    tris = np.stack([i, a[i, k], b[i, k]], axis=1)
+    base, normal = _facet_normals(dirs, tris)
+    inward = np.einsum("tj,tj->t", base, normal) < 0
+    tris[inward, 1:] = tris[inward][:, [2, 1]]
+    normal[inward] *= -1.0
+    # each candidate's cap is tested against its i's neighbours, (k, T, 3)
+    empty = ~_above(np.take(dirs, np.take(near.T, i, axis=1), axis=0), base, normal)
+    tris = tris[empty]
+    tris = tris[np.lexsort(tris.T[::-1])]
+    _check_hull(dirs, tris)
+    return tris
+
+
+def _check_hull(dirs, tris):
+    """RuntimeError unless the outward-wound triangles over unit directions are
+    their convex hull: 2N - 4 facets, every directed edge once with its
+    reverse in another facet, and across every edge the opposite corner on or
+    below the facet's plane. A closed, locally convex surface through points
+    on a sphere is their hull."""
+    n = len(dirs)
+    if len(tris) != 2 * n - 4:
+        raise RuntimeError("sphere triangulation has %d facets, not %d" % (len(tris), 2 * n - 4))
+    u, v = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    pairs = np.argsort(key).reshape(-1, 2)  # each undirected edge's two directed ones
+    key, forward = key[pairs], (u < v)[pairs]
+    if np.any(key[:, 0] != key[:, 1]) or np.any(key[1:, 0] == key[:-1, 0]) \
+            or np.any(forward[:, 0] == forward[:, 1]):
+        raise RuntimeError("sphere triangulation is not a closed, consistently wound surface")
+    twin = np.empty_like(u)
+    twin[pairs] = pairs[:, ::-1]
+    opposite = tris[:, [2, 0, 1]].ravel()[twin].reshape(-1, 3)
+    if np.any(_above(np.take(dirs, opposite.T, axis=0), *_facet_normals(dirs, tris))):
+        raise RuntimeError("sphere triangulation is not convex")
 
 
 def _face_surface(dirs):
@@ -180,15 +268,11 @@ def _face_surface(dirs):
 
 def _pick_landmarks(dirs):
     """Greedy nearest-vertex assignment of the 17 landmark spots."""
-    used = set()
+    free = np.ones(len(dirs), dtype=bool)
     ids = []
     for target in _LANDMARK_DIRS:
-        dots = dirs @ _unit(target)
-        for idx in np.argsort(-dots):
-            if int(idx) not in used:
-                used.add(int(idx))
-                ids.append(int(idx))
-                break
+        ids.append(int(np.argmax(np.where(free, dirs @ _unit(target), -np.inf))))
+        free[ids[-1]] = False
     return np.array(ids, dtype=np.int64)
 
 
@@ -213,21 +297,20 @@ def _rigid_field_basis(verts):
 def _blob_fields(dirs, verts, count, rng):
     """Smooth random displacement fields over the surface, (count, 3V).
 
-    The rigid-motion component of each field is projected out, so modes are
-    pure deformations: a PCA basis built from aligned scans has the same
-    property, and without it shape coefficients locally mimic pose changes.
+    Each field sums 6 Gaussian blobs of random centre, angular width and xyz
+    amplitude. The rigid-motion component of each field is projected out, so
+    modes are pure deformations: a PCA basis built from aligned scans has the
+    same property, and without it shape coefficients locally mimic pose changes.
     """
-    v = dirs.shape[0]
-    fields = np.zeros((count, 3 * v))
-    for m in range(count):
-        disp = np.zeros((v, 3))
-        for _ in range(6):
-            center = _unit(rng.normal(size=3))
-            width = rng.uniform(0.35, 0.9)
-            amp = rng.normal(size=3)
-            ang = np.arccos(np.clip(dirs @ center, -1.0, 1.0))
-            disp += amp[None, :] * np.exp(-0.5 * (ang / width) ** 2)[:, None]
-        fields[m] = disp.reshape(-1)
+    draws = [(_unit(rng.normal(size=3)), rng.uniform(0.35, 0.9), rng.normal(size=3))
+             for _ in range(6 * count)]
+    centers, widths, amps = (np.array(x) for x in zip(*draws))
+    # one product per centre: a single matmul may round differently
+    ang = np.arccos(np.clip(np.stack([dirs @ c for c in centers]), -1.0, 1.0))
+    bumps = np.exp(-0.5 * (ang / widths[:, None]) ** 2)
+    amps, bumps = amps.reshape(count, 6, 3, 1), bumps.reshape(count, 6, 1, -1)
+    # (count, 3, V) per blob, added in draw order
+    fields = sum(amps[:, b] * bumps[:, b] for b in range(6)).transpose(0, 2, 1).reshape(count, -1)
     rigid = _rigid_field_basis(verts)
     return fields - (fields @ rigid) @ rigid.T
 
@@ -257,8 +340,6 @@ def make_procedural_model(seed, vertex_count=DEFAULT_VERTICES, modes=DEFAULT_MOD
     smooth orthonormal deformation modes, geometrically decaying sigmas,
     and 17 landmark vertices at distinctive spots.
     """
-    from scipy.spatial import ConvexHull
-
     if vertex_count < MIN_VERTICES:
         raise ValueError("vertex_count must be >= %d" % MIN_VERTICES)
     if not 1 <= modes <= MAX_MODES:
@@ -267,13 +348,7 @@ def make_procedural_model(seed, vertex_count=DEFAULT_VERTICES, modes=DEFAULT_MOD
     dirs = _fibonacci_sphere(vertex_count)
     verts = _face_surface(dirs)
 
-    # Triangulate on the sphere; orient every triangle outward.
-    hull = ConvexHull(dirs)
-    tris = hull.simplices.astype(np.int64)
-    n = np.cross(dirs[tris[:, 1]] - dirs[tris[:, 0]], dirs[tris[:, 2]] - dirs[tris[:, 0]])
-    centroid = (dirs[tris[:, 0]] + dirs[tris[:, 1]] + dirs[tris[:, 2]]) / 3.0
-    flip = np.einsum("ij,ij->i", n, centroid) < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
+    tris = _sphere_triangles(dirs)  # the renderer's mesh, see the module docstring
 
     rng = np.random.Generator(np.random.PCG64(seed))
     fields = _orthonormalize(_blob_fields(dirs, verts, modes, rng))

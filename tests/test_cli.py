@@ -1,5 +1,6 @@
 import inspect
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -607,6 +608,23 @@ def test_seed_env_fallback(workspace, tmp_path):
         Path(workspace["test"], "labels.csv").read_text()
 
 
+def test_log_level_prints_the_library_log_lines(workspace, tmp_path, capsys):
+    train = ["train", "--data", workspace["train"], "--model", workspace["model"],
+             "--stages", "2", "--seed", "7"]
+    assert main([*train, "--out", str(tmp_path / "quiet.mfr")]) == 0
+    assert capsys.readouterr().err == ""
+    out = str(tmp_path / "info.mfr")
+    assert main([*train, "--out", out, "--log-level", "info"]) == 0
+    err = capsys.readouterr().err
+    assert "stage 0: lambda=" in err and "stage 1: lambda=" in err
+    assert json.loads(Path(out + ".manifest.json").read_text())["config"]["log_level"] == "info"
+    # the run's handler and level go with it: a later default run prints nothing
+    logger = logging.getLogger("morphfit")
+    assert (logger.handlers, logger.level) == ([], logging.NOTSET)
+    assert main([*train, "--out", str(tmp_path / "again.mfr")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypatch):
     monkeypatch.setenv("MORPHFIT_SEED", "13")
     img_path = os.path.join(workspace["test"], "images",
@@ -649,4 +667,5 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
         assert manifest["command"] == manifest["config"]["command"] == command
         assert manifest["seed"] == seed, path
         assert manifest["timings_s"]["total"] >= 0
+        assert manifest["config"]["log_level"] == "warning", path
         assert "func" not in manifest["config"]

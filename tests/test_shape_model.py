@@ -1,9 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import random_unit_basis
 from morphfit import ShapeModel, instance_shape, load_model, make_procedural_model, \
     save_model, select_landmarks
+from morphfit.shape_model import MIN_VERTICES, _check_hull, _fibonacci_sphere, _sphere_triangles
 
 
 def tiny_model(rng, v=10, k=3, n_landmarks=4):
@@ -110,6 +116,69 @@ def test_procedural_model_invariants():
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-9
     assert np.all(m.sigmas > 0)
     assert np.all(np.diff(m.sigmas) < 0)
+
+
+# SHA-256 of mean, basis, sigmas and landmark_ids as little-endian bytes; the
+# triangles are left out, their order being the triangulation's own
+MODEL_ARRAYS_SHA256 = {
+    (42, 500, 10): "cdaf678146bd345a2a2c850c16a77126b330ff44224ab9dee1d3eee28e09c35b",
+    (3, 80, 3): "37bac4d3ad6edb16cd9e7364013d92dea2b27c957a7dac7dee837156dbdba657",
+}
+
+
+@pytest.mark.parametrize("args", sorted(MODEL_ARRAYS_SHA256))
+def test_procedural_model_arrays_are_pinned(args):
+    m = make_procedural_model(*args)
+    h = hashlib.sha256()
+    for values, dtype in ((m.mean, "<f8"), (m.basis, "<f8"), (m.sigmas, "<f8"),
+                          (m.landmark_ids, "<i8")):
+        h.update(values.astype(dtype).tobytes())
+    assert h.hexdigest() == MODEL_ARRAYS_SHA256[args]
+
+
+def test_sphere_triangles_are_qhulls_facets_wound_outward():
+    spatial = pytest.importorskip("scipy.spatial")
+    for n in [*range(MIN_VERTICES, 301), 500, 997, 2000, 5000]:
+        dirs = _fibonacci_sphere(n)
+        tris = _sphere_triangles(dirs)
+        hull = spatial.ConvexHull(dirs).simplices
+        assert len(tris) == len(hull) == 2 * n - 4, n
+        assert np.array_equal(np.unique(np.sort(tris, axis=1), axis=0),
+                              np.unique(np.sort(hull, axis=1), axis=0)), n
+        p = dirs[tris]
+        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        assert np.all(np.einsum("ij,ij->i", normals, p.sum(axis=1)) > 0), n
+
+
+def test_check_hull_rejects_a_broken_triangulation():
+    dirs = _fibonacci_sphere(200)
+    tris = _sphere_triangles(dirs)
+    with pytest.raises(RuntimeError, match="has 395 facets, not 396"):
+        _check_hull(dirs, tris[1:])
+    inward = tris.copy()
+    inward[0] = inward[0, ::-1]
+    with pytest.raises(RuntimeError, match="not a closed, consistently wound surface"):
+        _check_hull(dirs, inward)
+    # flip the edge a-b that facets (a, b, c) and (b, a, d) share: the surface
+    # stays closed and consistently wound, but folds in along c-d
+    a, b, c = tris[0]
+    j = next(j for j, t in enumerate(tris) if (b, a) in zip(t, np.roll(t, -1)))
+    d = next(v for v in tris[j] if v not in (a, b))
+    folded = tris.copy()
+    folded[0], folded[j] = (a, d, c), (d, b, c)
+    with pytest.raises(RuntimeError, match="not convex"):
+        _check_hull(dirs, folded)
+
+
+def test_building_the_model_imports_no_scipy():
+    code = ("import sys, morphfit; morphfit.make_procedural_model(42); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["morphfit"].__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_procedural_model_rejects_bad_sizes():
