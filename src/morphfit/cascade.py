@@ -89,8 +89,12 @@ class CascadeRegressor:
         return len(self.scale.mean)
 
     @property
+    def n_shape(self):
+        return self.param_dim - 6  # the pose takes the first 6
+
+    @property
     def layout(self):
-        return param_layout(self.param_dim - 6)
+        return param_layout(self.n_shape)
 
     @property
     def n_stages(self):

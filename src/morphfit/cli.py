@@ -1,14 +1,16 @@
 """Command-line pipeline: model generation, dataset synthesis, training,
-fitting, evaluation, and the POSIT baseline.
+fitting, evaluation, the POSIT baseline over a dataset (`posit`) and one
+POSIT pose from a point file (`pose`).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error. `main` runs
-every command: it resolves the seed, calls the command, and writes the JSON
-run manifest next to the command's output, recording the arguments,
-resolved seed, input files, outputs, and wall-clock timings. --log-level
-picks which of the library's log lines (each training stage's lambda and
-residual, dropped or failed samples) reach stderr. All randomness flows
-from one --seed (or MORPHFIT_SEED) through named sub-streams; outputs are
-byte-identical for any --jobs value.
+Each command's parser declares only the flags that command reads, so any
+other flag is an argparse usage error. Exit codes: 0 success, 1 runtime
+failure, 2 usage error. `main` runs every command: it resolves the seed,
+calls the command, and writes the JSON run manifest next to the command's
+output, recording the arguments, resolved seed, input files, outputs, and
+wall-clock timings. --log-level picks which of the library's log lines
+(each training stage's lambda and residual, dropped or failed samples)
+reach stderr. All randomness flows from one --seed (or MORPHFIT_SEED)
+through named sub-streams; outputs are byte-identical for any --jobs value.
 """
 
 import argparse
@@ -148,7 +150,7 @@ def _read_point_rows(path):
 def cmd_fit(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
-    _check_shape_modes(args.regressor, reg.param_dim - 6, args.model, model)
+    _check_shape_modes(args.regressor, reg.n_shape, args.model, model)
     img = read_pgm(args.image)
     cam = CameraConfig(focal=args.focal, width=img.width, height=img.height)
 
@@ -178,10 +180,10 @@ def cmd_eval(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
     samples, pc = load_dataset(args.data)
-    _check_shape_modes(args.regressor, reg.param_dim - 6, args.model, model)
-    if pc.n_shape != reg.param_dim - 6:
+    _check_shape_modes(args.regressor, reg.n_shape, args.model, model)
+    if pc.n_shape != reg.n_shape:
         raise ValueError("%s has %d shape modes, but %s fits %d"
-                         % (args.data, pc.n_shape, args.regressor, reg.param_dim - 6))
+                         % (args.data, pc.n_shape, args.regressor, reg.n_shape))
     regimes = list(REGIMES) if args.regime == "both" else [args.regime]
     # every regime is evaluated before --out is made, so a failed run writes nothing
     reports = [evaluate(samples, reg, model, pc, regime=regime, jobs=args.jobs)
@@ -200,32 +202,8 @@ def cmd_eval(args, seed):
 
 
 def cmd_posit(args, seed):
-    if (args.model is None) == (args.data is not None):  # the model is read only with --data
-        raise UsageError("--model must be given with --data, and only with it")
-    # --data reads the camera from the set's protocol.txt, and only --data adds noise
-    mode, ignored = ("points", ["noise_px"]) if args.points is not None else \
-        ("data", ["focal", "width", "height"])
-    for dest in ignored:
-        if getattr(args, dest) is not None:
-            raise UsageError("--%s is not used with --%s" % (dest.replace("_", "-"), mode))
-    args.noise_px = args.noise_px or 0.0
-    if args.points is not None:
-        # a flag not given takes its default, and the manifest records the values
-        cam = CameraConfig(**{k: getattr(args, k) for k in ("focal", "width", "height")
-                              if getattr(args, k) is not None})
-        args.focal, args.width, args.height = cam.focal, cam.width, cam.height
-        uv, pts = _read_point_rows(args.points)
-        res = posit(uv, pts, cam)
-        write_csv(args.out, [*POSE_NAMES, "iters", "converged"],
-                  [[*res.pose, res.iters, int(res.converged)]])
-        print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
-              % (*res.pose, res.iters))
-        return {"pose": args.out}, {}
-
     model = load_model(args.model)
     samples, pc = load_dataset(args.data)
-    cam = pc.camera()  # the manifest records the set's camera, which the run uses
-    args.focal, args.width, args.height = cam.focal, cam.width, cam.height
     baseline = posit_baseline(samples, model, pc, args.noise_px, seed)
     mae = float(np.mean([err for _, _, err in baseline]))
     write_csv(args.out, ["id", *POSE_NAMES, "err_rx", "err_ry", "err_rz", "iters", "converged"],
@@ -234,6 +212,17 @@ def cmd_posit(args, seed):
     print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
           % (len(baseline), args.noise_px, mae))
     return {"report": args.out, "mae_deg": mae}, {}
+
+
+def cmd_pose(args, seed):
+    cam = CameraConfig(focal=args.focal, width=args.width, height=args.height)
+    uv, pts = _read_point_rows(args.points)
+    res = posit(uv, pts, cam)
+    write_csv(args.out, [*POSE_NAMES, "iters", "converged"],
+              [[*res.pose, res.iters, int(res.converged)]])
+    print("pose: rx=%.3f ry=%.3f rz=%.3f t=(%.1f, %.1f, %.1f) [%d iters]"
+          % (*res.pose, res.iters))
+    return {"pose": args.out}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -264,31 +253,23 @@ nonnegative_float = _number(float, lambda v: v >= 0, "finite and nonnegative")
 positive_float = _number(float, lambda v: v > 0, "finite and positive")
 
 
-def _camera_flags(cam):
-    """Parent parsers of --focal and of --width/--height, defaulting to the
-    fields of `cam`, or to None (not given) when `cam` is None."""
-    focal, size = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
-    focal.add_argument("--focal", type=positive_float, default=cam and cam.focal)
-    size.add_argument("--width", type=at_least(PROTOCOL_MINIMUMS["width"]),
-                      default=cam and cam.width)
-    size.add_argument("--height", type=at_least(PROTOCOL_MINIMUMS["height"]),
-                      default=cam and cam.height)
-    return focal, size
-
-
 LOG_LEVELS = ["debug", "info", "warning", "error"]
 
 
 def build_parser():
     # shared parent parsers; a default the library holds is read from its config class
-    common, jobs, model = [argparse.ArgumentParser(add_help=False) for _ in range(3)]
+    common, jobs, model, focal, size = [argparse.ArgumentParser(add_help=False) for _ in range(5)]
     common.add_argument("--out", required=True)
     common.add_argument("--seed", type=int)
     common.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
                         help="least severe library log line printed to stderr")
     jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
-    focal, size = _camera_flags(CameraConfig)
+    focal.add_argument("--focal", type=positive_float, default=CameraConfig.focal)
+    size.add_argument("--width", type=at_least(PROTOCOL_MINIMUMS["width"]),
+                      default=CameraConfig.width)
+    size.add_argument("--height", type=at_least(PROTOCOL_MINIMUMS["height"]),
+                      default=CameraConfig.height)
 
     p = argparse.ArgumentParser(prog="morphfit",
                                 description="3D shape-model fitting via cascaded regression")
@@ -339,14 +320,17 @@ def build_parser():
     ev.add_argument("--regime", choices=[*REGIMES, "both"], default="uniform")
     ev.set_defaults(func=cmd_eval)
 
-    po = sub.add_parser("posit", parents=[common, *_camera_flags(None)],
-                        help="POSIT baseline from 2D/3D correspondences")
-    source = po.add_mutually_exclusive_group(required=True)
-    source.add_argument("--points", help="CSV of u,v,X,Y,Z rows")
-    source.add_argument("--data", help="dataset directory for batch mode")
-    po.add_argument("--model", help="shape model, required with --data")
-    po.add_argument("--noise-px", type=nonnegative_float, help="--data only; default 0")
+    po = sub.add_parser("posit", parents=[common, model],
+                        help="POSIT baseline over a dataset, camera from its protocol.txt")
+    po.add_argument("--data", required=True)
+    po.add_argument("--noise-px", type=nonnegative_float, default=0.0,
+                    help="standard deviation of the landmark pixel noise")
     po.set_defaults(func=cmd_posit)
+
+    pz = sub.add_parser("pose", parents=[common, focal, size],
+                        help="POSIT pose from 2D/3D correspondences")
+    pz.add_argument("--points", required=True, help="CSV of u,v,X,Y,Z rows")
+    pz.set_defaults(func=cmd_pose)
 
     return p
 

@@ -113,6 +113,7 @@ class ProtocolConfig:
         for step in (self.step_train, self.step_test):
             if step <= 0:
                 raise ValueError("grid step %g must be positive" % step)
+        self.camera()  # the camera's own rules, such as a positive focal
 
     def camera(self):
         return CameraConfig(focal=self.focal, width=self.width, height=self.height)

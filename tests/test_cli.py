@@ -14,9 +14,9 @@ import morphfit
 from morphfit import CameraConfig, ProtocolConfig, TrainConfig, load_model, load_regressor, \
     make_procedural_model, project_points, read_pgm, save_regressor, select_landmarks
 from morphfit.cli import build_parser, main
-from morphfit.evaluate import REGIMES
+from morphfit.evaluate import REGIMES, posit_baseline
 from morphfit.shape_model import POSE_NAMES
-from morphfit.synth import MODE_TAGS
+from morphfit.synth import MODE_TAGS, load_protocol
 
 # the directory this process imports morphfit from, so the child does too
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(morphfit.__file__)))
@@ -110,7 +110,7 @@ def test_usage_errors_exit_2(workspace, tmp_path):
         code, _, err = run_cli("make-model", "--out", str(out), *flags, **env)
         assert code == 2 and "%s must be nonnegative, got -1" % name in err
         assert not out.exists()
-    # fit and posit take exactly one input source
+    # fit takes exactly one initialization
     img = os.path.join(workspace["test"], "images",
                        sorted(os.listdir(os.path.join(workspace["test"], "images")))[0])
     fit_out = tmp_path / "traj.csv"
@@ -118,12 +118,7 @@ def test_usage_errors_exit_2(workspace, tmp_path):
         code, _, err = run_cli("fit", "--image", img, "--model", workspace["model"],
                                "--regressor", workspace["reg"], "--out", str(fit_out), *sources)
         assert code == 2 and "--init-landmarks" in err
-    posit_out = tmp_path / "pose.csv"
-    for sources in ([], ["--points", img, "--data", workspace["test"]]):
-        code, _, err = run_cli("posit", "--model", workspace["model"], "--out", str(posit_out),
-                               *sources)
-        assert code == 2 and "--points" in err and "--data" in err
-    assert not fit_out.exists() and not posit_out.exists()
+    assert not fit_out.exists()
     # a job count below 1 names --jobs; nothing is written
     synth_out = tmp_path / "set"
     for value in ("0", "-3"):
@@ -134,7 +129,7 @@ def test_usage_errors_exit_2(workspace, tmp_path):
     points = tmp_path / "points.csv"
     points.write_text("1,2,3,4,5\n")
     # numeric flags are checked before any input is read; each error names its flag
-    train_out = tmp_path / "c.mfr"
+    posit_out, train_out = tmp_path / "posit.csv", tmp_path / "c.mfr"
     commands = {
         "posit": ["posit", "--data", workspace["test"], "--model", workspace["model"],
                   "--out", str(posit_out)],
@@ -173,7 +168,7 @@ def test_usage_errors_exit_2(workspace, tmp_path):
             (synth_cmd, "--tz", "nan", "must be finite, got nan"),
             (synth_cmd, "--grid-step", "nan", "must be finite and positive, got nan"),
             (synth_cmd, "--grid-step", "-5", "must be finite and positive, got -5"),
-            (["posit", "--points", str(points), "--out", str(posit_out)], "--focal", "-2",
+            (["pose", "--points", str(points), "--out", str(posit_out)], "--focal", "-2",
              "must be finite and positive, got -2"),
             (model_cmd, "--vertices", "0", "must be at least 50, got 0"),
             (model_cmd, "--modes", "0", "must be in [1, 20], got 0"),
@@ -198,10 +193,10 @@ def test_parsed_defaults_are_the_library_defaults():
     fit = parser.parse_args(["fit", "--image", "i", "--model", "m", "--regressor", "r",
                              "--out", "o", "--init", "0"])
     assert fit.focal == cam.focal
-    # posit's camera and noise flags parse as not given; cmd_posit fills in the defaults
-    # (test_posit_rejects_flags_its_mode_ignores)
-    posit = parser.parse_args(["posit", "--points", "p", "--out", "o"])
-    assert (posit.focal, posit.width, posit.height, posit.noise_px) == (None,) * 4
+    pose = parser.parse_args(["pose", "--points", "p", "--out", "o"])
+    assert (pose.focal, pose.width, pose.height) == (cam.focal, cam.width, cam.height)
+    posit = parser.parse_args(["posit", "--data", "d", "--model", "m", "--out", "o"])
+    assert posit.noise_px == inspect.signature(posit_baseline).parameters["noise_px"].default
     model = parser.parse_args(["make-model", "--out", "o"])
     procedural = inspect.signature(make_procedural_model).parameters
     assert (model.vertices, model.modes) == (procedural["vertex_count"].default,
@@ -400,7 +395,7 @@ def test_too_few_point_rows_exit_2(workspace, tmp_path, capsys):
     pts = tmp_path / "three.csv"
     pts.write_text("u,v,X,Y,Z\n10,20,0,0,0\n90,20,50,0,0\n10,80,0,50,10\n")
     img = os.path.join(workspace["test"], "images", "test_p+0_y+0_b0.pgm")
-    for cmd in (["posit", "--points", str(pts)],
+    for cmd in (["pose", "--points", str(pts)],
                 ["fit", "--image", img, "--model", workspace["model"],
                  "--regressor", workspace["reg"], "--init-landmarks", str(pts)]):
         assert main([*cmd, "--out", str(tmp_path / "out.csv")]) == 2
@@ -480,55 +475,56 @@ def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
         assert not out.exists()
 
 
-def test_posit_single_pose(workspace, tmp_path, capsys):
+def test_posit_single_pose(workspace, tmp_path):
     _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
                                CameraConfig(focal=1500.0, width=640, height=480))
     path = str(tmp_path / "pts.csv")
     Path(path).write_text(rows)
     out = str(tmp_path / "pose.csv")
-    assert main(["posit", "--points", path, "--out", out,
+    assert main(["pose", "--points", path, "--out", out,
                  "--focal", "1500", "--width", "640", "--height", "480"]) == 0
     header, values = Path(out).read_text().strip().splitlines()
     vals = dict(zip(header.split(","), values.split(",")))
     assert float(vals["rx"]) == pytest.approx(10.0, abs=0.05)
     assert float(vals["ry"]) == pytest.approx(-15.0, abs=0.05)
     assert int(vals["converged"]) == 1
-    # the model is read only with --data, so the manifest cannot record one it did not read
-    other = str(tmp_path / "other.csv")
-    for source in (["--points", path, "--model", workspace["model"]],
-                   ["--data", workspace["test"]]):
-        assert main(["posit", *source, "--out", other]) == 2
-        assert "--model must be given with --data, and only with it" in capsys.readouterr().err
-    assert not os.path.exists(other)
-
-
-def test_posit_rejects_flags_its_mode_ignores(workspace, tmp_path, capsys):
+    # without camera flags pose keeps CameraConfig's camera, and its manifest says so
     uv, pts3d, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
                                     CameraConfig())
-    points = tmp_path / "pts.csv"
-    points.write_text(rows)
-    out = tmp_path / "pose.csv"
-    # --data reads the camera from the set's protocol.txt; only --data adds noise
-    data = ["--data", workspace["test"], "--model", workspace["model"]]
-    for source, flags, problem in (
-            (data, ["--focal", "900", "--width", "33", "--height", "44"], "--focal"),
-            (data, ["--width", "33"], "--width"),
-            (data, ["--height", "44"], "--height"),
-            (["--points", str(points)], ["--noise-px", "5"], "--noise-px"),
-            (["--points", str(points)], ["--noise-px", "0"], "--noise-px")):
-        assert main(["posit", *source, *flags, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "usage error: %s is not used with %s" % (problem, source[0]) in err
-    assert os.listdir(tmp_path) == ["pts.csv"]
-    # without camera flags --points keeps CameraConfig's camera, and its manifest says so
-    assert main(["posit", "--points", str(points), "--out", str(out)]) == 0
-    _, values = out.read_text().splitlines()
+    Path(path).write_text(rows)
+    assert main(["pose", "--points", path, "--out", out]) == 0
+    _, values = Path(out).read_text().splitlines()
     np.testing.assert_array_equal([float(v) for v in values.split(",")[:6]],
                                   morphfit.posit(uv, pts3d, CameraConfig()).pose)
-    config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+    config = json.loads(Path(out + ".manifest.json").read_text())["config"]
     cam = CameraConfig()
-    assert (config["focal"], config["width"], config["height"], config["noise_px"]) == \
-        (cam.focal, cam.width, cam.height, 0.0)
+    assert (config["focal"], config["width"], config["height"]) == \
+        (cam.focal, cam.width, cam.height)
+
+
+def test_posit_and_pose_take_only_their_own_flags(workspace, tmp_path):
+    """Each parser declares only the flags its command reads, so argparse rejects
+    the other command's flags and a missing input with exit 2, writing nothing."""
+    _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
+                               CameraConfig())
+    points = tmp_path / "pts.csv"
+    points.write_text(rows)
+    posit = ["posit", "--data", workspace["test"], "--model", workspace["model"]]
+    pose = ["pose", "--points", str(points)]
+    for cmd, flags, problem in (
+            (posit, ["--points", str(points)], "unrecognized arguments: --points"),
+            (posit, ["--focal", "900"], "unrecognized arguments: --focal 900"),
+            (posit, ["--width", "33"], "unrecognized arguments: --width 33"),
+            (posit, ["--height", "44"], "unrecognized arguments: --height 44"),
+            (pose, ["--data", workspace["test"]], "unrecognized arguments: --data"),
+            (pose, ["--model", workspace["model"]], "unrecognized arguments: --model"),
+            (pose, ["--noise-px", "0"], "unrecognized arguments: --noise-px 0"),
+            (posit[:3], [], "the following arguments are required: --model"),
+            (posit[:1] + posit[3:], [], "the following arguments are required: --data"),
+            (pose[:1], [], "the following arguments are required: --points")):
+        code, _, err = run_cli(*cmd, *flags, "--out", str(tmp_path / "out.csv"))
+        assert code == 2 and problem in err, (cmd, flags, err)
+    assert os.listdir(tmp_path) == ["pts.csv"]
 
 
 def test_point_csv_header_may_follow_comments(workspace, tmp_path):
@@ -539,7 +535,7 @@ def test_point_csv_header_may_follow_comments(workspace, tmp_path):
     commented.write_text("# exported by X\n\n# pixels, then mm\nu,v,X,Y,Z\n" + rows)
     camera = ["--focal", "500", "--width", "160", "--height", "120"]
     for path in (plain, commented):
-        assert main(["posit", "--points", str(path), *camera,
+        assert main(["pose", "--points", str(path), *camera,
                      "--out", str(path) + ".pose"]) == 0
     assert Path(str(commented) + ".pose").read_bytes() == Path(str(plain) + ".pose").read_bytes()
     img = os.path.join(workspace["test"], "images", "test_p+10_y-20_b0.pgm")
@@ -550,7 +546,7 @@ def test_point_csv_header_may_follow_comments(workspace, tmp_path):
     assert Path(str(commented) + ".traj").read_bytes() == Path(str(plain) + ".traj").read_bytes()
     # a header is taken only on the first line that is not a comment
     commented.write_text("# exported by X\nu,v,X,Y,Z\n" + rows + "u,v,X,Y,Z\n")
-    for cmd in (["posit", "--points", str(commented), *camera],
+    for cmd in (["pose", "--points", str(commented), *camera],
                 [*fit, "--init-landmarks", str(commented)]):
         code, _, err = run_cli(*cmd, "--out", str(tmp_path / "late.csv"))
         assert code == 2 and "commented.csv: line %d: malformed number" % (len(uv) + 3) in err
@@ -565,7 +561,7 @@ def test_point_csv_malformed_first_row_is_an_error(workspace, tmp_path):
     img = os.path.join(workspace["test"], "images", "test_p+10_y-20_b0.pgm")
     for first in ("10,20,0,0,0x", "u,v,x,y,z", "U,V,X,Y,Z"):
         pts.write_text("# no header\n%s\n%s" % (first, rows))
-        for cmd in (["posit", "--points", str(pts), "--focal", "500", "--width", "160",
+        for cmd in (["pose", "--points", str(pts), "--focal", "500", "--width", "160",
                      "--height", "120"],
                     ["fit", "--image", img, "--model", workspace["model"], "--regressor",
                      workspace["reg"], "--focal", "500", "--init-landmarks", str(pts)]):
@@ -574,26 +570,39 @@ def test_point_csv_malformed_first_row_is_an_error(workspace, tmp_path):
         assert sorted(os.listdir(tmp_path)) == ["pts.csv"]
 
 
-def test_posit_data_manifest_records_the_set_camera(workspace, tmp_path):
+def test_posit_and_pose_manifests_record_only_their_flags(workspace, tmp_path):
+    # posit reads its camera from the set's protocol.txt, which inputs.dataset names
     out = str(tmp_path / "posit.csv")
     assert main(["posit", "--data", workspace["test"], "--model", workspace["model"],
                  "--out", out]) == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert sorted(manifest["config"]) == ["command", "data", "log_level", "model", "noise_px",
+                                          "out", "seed"]
+    assert load_protocol(manifest["inputs"]["dataset"]).camera() == \
+        CameraConfig(focal=500.0, width=160, height=120)
+    _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
+                               CameraConfig())
+    points = tmp_path / "pts.csv"
+    points.write_text(rows)
+    out = str(tmp_path / "pose.csv")
+    assert main(["pose", "--points", str(points), "--out", out]) == 0
     config = json.loads(Path(out + ".manifest.json").read_text())["config"]
-    assert (config["focal"], config["width"], config["height"]) == (500.0, 160, 120)
+    assert sorted(config) == ["command", "focal", "height", "log_level", "out", "points", "seed",
+                              "width"]
 
 
 def test_posit_malformed_csv_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     out = str(tmp_path / "o.csv")
     bad.write_text("1,2,3\n")
-    code, _, _ = run_cli("posit", "--points", str(bad), "--out", out)
+    code, _, _ = run_cli("pose", "--points", str(bad), "--out", out)
     assert code == 2
     good = "u,v,X,Y,Z\n" + "".join("%d,%d,%d,%d,%d\n" % (i, i + 1, i, 2 * i, 3) for i in range(6))
     bad.write_bytes(good.encode().replace(b"\n1,", b"\n\xff1,", 1))
-    code, _, err = run_cli("posit", "--points", str(bad), "--out", out)
+    code, _, err = run_cli("pose", "--points", str(bad), "--out", out)
     assert code == 2 and "bad.csv: line 3: non-ASCII byte 0xff" in err
     bad.write_text(good.replace("\n2,3,", "\nnan,3,", 1))
-    code, _, err = run_cli("posit", "--points", str(bad), "--out", out)
+    code, _, err = run_cli("pose", "--points", str(bad), "--out", out)
     assert code == 2 and "bad.csv: line 4: non-finite value" in err
 
 
@@ -639,6 +648,11 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
     posit_out = str(tmp_path / "posit.csv")
     assert main(["posit", "--data", workspace["test"], "--model", workspace["model"],
                  "--out", posit_out, "--seed", "17"]) == 0
+    points = tmp_path / "pts.csv"
+    points.write_text(landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
+                                    CameraConfig())[2])
+    pose_out = str(tmp_path / "pose.csv")
+    assert main(["pose", "--points", str(points), "--out", pose_out, "--seed", "19"]) == 0
 
     expected = [  # (manifest, command, resolved seed); eval's seed comes from the environment
         (workspace["model"] + ".manifest.json", "make-model", 3),
@@ -648,6 +662,7 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
         (fit_out + ".manifest.json", "fit", 11),
         (os.path.join(eval_out, "manifest.json"), "eval", 13),
         (posit_out + ".manifest.json", "posit", 17),
+        (pose_out + ".manifest.json", "pose", 19),
     ]
     keys = {"command", "version", "config", "seed", "inputs", "outputs", "timings_s",
             "started", "finished"}
@@ -659,6 +674,7 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
         "eval": {"dataset": workspace["test"], "model": workspace["model"],
                  "regressor": workspace["reg"]},
         "posit": {"dataset": workspace["test"], "model": workspace["model"]},
+        "pose": {"points": str(points)},
     }
     for path, command, seed in expected:
         manifest = json.loads(Path(path).read_text())

@@ -526,6 +526,9 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
         (out / "protocol.txt").write_text(protocol.replace(old, new, 1))
         with pytest.raises(ValueError, match="protocol.txt: field '%s' is below" % old.split()[0]):
             load_dataset(out)
+    (out / "protocol.txt").write_text(protocol.replace("focal 500", "focal 0", 1))
+    with pytest.raises(ValueError, match="protocol.txt: focal must be finite and positive"):
+        load_dataset(out)
 
 
 def test_load_dataset_rejects_an_image_of_another_size(tmp_path, small_model):
@@ -631,6 +634,10 @@ def test_protocol_validation():
                        ("seed", -1)):
         with pytest.raises(ValueError, match="field '%s' is below" % field):
             ProtocolConfig(**{field: bad})
+    # the camera's own rule, at construction, not first in camera()
+    for focal in (0.0, -5.0):
+        with pytest.raises(ValueError, match="focal must be finite and positive"):
+            ProtocolConfig(focal=focal)
 
 
 def test_background_noise_has_texture(small_cam):
