@@ -7,6 +7,7 @@ Conventions (pinned by the regression tests, do not change silently):
     down -z; visible points have camera z < 0
   * rotation order: roll (z) first, then pitch (x), then yaw (y),
     then translation: p_cam = Ry Rx Rz p + t
+  * a pose is [rx ry rz tx ty tz]: POSE_NAMES, cut by ANGLES and TRANSLATION
   * angles are degrees everywhere in the public API
   * screen origin is the top-left pixel corner area, u right, v down:
     u = cx + f*x/(-z), v = cy - f*y/(-z), (cx, cy) the image centre
@@ -17,6 +18,11 @@ Conventions (pinned by the regression tests, do not change silently):
 from dataclasses import dataclass
 
 import numpy as np
+
+
+POSE_NAMES = ["rx", "ry", "rz", "tx", "ty", "tz"]
+ANGLES = slice(0, 3)       # rx ry rz, degrees
+TRANSLATION = slice(3, 6)  # tx ty tz, mm
 
 
 @dataclass
@@ -87,14 +93,14 @@ def to_camera(points, pose):
     """Camera-space coordinates of (n, 3) model points (mm) under
     pose = [rx ry rz tx ty tz] (degrees, mm): R @ p + t, R = Ry Rx Rz."""
     pose = np.asarray(pose, dtype=np.float64).reshape(-1)
-    if pose.shape != (6,):
-        raise ValueError("pose needs 6 values [rx ry rz tx ty tz]")
+    if pose.shape != (len(POSE_NAMES),):
+        raise ValueError("pose needs %d values [%s]" % (len(POSE_NAMES), " ".join(POSE_NAMES)))
     if not np.all(np.isfinite(pose)):
         raise ValueError("pose parameters must be finite")
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be (n, 3)")
-    return pts @ rotation_from_angles(*pose[:3]).T + pose[3:]
+    return pts @ rotation_from_angles(*pose[ANGLES]).T + pose[TRANSLATION]
 
 
 def project_points(points, pose, cam):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureError, PlaneStore, assemble_feature
-from .shape_model import param_layout
+from .shape_model import POSE_NAMES, param_layout
 from .util import TokenReader, atomic_write, fmt_row, parallel_map
 
 log = logging.getLogger(__name__)
@@ -78,8 +78,9 @@ class CascadeRegressor:
     train_residuals: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.param_dim < 6:
-            raise ValueError("scale has %d parameters; the pose alone takes 6" % self.param_dim)
+        if self.n_shape < 0:
+            raise ValueError("scale has %d parameters; the pose alone takes %d"
+                             % (self.param_dim, len(POSE_NAMES)))
         for wr in self.stages:
             if wr.A.shape != (self.param_dim, self.feature_dim):
                 raise ValueError("stage dimensions inconsistent with scale/feature_dim")
@@ -90,7 +91,7 @@ class CascadeRegressor:
 
     @property
     def n_shape(self):
-        return self.param_dim - 6  # the pose takes the first 6
+        return self.param_dim - len(POSE_NAMES)
 
     @property
     def layout(self):
@@ -267,8 +268,9 @@ def load_regressor(path):
     p = r.count("pdim")
     fdim = r.count("fdim")
     layout = r.take("layout", p)
-    if layout != param_layout(p - 6):
-        raise r.error("layout %s, expected %s" % (layout, param_layout(p - 6)))
+    expected = param_layout(p - len(POSE_NAMES))
+    if layout != expected:
+        raise r.error("layout %s, expected %s" % (layout, expected))
     scale = r.make("scale", ParamScale, mean=r.array("scale:", float, p),
                    std=r.array(None, float, p))
     stages = [r.make("stage %d" % i, WeakRegressor, A=r.array("A:", float, p, fdim),

@@ -2,15 +2,15 @@
 fitting, evaluation, the POSIT baseline over a dataset (`posit`) and one
 POSIT pose from a point file (`pose`).
 
-Each command's parser declares only the flags that command reads, so any
-other flag is an argparse usage error. Exit codes: 0 success, 1 runtime
-failure, 2 usage error. `main` runs every command: it resolves the seed,
-calls the command, and writes the JSON run manifest next to the command's
-output, recording the arguments, resolved seed, input files, outputs, and
-wall-clock timings. --log-level picks which of the library's log lines
-(each training stage's lambda and residual, dropped or failed samples)
-reach stderr. All randomness flows from one --seed (or MORPHFIT_SEED)
-through named sub-streams; outputs are byte-identical for any --jobs value.
+Each command's parser declares only the flags that command reads, so any other
+flag is an argparse usage error. Exit codes: 0 success, 1 runtime failure, 2
+usage error. `main` runs every command: it resolves the seed (null for `pose`,
+which draws no random number), calls the command and writes the JSON run
+manifest next to its output: the arguments, seed, input files, outputs and
+wall-clock timings. --log-level picks which of the library's log lines (each
+training stage's lambda and residual, dropped or failed samples) reach stderr.
+All randomness flows from one --seed (or MORPHFIT_SEED) through named
+sub-streams; outputs are byte-identical for any --jobs value.
 """
 
 import argparse
@@ -25,11 +25,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .camera import MIN_POINTS, CameraConfig, posit
+from .camera import ANGLES, MIN_POINTS, POSE_NAMES, CameraConfig, posit
 from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, posit_baseline, write_report
 from .features import read_pgm
-from .shape_model import DEFAULT_MODES, DEFAULT_VERTICES, MAX_MODES, MIN_VERTICES, POSE_NAMES, \
+from .shape_model import DEFAULT_MODES, DEFAULT_VERTICES, MAX_MODES, MIN_VERTICES, POSE, \
     load_model, make_procedural_model, save_model
 from .synth import MODE_TAGS, PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, \
     subseed, write_dataset
@@ -158,10 +158,10 @@ def cmd_fit(args, seed):
         theta0 = _parse_inline_theta(args.init, reg.param_dim)
     else:
         theta0 = np.zeros(reg.param_dim)
-        theta0[:6] = posit(*_read_point_rows(args.init_landmarks), cam).pose
+        theta0[POSE] = posit(*_read_point_rows(args.init_landmarks), cam).pose
     if args.init_noise:
         rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
-        theta0[:3] += rng.uniform(-args.init_noise, args.init_noise, size=3)
+        theta0[ANGLES] += rng.uniform(-args.init_noise, args.init_noise, size=3)
 
     t_fit = time.perf_counter()
     result = fit(img, theta0, reg, model, cam)
@@ -206,7 +206,8 @@ def cmd_posit(args, seed):
     samples, pc = load_dataset(args.data)
     baseline = posit_baseline(samples, model, pc, args.noise_px, seed)
     mae = float(np.mean([err for _, _, err in baseline]))
-    write_csv(args.out, ["id", *POSE_NAMES, "err_rx", "err_ry", "err_rz", "iters", "converged"],
+    write_csv(args.out, ["id", *POSE_NAMES, *["err_" + n for n in POSE_NAMES[ANGLES]],
+                         "iters", "converged"],
               [[sid, *res.pose, *err, res.iters, int(res.converged)]
                for sid, res, err in baseline])
     print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
@@ -258,11 +259,12 @@ LOG_LEVELS = ["debug", "info", "warning", "error"]
 
 def build_parser():
     # shared parent parsers; a default the library holds is read from its config class
-    common, jobs, model, focal, size = [argparse.ArgumentParser(add_help=False) for _ in range(5)]
+    common, seed, jobs, model, focal, size = [argparse.ArgumentParser(add_help=False)
+                                              for _ in range(6)]
     common.add_argument("--out", required=True)
-    common.add_argument("--seed", type=int)
     common.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
                         help="least severe library log line printed to stderr")
+    seed.add_argument("--seed", type=int)
     jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
     focal.add_argument("--focal", type=positive_float, default=CameraConfig.focal)
@@ -275,13 +277,13 @@ def build_parser():
                                 description="3D shape-model fitting via cascaded regression")
     sub = p.add_subparsers(dest="command", required=True)
 
-    mm = sub.add_parser("make-model", parents=[common],
+    mm = sub.add_parser("make-model", parents=[common, seed],
                         help="generate the procedural shape model")
     mm.add_argument("--vertices", type=at_least(MIN_VERTICES), default=DEFAULT_VERTICES)
     mm.add_argument("--modes", type=at_least(1, high=MAX_MODES), default=DEFAULT_MODES)
     mm.set_defaults(func=cmd_make_model)
 
-    sy = sub.add_parser("synth", parents=[common, jobs, model, focal, size],
+    sy = sub.add_parser("synth", parents=[common, seed, jobs, model, focal, size],
                         help="render a train or test dataset")
     sy.add_argument("--mode", choices=list(MODE_TAGS), default="train")
     sy.add_argument("--grid-step", type=positive_float, help="step of the --mode grid, degrees")
@@ -294,14 +296,14 @@ def build_parser():
                     default=ProtocolConfig.n_shape)
     sy.set_defaults(func=cmd_synth)
 
-    tr = sub.add_parser("train", parents=[common, jobs, model],
+    tr = sub.add_parser("train", parents=[common, seed, jobs, model],
                         help="train a cascade on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--stages", type=positive_int, default=TrainConfig.stages)
     tr.add_argument("--lambda", type=nonnegative_float, default=TrainConfig.lam)
     tr.set_defaults(func=cmd_train)
 
-    ft = sub.add_parser("fit", parents=[common, model, focal],
+    ft = sub.add_parser("fit", parents=[common, seed, model, focal],
                         help="fit pose/shape to one image")
     ft.add_argument("--image", required=True)
     ft.add_argument("--regressor", required=True)
@@ -313,14 +315,14 @@ def build_parser():
                     help="perturb initial angles uniformly within +/- this many degrees")
     ft.set_defaults(func=cmd_fit)
 
-    ev = sub.add_parser("eval", parents=[common, jobs, model],
+    ev = sub.add_parser("eval", parents=[common, seed, jobs, model],
                         help="per-stage error curves over a dataset")
     ev.add_argument("--data", required=True)
     ev.add_argument("--regressor", required=True)
     ev.add_argument("--regime", choices=[*REGIMES, "both"], default="uniform")
     ev.set_defaults(func=cmd_eval)
 
-    po = sub.add_parser("posit", parents=[common, model],
+    po = sub.add_parser("posit", parents=[common, seed, model],
                         help="POSIT baseline over a dataset, camera from its protocol.txt")
     po.add_argument("--data", required=True)
     po.add_argument("--noise-px", type=nonnegative_float, default=0.0,
@@ -354,7 +356,7 @@ def main(argv=None):
     logger.setLevel(args.log_level.upper())
     logger.addHandler(handler)
     try:
-        seed = _resolve_seed(args)
+        seed = _resolve_seed(args) if "seed" in args else None
         outputs, timings = args.func(args, seed)
         timings["total"] = time.perf_counter() - t0
         path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import posit, project_points
+from .camera import ANGLES, posit, project_points
 from .cascade import FitError, fit
-from .shape_model import select_landmarks, split_theta
+from .shape_model import SHAPE, init_theta, select_landmarks, split_theta
 from .synth import ProtocolConfig, subseed
 from .util import parallel_map, write_csv
 
@@ -35,7 +35,7 @@ def angle_errors(theta, gt):
     gt = np.asarray(gt, dtype=np.float64)
     if np.broadcast_shapes(theta.shape, gt.shape) != theta.shape:
         raise ValueError("ground truth %s does not broadcast to %s" % (gt.shape, theta.shape))
-    return np.mean(np.abs(theta[..., :3] - gt[..., :3]), axis=-1)
+    return np.mean(np.abs(theta[..., ANGLES] - gt[..., ANGLES]), axis=-1)
 
 
 def shape_cosine(alpha_e, alpha_g):
@@ -63,18 +63,12 @@ class EvalReport:
 
 
 def initial_theta(sample, regime, init_offset=ProtocolConfig.init_offset):
-    """Initialization for a sample under the given regime.
-
-    "uniform": the stored perturbed initialization. "fixed": every angle
-    offset by +init_offset from ground truth, shape at the mean face.
-    """
+    """A sample's initialization: "uniform" is its stored one, and "fixed" is
+    init_theta(theta_gt, init_offset), every angle offset by +init_offset."""
     if regime == "uniform":
         return sample.theta_init.copy()
     if regime == "fixed":
-        theta = sample.theta_gt.copy()
-        theta[:3] += init_offset
-        theta[6:] = 0.0
-        return theta
+        return init_theta(sample.theta_gt, init_offset)
     raise ValueError("unknown regime %r" % regime)
 
 
@@ -106,7 +100,7 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
     traj = np.stack([t for _, t in used])        # (N, S+1, p)
 
     # stage-major, so each stage's mean sums its samples as one contiguous row
-    cosines = shape_cosine(traj[..., 6:].swapaxes(0, 1), gt[:, 6:])
+    cosines = shape_cosine(traj[..., SHAPE].swapaxes(0, 1), gt[:, SHAPE])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a stage with no cosine is NaN
         cos_mean = np.nanmean(cosines, axis=1)
@@ -141,7 +135,7 @@ def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
             rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
             uv = uv + rng.normal(0.0, noise_px, size=uv.shape)
         res = posit(uv, pts3d, cam)
-        results.append((s.id, res, np.abs(res.pose[:3] - s.theta_gt[:3])))
+        results.append((s.id, res, np.abs(res.pose[ANGLES] - s.theta_gt[ANGLES])))
     if not results:
         raise RuntimeError("no sample produced a valid POSIT estimate")
     return results

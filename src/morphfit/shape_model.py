@@ -5,6 +5,8 @@ orthonormal deformation basis with per-mode standard deviations, a fixed
 list of landmark vertex ids used for feature extraction, and a triangle
 list used only by the renderer. Coefficients are in standard-deviation
 units: an instance is  mean + sum_i alpha_i * sigma_i * basis[:, i].
+A fit's theta = [pose, shape] is cut by POSE and SHAPE, named by param_layout
+and started from a ground truth by init_theta.
 
 The procedural model places its vertices along unit directions on a
 Fibonacci sphere, and its triangles are the convex hull of those
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .camera import ANGLES, POSE_NAMES
 from .util import TokenReader, atomic_write, fmt_row
 
 
@@ -88,7 +91,8 @@ def instance_shape(model, alpha):
     return model.mean + model.basis @ (alpha * model.sigmas)
 
 
-POSE_NAMES = ["rx", "ry", "rz", "tx", "ty", "tz"]
+POSE = slice(0, len(POSE_NAMES))      # theta's pose, POSE_NAMES
+SHAPE = slice(len(POSE_NAMES), None)  # theta's shape coefficients, in sigmas
 
 
 def param_layout(n_shape):
@@ -104,14 +108,23 @@ def split_theta(model, theta):
     non-finite entry.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if not 6 <= theta.shape[0] <= 6 + model.num_modes:
-        raise ValueError("theta has %d entries; the model takes 6..%d"
-                         % (theta.shape[0], 6 + model.num_modes))
+    n_pose = len(POSE_NAMES)
+    if not n_pose <= theta.shape[0] <= n_pose + model.num_modes:
+        raise ValueError("theta has %d entries; the model takes %d..%d"
+                         % (theta.shape[0], n_pose, n_pose + model.num_modes))
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta has a non-finite entry")
     alpha = np.zeros(model.num_modes)
-    alpha[:theta.shape[0] - 6] = theta[6:]
-    return theta[:6], alpha
+    alpha[:theta.shape[0] - n_pose] = theta[SHAPE]
+    return theta[POSE], alpha
+
+
+def init_theta(theta_gt, d_angles):
+    """theta_gt plus d_angles (scalar or 3-vector) on its angles, shape at the mean face; a copy."""
+    theta = np.array(theta_gt, dtype=np.float64)
+    theta[ANGLES] += d_angles
+    theta[SHAPE] = 0.0
+    return theta
 
 
 def select_landmarks(model, alpha):

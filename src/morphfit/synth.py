@@ -39,7 +39,7 @@ import numpy as np
 from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_rows
-from .shape_model import instance_shape, param_layout, split_theta
+from .shape_model import init_theta, instance_shape, param_layout, split_theta
 from .util import ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
 
 
@@ -48,7 +48,9 @@ class RenderError(RuntimeError):
 
 
 def subseed(*parts):
-    """Stable 32-bit sub-seed derived from integer parts."""
+    """Stable 32-bit sub-seed derived from integer parts. Trailing zero parts change
+    nothing (SeedSequence pads with zeros: subseed(7, 5) == subseed(7, 5, 0)), so a
+    new tag must differ from every tag in use in a nonzero part."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
@@ -334,10 +336,7 @@ def generate_set(model, pc, mode, jobs=1):
                 # fresh identity per rendered sample
                 alpha = rng_alpha.standard_normal(pc.n_shape) if pc.n_shape else np.zeros(0)
                 theta_gt = np.concatenate([[pitch, yaw, 0.0, tx, ty, pc.tz], alpha])
-                d_ang = rng_init.uniform(-spread, spread, size=3)
-                theta_init = theta_gt.copy()
-                theta_init[:3] += d_ang
-                theta_init[6:] = 0.0  # shape always starts at the mean face
+                theta_init = init_theta(theta_gt, rng_init.uniform(-spread, spread, size=3))
                 sid = "%s_p%+g_y%+g_b%d" % (mode, pitch, yaw, b)
                 specs.append((sid, theta_gt, theta_init, subseed(pc.seed, tag, 20, len(specs))))
 

@@ -519,6 +519,7 @@ def test_posit_and_pose_take_only_their_own_flags(workspace, tmp_path):
             (pose, ["--data", workspace["test"]], "unrecognized arguments: --data"),
             (pose, ["--model", workspace["model"]], "unrecognized arguments: --model"),
             (pose, ["--noise-px", "0"], "unrecognized arguments: --noise-px 0"),
+            (pose, ["--seed", "1"], "unrecognized arguments: --seed 1"),
             (posit[:3], [], "the following arguments are required: --model"),
             (posit[:1] + posit[3:], [], "the following arguments are required: --data"),
             (pose[:1], [], "the following arguments are required: --points")):
@@ -587,8 +588,7 @@ def test_posit_and_pose_manifests_record_only_their_flags(workspace, tmp_path):
     out = str(tmp_path / "pose.csv")
     assert main(["pose", "--points", str(points), "--out", out]) == 0
     config = json.loads(Path(out + ".manifest.json").read_text())["config"]
-    assert sorted(config) == ["command", "focal", "height", "log_level", "out", "points", "seed",
-                              "width"]
+    assert sorted(config) == ["command", "focal", "height", "log_level", "out", "points", "width"]
 
 
 def test_posit_malformed_csv_exits_2(tmp_path):
@@ -604,6 +604,20 @@ def test_posit_malformed_csv_exits_2(tmp_path):
     bad.write_text(good.replace("\n2,3,", "\nnan,3,", 1))
     code, _, err = run_cli("pose", "--points", str(bad), "--out", out)
     assert code == 2 and "bad.csv: line 4: non-finite value" in err
+
+
+def test_pose_draws_no_seed(workspace, tmp_path):
+    """pose draws no random number, so a MORPHFIT_SEED that is not an integer
+    does not stop it, and its output is the same with or without one."""
+    _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
+                               CameraConfig())
+    points = tmp_path / "pts.csv"
+    points.write_text(rows)
+    plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
+    assert run_cli("pose", "--points", str(points), "--out", str(plain))[0] == 0
+    assert run_cli("pose", "--points", str(points), "--out", str(seeded),
+                   MORPHFIT_SEED="abc")[0] == 0
+    assert seeded.read_bytes() == plain.read_bytes()
 
 
 def test_seed_env_fallback(workspace, tmp_path):
@@ -652,9 +666,10 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
     points.write_text(landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
                                     CameraConfig())[2])
     pose_out = str(tmp_path / "pose.csv")
-    assert main(["pose", "--points", str(points), "--out", pose_out, "--seed", "19"]) == 0
+    assert main(["pose", "--points", str(points), "--out", pose_out]) == 0
 
-    expected = [  # (manifest, command, resolved seed); eval's seed comes from the environment
+    expected = [  # (manifest, command, resolved seed); eval's seed comes from the environment,
+        # and pose, which draws no random number, takes none
         (workspace["model"] + ".manifest.json", "make-model", 3),
         (os.path.join(workspace["train"], "manifest.json"), "synth", 5),
         (os.path.join(workspace["test"], "manifest.json"), "synth", 5),
@@ -662,7 +677,7 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
         (fit_out + ".manifest.json", "fit", 11),
         (os.path.join(eval_out, "manifest.json"), "eval", 13),
         (posit_out + ".manifest.json", "posit", 17),
-        (pose_out + ".manifest.json", "pose", 19),
+        (pose_out + ".manifest.json", "pose", None),
     ]
     keys = {"command", "version", "config", "seed", "inputs", "outputs", "timings_s",
             "started", "finished"}

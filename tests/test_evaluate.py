@@ -6,6 +6,7 @@ import pytest
 from morphfit import CascadeRegressor, ParamScale, WeakRegressor, angle_errors, evaluate, \
     shape_cosine
 from morphfit.evaluate import initial_theta, write_report
+from morphfit.shape_model import init_theta
 from morphfit.synth import ProtocolConfig, generate_set
 
 
@@ -90,6 +91,14 @@ def test_initial_theta_regimes():
     np.testing.assert_array_equal(fixed[6:], [0.0, 0.0])
     with pytest.raises(ValueError):
         initial_theta(s, "nonsense")
+
+
+def test_fixed_regime_starts_from_init_theta(small_model):
+    pc = ProtocolConfig(range_deg=20.0, step_test=20.0, width=160, height=120, focal=500.0,
+                        n_shape=1, init_offset=7.5, seed=4)
+    for s in generate_set(small_model, pc, "test"):
+        assert initial_theta(s, "fixed", pc.init_offset).tobytes() == \
+            init_theta(s.theta_gt, pc.init_offset).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,9 @@ import pytest
 from conftest import random_unit_basis
 from morphfit import ShapeModel, instance_shape, load_model, make_procedural_model, \
     save_model, select_landmarks
-from morphfit.shape_model import MIN_VERTICES, _check_hull, _fibonacci_sphere, _sphere_triangles
+from morphfit.camera import ANGLES, TRANSLATION
+from morphfit.shape_model import MIN_VERTICES, POSE, POSE_NAMES, SHAPE, _check_hull, \
+    _fibonacci_sphere, _sphere_triangles, init_theta, param_layout
 
 
 def tiny_model(rng, v=10, k=3, n_landmarks=4):
@@ -68,6 +70,22 @@ def test_alpha_length_checked():
     m = tiny_model(rng)
     with pytest.raises(ValueError):
         instance_shape(m, np.zeros(5))
+
+
+def test_init_theta_offsets_the_angles_and_starts_at_the_mean_face():
+    gt = np.array([1.0, -2.0, 3.0, 4.0, -5.0, -1200.0, 0.7, -0.3])
+    kept = gt.copy()
+    for d_angles in (11.0, np.array([1.5, -2.5, 0.25])):
+        theta = init_theta(gt, d_angles)  # literal indices: the slices are checked below
+        np.testing.assert_array_equal(theta[:3], gt[:3] + d_angles)
+        np.testing.assert_array_equal(theta[3:6], gt[3:6])
+        np.testing.assert_array_equal(theta[6:], [0.0, 0.0])
+        assert not np.shares_memory(theta, gt)
+    np.testing.assert_array_equal(gt, kept)
+    # the slices name the same entries as the layout
+    layout = param_layout(2)
+    assert (layout[POSE], layout[SHAPE]) == (POSE_NAMES, ["a0", "a1"])
+    assert (POSE_NAMES[ANGLES], POSE_NAMES[TRANSLATION]) == (["rx", "ry", "rz"], ["tx", "ty", "tz"])
 
 
 def test_select_landmarks_identity_row():

@@ -99,6 +99,12 @@ def test_render_rejects_malformed_theta(small_model, small_cam):
         render(small_model, np.array([0, 0, 0, 0, 0, -1200.0, np.nan]), small_cam, 1, 1)
 
 
+def test_subseed_ignores_trailing_zero_parts():
+    # SeedSequence pads its entropy with zeros, so a new stream's tag must differ
+    # from every tag in use in a nonzero part
+    assert synth.subseed(7, 5) == synth.subseed(7, 5, 0) != synth.subseed(7, 5, 1)
+
+
 def test_generate_counts_and_init_contract(small_model):
     pc = ProtocolConfig(seed=5, **SMALL_PC)
     train = generate_set(small_model, pc, "train")
