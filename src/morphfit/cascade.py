@@ -139,12 +139,12 @@ def train_stage(features, deltas, lam):
     return WeakRegressor(A=a, b=dm - a @ fm)
 
 
-def predict_update(reg, features, scale):
-    """De-normalized update A f + b of one feature vector (F,) or each row of (K, F)."""
+def predict_update(stage, features, scale):
+    """A stage's (WeakRegressor's) de-normalized update A f + b of (F,) or each row of (K, F)."""
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim not in (1, 2) or f.shape[-1] != reg.A.shape[1]:
-        raise ValueError("feature length %d != regressor %d" % (f.shape[-1], reg.A.shape[1]))
-    return scale.denormalize(f @ reg.A.T + reg.b)
+    if f.ndim not in (1, 2) or f.shape[-1] != stage.A.shape[1]:
+        raise ValueError("feature length %d != regressor %d" % (f.shape[-1], stage.A.shape[1]))
+    return scale.denormalize(f @ stage.A.T + stage.b)
 
 
 @dataclass

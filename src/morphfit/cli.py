@@ -4,13 +4,14 @@ POSIT pose from a point file (`pose`).
 
 Each command's parser declares only the flags that command reads, so any other
 flag is an argparse usage error. Exit codes: 0 success, 1 runtime failure, 2
-usage error. `main` runs every command: it resolves the seed (null for `pose`,
-which draws no random number), calls the command and writes the JSON run
-manifest next to its output: the arguments, seed, input files, outputs and
-wall-clock timings. --log-level picks which of the library's log lines (each
-training stage's lambda and residual, dropped or failed samples) reach stderr.
-All randomness flows from one --seed (or MORPHFIT_SEED) through named
-sub-streams; outputs are byte-identical for any --jobs value.
+usage error. `main` runs every command: it resolves the seed (null for `train`,
+`eval` and `pose`, which draw no random number), calls the command and writes
+the JSON run manifest next to its output: the arguments, seed, input files,
+outputs and wall-clock timings. --log-level picks which of the library's log
+lines (each training stage's lambda and residual, dropped or failed samples)
+reach stderr. All randomness flows from one --seed (or MORPHFIT_SEED) through
+the sub-streams named in synth's tag table; outputs are byte-identical for any
+--jobs value.
 """
 
 import argparse
@@ -31,8 +32,8 @@ from .evaluate import REGIMES, evaluate, posit_baseline, write_report
 from .features import read_pgm
 from .shape_model import DEFAULT_MODES, DEFAULT_VERTICES, MAX_MODES, MIN_VERTICES, POSE, \
     load_model, make_procedural_model, save_model
-from .synth import MODE_TAGS, PROTOCOL_MINIMUMS, ProtocolConfig, generate_set, load_dataset, \
-    subseed, write_dataset
+from .synth import MODE_TAGS, PROTOCOL_MINIMUMS, SEED_TAGS, ProtocolConfig, generate_set, \
+    load_dataset, load_protocol, subseed, write_dataset
 from .util import ascii_lines, atomic_write, write_csv
 
 
@@ -96,8 +97,8 @@ def _check_shape_modes(path, n, model_path, model):
 
 def cmd_train(args, seed):
     model = load_model(args.model)
+    _check_shape_modes(args.data, load_protocol(args.data).n_shape, args.model, model)
     samples, pc = load_dataset(args.data)
-    _check_shape_modes(args.data, pc.n_shape, args.model, model)
     config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages,
                          lam=getattr(args, "lambda"), jobs=args.jobs)
     reg = train_cascade(samples, config)
@@ -160,7 +161,7 @@ def cmd_fit(args, seed):
         theta0 = np.zeros(reg.param_dim)
         theta0[POSE] = posit(*_read_point_rows(args.init_landmarks), cam).pose
     if args.init_noise:
-        rng = np.random.Generator(np.random.PCG64(subseed(seed, 4)))
+        rng = np.random.Generator(np.random.PCG64(subseed(seed, SEED_TAGS["init_noise"])))
         theta0[ANGLES] += rng.uniform(-args.init_noise, args.init_noise, size=3)
 
     t_fit = time.perf_counter()
@@ -179,11 +180,12 @@ def cmd_fit(args, seed):
 def cmd_eval(args, seed):
     model = load_model(args.model)
     reg = load_regressor(args.regressor)
-    samples, pc = load_dataset(args.data)
     _check_shape_modes(args.regressor, reg.n_shape, args.model, model)
-    if pc.n_shape != reg.n_shape:
+    n_shape = load_protocol(args.data).n_shape
+    if n_shape != reg.n_shape:
         raise ValueError("%s has %d shape modes, but %s fits %d"
-                         % (args.data, pc.n_shape, args.regressor, reg.n_shape))
+                         % (args.data, n_shape, args.regressor, reg.n_shape))
+    samples, pc = load_dataset(args.data)
     regimes = list(REGIMES) if args.regime == "both" else [args.regime]
     # every regime is evaluated before --out is made, so a failed run writes nothing
     reports = [evaluate(samples, reg, model, pc, regime=regime, jobs=args.jobs)
@@ -296,7 +298,7 @@ def build_parser():
                     default=ProtocolConfig.n_shape)
     sy.set_defaults(func=cmd_synth)
 
-    tr = sub.add_parser("train", parents=[common, seed, jobs, model],
+    tr = sub.add_parser("train", parents=[common, jobs, model],
                         help="train a cascade on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--stages", type=positive_int, default=TrainConfig.stages)
@@ -315,7 +317,7 @@ def build_parser():
                     help="perturb initial angles uniformly within +/- this many degrees")
     ft.set_defaults(func=cmd_fit)
 
-    ev = sub.add_parser("eval", parents=[common, seed, jobs, model],
+    ev = sub.add_parser("eval", parents=[common, jobs, model],
                         help="per-stage error curves over a dataset")
     ev.add_argument("--data", required=True)
     ev.add_argument("--regressor", required=True)

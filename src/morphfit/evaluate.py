@@ -17,7 +17,7 @@ import numpy as np
 from .camera import ANGLES, posit, project_points
 from .cascade import FitError, fit
 from .shape_model import SHAPE, init_theta, select_landmarks, split_theta
-from .synth import ProtocolConfig, subseed
+from .synth import SEED_TAGS, ProtocolConfig, subseed
 from .util import parallel_map, write_csv
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
 def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
     """POSIT from each sample's landmarks, projected at its ground truth (pose
     and shape) through `pc`'s camera, plus Gaussian pixel noise of standard
-    deviation `noise_px` drawn from subseed(seed, 3, index).
+    deviation `noise_px`, drawn from the sample index's "posit_noise" sub-seed.
 
     Returns (id, PositResult, absolute rx/ry/rz errors) per sample. A sample
     whose landmarks do not all project is left out; a RuntimeError if none
@@ -132,7 +132,7 @@ def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
         if not valid.all():
             continue
         if noise_px > 0:
-            rng = np.random.Generator(np.random.PCG64(subseed(seed, 3, idx)))
+            rng = np.random.Generator(np.random.PCG64(subseed(seed, SEED_TAGS["posit_noise"], idx)))
             uv = uv + rng.normal(0.0, noise_px, size=uv.shape)
         res = posit(uv, pts3d, cam)
         results.append((s.id, res, np.abs(res.pose[ANGLES] - s.theta_gt[ANGLES])))

@@ -49,9 +49,20 @@ class RenderError(RuntimeError):
 
 def subseed(*parts):
     """Stable 32-bit sub-seed derived from integer parts. Trailing zero parts change
-    nothing (SeedSequence pads with zeros: subseed(7, 5) == subseed(7, 5, 0)), so a
-    new tag must differ from every tag in use in a nonzero part."""
+    nothing (SeedSequence pads with zeros: subseed(7, 5) == subseed(7, 5, 0)), so
+    every tag comes from the table below, which keeps the streams apart."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+# Every random stream is subseed(seed, tag, ...): a SEED_TAGS tag, or a set's
+# MODE_TAGS tag and then a SET_STREAM_TAGS tag; a sample index may follow. Every
+# tag is nonzero and each family's first tag is unique (a set's stream tags are
+# distinct), so no two streams alias, even after an index is appended.
+SEED_TAGS = {"texture": 5,        # one texture for the train and test sets
+             "posit_noise": 3,    # posit --noise-px, per sample
+             "init_noise": 4}     # fit --init-noise
+MODE_TAGS = {"train": 1, "test": 2}  # set modes
+SET_STREAM_TAGS = {"translation": 11, "identity": 12, "init": 13, "background": 20}
 
 
 LIGHT_DIR = (0.4, 0.5, 1.0)   # camera space, fixed
@@ -298,7 +309,6 @@ def render(model, theta, cam, texture_seed, background_seed):
     return _over_background(_render_face(model, theta, cam, texture_seed), cam, background_seed)
 
 
-MODE_TAGS = {"train": 1, "test": 2}  # set modes and their sub-seed tags
 # Half-width of the training inits' angle perturbations, in units of
 # init_offset. Each cascade stage only learns to correct the init errors its
 # training set spans, and uniform draws within +/-init_offset almost never
@@ -321,9 +331,11 @@ def generate_set(model, pc, mode, jobs=1):
         raise ValueError("mode must be 'train' or 'test'")
     tag = MODE_TAGS[mode]
 
-    rng_trans, rng_alpha, rng_init = (np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, k)))
-                                      for k in (11, 12, 13))
-    texture_seed = subseed(pc.seed, 5)  # shared by train and test sets
+    rng_trans, rng_alpha, rng_init = (
+        np.random.Generator(np.random.PCG64(subseed(pc.seed, tag, SET_STREAM_TAGS[k])))
+        for k in ("translation", "identity", "init"))
+    texture_seed = subseed(pc.seed, SEED_TAGS["texture"])
+    bg_tag = SET_STREAM_TAGS["background"]
     cam = pc.camera()
 
     n_bg = pc.backgrounds if mode == "train" else 1
@@ -338,7 +350,7 @@ def generate_set(model, pc, mode, jobs=1):
                 theta_gt = np.concatenate([[pitch, yaw, 0.0, tx, ty, pc.tz], alpha])
                 theta_init = init_theta(theta_gt, rng_init.uniform(-spread, spread, size=3))
                 sid = "%s_p%+g_y%+g_b%d" % (mode, pitch, yaw, b)
-                specs.append((sid, theta_gt, theta_init, subseed(pc.seed, tag, 20, len(specs))))
+                specs.append((sid, theta_gt, theta_init, subseed(pc.seed, tag, bg_tag, len(specs))))
 
     # consecutive samples of one ground truth (a pose's backgrounds when no
     # shape is drawn) share one face pass

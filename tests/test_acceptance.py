@@ -236,10 +236,9 @@ def test_criterion_9_cli_determinism(tmp_path, model42):
                      "--backgrounds", "2", "--width", "320", "--height", "240",
                      *common]) == 0
         assert main(["train", "--data", ds, "--model", model_path, "--out", reg,
-                     "--stages", "2", "--seed", "13", "--jobs", str(jobs)]) == 0
+                     "--stages", "2", "--jobs", str(jobs)]) == 0
         assert main(["eval", "--data", ds, "--model", model_path, "--regressor", reg,
-                     "--out", rep, "--regime", "uniform", "--seed", "13",
-                     "--jobs", str(jobs)]) == 0
+                     "--out", rep, "--regime", "uniform", "--jobs", str(jobs)]) == 0
         return (_dataset_bytes(ds), Path(reg).read_bytes(),
                 Path(rep, "report_uniform.csv").read_bytes())
 

@@ -83,17 +83,17 @@ def test_predict_update_against_naive_multiply():
     b = rng.normal(size=4)
     f = rng.normal(size=9)
     scale = ParamScale(mean=rng.normal(size=4), std=rng.uniform(0.5, 2.0, 4))
-    reg = WeakRegressor(A=a, b=b)
+    stage = WeakRegressor(A=a, b=b)
     naive = np.array([sum(a[i, j] * f[j] for j in range(9)) + b[i] for i in range(4)])
     naive = naive * scale.std + scale.mean
-    np.testing.assert_allclose(predict_update(reg, f, scale), naive, atol=1e-12)
+    np.testing.assert_allclose(predict_update(stage, f, scale), naive, atol=1e-12)
     zero = WeakRegressor(A=np.zeros((4, 9)), b=np.zeros(4))
     np.testing.assert_array_equal(predict_update(zero, f, ParamScale(np.zeros(4), np.ones(4))),
                                   np.zeros(4))
-    np.testing.assert_allclose(predict_update(reg, np.zeros(9), scale),
+    np.testing.assert_allclose(predict_update(stage, np.zeros(9), scale),
                                b * scale.std + scale.mean, atol=1e-12)
     with pytest.raises(ValueError):
-        predict_update(reg, np.zeros(3), scale)
+        predict_update(stage, np.zeros(3), scale)
 
 
 def test_param_scale_round_trip_and_guard():

@@ -59,7 +59,7 @@ def workspace(tmp_path_factory):
                  "--grid-step", "10", *common]) == 0
     reg_path = str(root / "cascade.mfr")
     assert main(["train", "--data", train_dir, "--model", model_path,
-                 "--out", reg_path, "--stages", "2", "--seed", "7"]) == 0
+                 "--out", reg_path, "--stages", "2"]) == 0
     return {"root": root, "model": model_path, "train": train_dir,
             "test": test_dir, "reg": reg_path}
 
@@ -358,13 +358,28 @@ def shape_mismatch(workspace):
     return files
 
 
-def test_train_names_set_and_model_with_too_few_modes(shape_mismatch, tmp_path, capsys):
+def with_broken_image(data, path):
+    """A copy of the set `data` at `path` whose first image is not a PGM, so a
+    check made before any image is read is the only one that can pass; returns
+    the copy's path."""
+    shutil.copytree(data, path)
+    images = os.path.join(path, "images")
+    Path(images, sorted(os.listdir(images))[0]).write_bytes(b"not an image")
+    return str(path)
+
+
+def test_train_names_set_and_model_with_too_few_modes(workspace, shape_mismatch, tmp_path,
+                                                      capsys):
+    data = with_broken_image(shape_mismatch["set2"], tmp_path / "set2")
     out = tmp_path / "c.mfr"
-    assert main(["train", "--data", shape_mismatch["set2"], "--model", shape_mismatch["model1"],
+    assert main(["train", "--data", data, "--model", shape_mismatch["model1"],
                  "--out", str(out)]) == 1
     assert "error: %s has 2 shape modes, more than the 1 of %s" % (
-        shape_mismatch["set2"], shape_mismatch["model1"]) in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+        data, shape_mismatch["model1"]) in capsys.readouterr().err
+    # with the shape counts in agreement, the broken image is what fails
+    assert main(["train", "--data", data, "--model", workspace["model"], "--out", str(out)]) == 1
+    assert "train_p+0_y+0_b0.pgm: not a binary PGM (P5) file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["set2"]
 
 
 def test_fit_names_regressor_and_model_with_too_few_modes(workspace, shape_mismatch, tmp_path,
@@ -379,16 +394,18 @@ def test_fit_names_regressor_and_model_with_too_few_modes(workspace, shape_misma
 
 
 def test_eval_names_files_whose_shape_modes_differ(workspace, shape_mismatch, tmp_path, capsys):
+    set2 = with_broken_image(shape_mismatch["set2"], tmp_path / "set2")
+    test = with_broken_image(workspace["test"], tmp_path / "test")
     out = tmp_path / "reports"
     for data, model, problem in (
-            (shape_mismatch["set2"], shape_mismatch["model1"], "%s has 2 shape modes, more "
+            (set2, shape_mismatch["model1"], "%s has 2 shape modes, more "
              "than the 1 of %s" % (shape_mismatch["reg2"], shape_mismatch["model1"])),
-            (workspace["test"], workspace["model"], "%s has 0 shape modes, but %s fits 2" % (
-                workspace["test"], shape_mismatch["reg2"]))):
+            (test, workspace["model"], "%s has 0 shape modes, but %s fits 2" % (
+                test, shape_mismatch["reg2"]))):
         assert main(["eval", "--data", data, "--model", model,
                      "--regressor", shape_mismatch["reg2"], "--out", str(out)]) == 1
         assert "error: " + problem in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    assert sorted(os.listdir(tmp_path)) == ["set2", "test"]
 
 
 def test_too_few_point_rows_exit_2(workspace, tmp_path, capsys):
@@ -511,6 +528,9 @@ def test_posit_and_pose_take_only_their_own_flags(workspace, tmp_path):
     points.write_text(rows)
     posit = ["posit", "--data", workspace["test"], "--model", workspace["model"]]
     pose = ["pose", "--points", str(points)]
+    train = ["train", "--data", workspace["train"], "--model", workspace["model"]]
+    evaluate = ["eval", "--data", workspace["test"], "--model", workspace["model"],
+                "--regressor", workspace["reg"]]
     for cmd, flags, problem in (
             (posit, ["--points", str(points)], "unrecognized arguments: --points"),
             (posit, ["--focal", "900"], "unrecognized arguments: --focal 900"),
@@ -520,6 +540,8 @@ def test_posit_and_pose_take_only_their_own_flags(workspace, tmp_path):
             (pose, ["--model", workspace["model"]], "unrecognized arguments: --model"),
             (pose, ["--noise-px", "0"], "unrecognized arguments: --noise-px 0"),
             (pose, ["--seed", "1"], "unrecognized arguments: --seed 1"),
+            (train, ["--seed", "1"], "unrecognized arguments: --seed 1"),
+            (evaluate, ["--seed", "1"], "unrecognized arguments: --seed 1"),
             (posit[:3], [], "the following arguments are required: --model"),
             (posit[:1] + posit[3:], [], "the following arguments are required: --data"),
             (pose[:1], [], "the following arguments are required: --points")):
@@ -606,18 +628,26 @@ def test_posit_malformed_csv_exits_2(tmp_path):
     assert code == 2 and "bad.csv: line 4: non-finite value" in err
 
 
-def test_pose_draws_no_seed(workspace, tmp_path):
-    """pose draws no random number, so a MORPHFIT_SEED that is not an integer
-    does not stop it, and its output is the same with or without one."""
+@pytest.mark.parametrize("command", ["pose", "train", "eval"])
+def test_command_draws_no_seed(workspace, tmp_path, command):
+    """pose, train and eval draw no random number, so a MORPHFIT_SEED that is not
+    an integer does not stop them, and each writes the same bytes with or without
+    one."""
     _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
                                CameraConfig())
     points = tmp_path / "pts.csv"
     points.write_text(rows)
-    plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
-    assert run_cli("pose", "--points", str(points), "--out", str(plain))[0] == 0
-    assert run_cli("pose", "--points", str(points), "--out", str(seeded),
-                   MORPHFIT_SEED="abc")[0] == 0
-    assert seeded.read_bytes() == plain.read_bytes()
+    args, output = {  # the command and the file it writes under --out
+        "pose": (["pose", "--points", str(points)], ""),
+        "train": (["train", "--data", workspace["train"], "--model", workspace["model"],
+                   "--stages", "2"], ""),
+        "eval": (["eval", "--data", workspace["test"], "--model", workspace["model"],
+                  "--regressor", workspace["reg"]], "report_uniform.csv"),
+    }[command]
+    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+    assert run_cli(*args, "--out", str(plain))[0] == 0
+    assert run_cli(*args, "--out", str(seeded), MORPHFIT_SEED="abc")[0] == 0
+    assert Path(seeded, output).read_bytes() == Path(plain, output).read_bytes()
 
 
 def test_seed_env_fallback(workspace, tmp_path):
@@ -633,7 +663,7 @@ def test_seed_env_fallback(workspace, tmp_path):
 
 def test_log_level_prints_the_library_log_lines(workspace, tmp_path, capsys):
     train = ["train", "--data", workspace["train"], "--model", workspace["model"],
-             "--stages", "2", "--seed", "7"]
+             "--stages", "2"]
     assert main([*train, "--out", str(tmp_path / "quiet.mfr")]) == 0
     assert capsys.readouterr().err == ""
     out = str(tmp_path / "info.mfr")
@@ -668,14 +698,14 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
     pose_out = str(tmp_path / "pose.csv")
     assert main(["pose", "--points", str(points), "--out", pose_out]) == 0
 
-    expected = [  # (manifest, command, resolved seed); eval's seed comes from the environment,
-        # and pose, which draws no random number, takes none
+    expected = [  # (manifest, command, resolved seed); MORPHFIT_SEED is set, but train,
+        # eval and pose, which draw no random number, take no seed
         (workspace["model"] + ".manifest.json", "make-model", 3),
         (os.path.join(workspace["train"], "manifest.json"), "synth", 5),
         (os.path.join(workspace["test"], "manifest.json"), "synth", 5),
-        (workspace["reg"] + ".manifest.json", "train", 7),
+        (workspace["reg"] + ".manifest.json", "train", None),
         (fit_out + ".manifest.json", "fit", 11),
-        (os.path.join(eval_out, "manifest.json"), "eval", 13),
+        (os.path.join(eval_out, "manifest.json"), "eval", None),
         (posit_out + ".manifest.json", "posit", 17),
         (pose_out + ".manifest.json", "pose", None),
     ]

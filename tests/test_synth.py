@@ -105,6 +105,24 @@ def test_subseed_ignores_trailing_zero_parts():
     assert synth.subseed(7, 5) == synth.subseed(7, 5, 0) != synth.subseed(7, 5, 1)
 
 
+def test_seed_tags_never_alias():
+    # each stream family's tags: one of SEED_TAGS, or a set mode's tag and a stream
+    # tag; an index may follow. With trailing zeros stripped, no family's tags may
+    # be a prefix of another's, or an index could make their streams one.
+    families = [(tag,) for tag in synth.SEED_TAGS.values()] + \
+        [(mode, stream) for mode in synth.MODE_TAGS.values()
+         for stream in synth.SET_STREAM_TAGS.values()]
+    assert all(type(tag) is int and tag != 0 for tags in families for tag in tags)
+    stripped = []
+    for tags in families:
+        while tags and tags[-1] == 0:
+            tags = tags[:-1]
+        stripped.append(tags)
+    for i, a in enumerate(stripped):
+        for j, b in enumerate(stripped):
+            assert i == j or b[:len(a)] != a, (a, b)
+
+
 def test_generate_counts_and_init_contract(small_model):
     pc = ProtocolConfig(seed=5, **SMALL_PC)
     train = generate_set(small_model, pc, "train")
