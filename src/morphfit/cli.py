@@ -11,7 +11,9 @@ outputs and wall-clock timings. --log-level picks which of the library's log
 lines (each training stage's lambda and residual, dropped or failed samples)
 reach stderr. All randomness flows from one --seed (or MORPHFIT_SEED) through
 the sub-streams named in synth's tag table; outputs are byte-identical for any
---jobs value.
+--jobs value. `_load_inputs` loads every command's model and regressor and checks
+them and the dataset's protocol.txt for agreeing shape modes and landmarks before
+any image is read.
 """
 
 import argparse
@@ -29,7 +31,7 @@ from . import __version__
 from .camera import ANGLES, MIN_POINTS, POSE_NAMES, CameraConfig, posit
 from .cascade import TrainConfig, fit, load_regressor, save_regressor, train_cascade
 from .evaluate import REGIMES, evaluate, posit_baseline, write_report
-from .features import read_pgm
+from .features import DESCRIPTOR_SIZE, read_pgm
 from .shape_model import DEFAULT_MODES, DEFAULT_VERTICES, MAX_MODES, MIN_VERTICES, POSE, \
     load_model, make_procedural_model, save_model
 from .synth import MODE_TAGS, PROTOCOL_MINIMUMS, SEED_TAGS, ProtocolConfig, generate_set, \
@@ -54,6 +56,28 @@ def _resolve_seed(args):
     return seed
 
 
+def _load_inputs(args):
+    """The command's model, and its regressor if it declares --regressor (else None),
+    checked against each other and the --data set's protocol.txt before any image is read."""
+    model = load_model(args.model)
+    reg = load_regressor(args.regressor) if "regressor" in args else None
+    counts = [] if reg is None else [(args.regressor, reg.n_shape)]
+    if "data" in args:
+        counts.append((args.data, load_protocol(args.data).n_shape))
+    for path, n in counts:
+        if n > model.num_modes:
+            raise ValueError("%s has %d shape modes, more than the %d of %s"
+                             % (path, n, model.num_modes, args.model))
+    if len(counts) == 2 and counts[1][1] != reg.n_shape:
+        raise ValueError("%s has %d shape modes, but %s fits %d"
+                         % (args.data, counts[1][1], args.regressor, reg.n_shape))
+    n_features = DESCRIPTOR_SIZE * len(model.landmark_ids)
+    if reg is not None and reg.n_stages and reg.feature_dim != n_features:
+        raise ValueError("%s takes %d features, but the %d landmarks of %s give %d" % (
+            args.regressor, reg.feature_dim, len(model.landmark_ids), args.model, n_features))
+    return model, reg
+
+
 # ---------------------------------------------------------------------------
 # commands: each takes (args, seed), does its work and returns
 # (outputs, timings of its own phases)
@@ -76,7 +100,7 @@ def cmd_synth(args, seed):
         pc.grid(args.mode)
     except ValueError as e:  # the flag types check the rest; not whether the step divides
         raise UsageError("--grid-step, --range-deg: %s" % e) from None
-    model = load_model(args.model)
+    model, _ = _load_inputs(args)
     if pc.n_shape > model.num_modes:
         raise UsageError("--shape-modes %d: the model has %d modes" % (pc.n_shape, model.num_modes))
     t_render = time.perf_counter()
@@ -88,16 +112,8 @@ def cmd_synth(args, seed):
     return {"dataset": args.out, "n_samples": len(samples)}, timings
 
 
-def _check_shape_modes(path, n, model_path, model):
-    """A ValueError naming both files when `path` has more shape modes than the model."""
-    if n > model.num_modes:
-        raise ValueError("%s has %d shape modes, more than the %d of %s"
-                         % (path, n, model.num_modes, model_path))
-
-
 def cmd_train(args, seed):
-    model = load_model(args.model)
-    _check_shape_modes(args.data, load_protocol(args.data).n_shape, args.model, model)
+    model, _ = _load_inputs(args)
     samples, pc = load_dataset(args.data)
     config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages,
                          lam=getattr(args, "lambda"), jobs=args.jobs)
@@ -149,9 +165,7 @@ def _read_point_rows(path):
 
 
 def cmd_fit(args, seed):
-    model = load_model(args.model)
-    reg = load_regressor(args.regressor)
-    _check_shape_modes(args.regressor, reg.n_shape, args.model, model)
+    model, reg = _load_inputs(args)
     img = read_pgm(args.image)
     cam = CameraConfig(focal=args.focal, width=img.width, height=img.height)
 
@@ -178,13 +192,7 @@ def cmd_fit(args, seed):
 
 
 def cmd_eval(args, seed):
-    model = load_model(args.model)
-    reg = load_regressor(args.regressor)
-    _check_shape_modes(args.regressor, reg.n_shape, args.model, model)
-    n_shape = load_protocol(args.data).n_shape
-    if n_shape != reg.n_shape:
-        raise ValueError("%s has %d shape modes, but %s fits %d"
-                         % (args.data, n_shape, args.regressor, reg.n_shape))
+    model, reg = _load_inputs(args)
     samples, pc = load_dataset(args.data)
     regimes = list(REGIMES) if args.regime == "both" else [args.regime]
     # every regime is evaluated before --out is made, so a failed run writes nothing
@@ -204,7 +212,7 @@ def cmd_eval(args, seed):
 
 
 def cmd_posit(args, seed):
-    model = load_model(args.model)
+    model, _ = _load_inputs(args)
     samples, pc = load_dataset(args.data)
     baseline = posit_baseline(samples, model, pc, args.noise_px, seed)
     mae = float(np.mean([err for _, _, err in baseline]))

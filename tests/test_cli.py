@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import logging
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import morphfit
-from morphfit import CameraConfig, ProtocolConfig, TrainConfig, load_model, load_regressor, \
-    make_procedural_model, project_points, read_pgm, save_regressor, select_landmarks
+from morphfit import DESCRIPTOR_SIZE, CameraConfig, ProtocolConfig, TrainConfig, load_model, \
+    load_regressor, make_procedural_model, project_points, read_pgm, save_model, save_regressor, \
+    select_landmarks
 from morphfit.cli import build_parser, main
 from morphfit.evaluate import REGIMES, posit_baseline
 from morphfit.shape_model import POSE_NAMES
@@ -344,10 +346,13 @@ def test_synth_grid_and_shape_mode_errors_exit_2(workspace, tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def shape_mismatch(workspace):
-    """A 1-mode model, and a 2-shape-mode set and 1-stage regressor of the 2-mode model."""
+    """A 1-mode model, a 2-shape-mode set and 1-stage regressor of the 2-mode model,
+    and the 2-mode model less its last landmark."""
     root = workspace["root"]
     files = {"model1": str(root / "model1.mfm"), "set2": str(root / "set2"),
-             "reg2": str(root / "reg2.mfr")}
+             "reg2": str(root / "reg2.mfr"), "short": str(root / "short.mfm")}
+    model = load_model(workspace["model"])
+    save_model(dataclasses.replace(model, landmark_ids=model.landmark_ids[:-1]), files["short"])
     assert main(["make-model", "--out", files["model1"], "--vertices", "80", "--modes", "1",
                  "--seed", "3"]) == 0
     assert main(["synth", "--out", files["set2"], "--model", workspace["model"],
@@ -406,6 +411,31 @@ def test_eval_names_files_whose_shape_modes_differ(workspace, shape_mismatch, tm
                      "--regressor", shape_mismatch["reg2"], "--out", str(out)]) == 1
         assert "error: " + problem in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["set2", "test"]
+
+
+def test_posit_names_set_and_model_with_too_few_modes(shape_mismatch, tmp_path, capsys):
+    data = with_broken_image(shape_mismatch["set2"], tmp_path / "set2")
+    assert main(["posit", "--data", data, "--model", shape_mismatch["model1"],
+                 "--out", str(tmp_path / "posit.csv")]) == 1
+    assert "error: %s has 2 shape modes, more than the 1 of %s" % (
+        data, shape_mismatch["model1"]) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["set2"]
+
+
+def test_fit_and_eval_name_regressor_and_model_whose_landmarks_differ(workspace, shape_mismatch,
+                                                                     tmp_path, capsys):
+    test = with_broken_image(workspace["test"], tmp_path / "test")
+    n = len(load_model(workspace["model"]).landmark_ids)
+    problem = "error: %s takes %d features, but the %d landmarks of %s give %d" % (
+        workspace["reg"], DESCRIPTOR_SIZE * n, n - 1, shape_mismatch["short"],
+        DESCRIPTOR_SIZE * (n - 1))
+    inputs = ["--model", shape_mismatch["short"], "--regressor", workspace["reg"]]
+    for cmd in (["fit", "--image", os.path.join(test, "images", "test_p+0_y+0_b0.pgm"),
+                 "--init=0,0,0,0,0,-1200", "--focal", "500", "--out", str(tmp_path / "t.csv")],
+                ["eval", "--data", test, "--out", str(tmp_path / "reports")]):
+        assert main([*cmd, *inputs]) == 1
+        assert problem in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["test"]
 
 
 def test_too_few_point_rows_exit_2(workspace, tmp_path, capsys):
