@@ -11,8 +11,8 @@ from .cascade import CascadeRegressor, FitError, FitResult, ParamScale, TrainCon
     train_stage
 from .evaluate import EvalReport, angle_errors, evaluate, posit_baseline, shape_cosine, \
     write_report
-from .features import DESCRIPTOR_SIZE, FeatureError, GrayImage, assemble_feature, \
-    extract_descriptor, read_pgm, write_pgm
+from .features import DESCRIPTOR_SIZE, FeatureError, GrayImage, PlaneStore, \
+    assemble_feature, extract_descriptor, read_pgm, write_pgm
 from .shape_model import ShapeModel, instance_shape, load_model, make_procedural_model, \
     param_layout, save_model, select_landmarks
 from .synth import ProtocolConfig, RenderError, TrainingSample, \

@@ -152,14 +152,14 @@ class TrainConfig:
     model: object
     cam: object
     stages: int = 3
-    lam: float = None  # None -> relative_lambda per stage
     jobs: int = 1
 
 
 def train_cascade(samples, config):
     """Train `config.stages` weak regressors, updating every sample's
-    parameter estimate after each stage. Samples whose features cannot be
-    assembled are dropped with a warning; training fails if none remain.
+    parameter estimate after each stage, by ridge with `relative_lambda`'s
+    penalty. Samples whose features cannot be assembled are dropped with a
+    warning; training fails if none remain.
     """
     if config.stages < 1:
         raise ValueError("need at least one stage")
@@ -171,29 +171,28 @@ def train_cascade(samples, config):
 
     def assemble(i):
         try:
-            return assemble_feature(samples[i].image, theta[i], config.model, config.cam)
-        except FeatureError:
-            return None
+            return assemble_feature(PlaneStore(samples[i].image), theta[i], config.model,
+                                    config.cam)
+        except FeatureError as e:
+            return e
 
     scale = None
     stages = []
     residuals = []
     for stage_idx in range(config.stages):
         feats = parallel_map(assemble, range(len(samples)), config.jobs)
-        keep = np.array([f is not None for f in feats])
+        keep = np.array([not isinstance(f, FeatureError) for f in feats])
         for i in np.flatnonzero(~keep):
-            log.warning("dropping sample %s: feature assembly failed",
-                        getattr(samples[i], "id", i))
+            log.warning("dropping sample %s at stage %d: %s",
+                        getattr(samples[i], "id", i), stage_idx, feats[i])
         if not keep.any():
             raise RuntimeError("all training samples dropped at stage %d" % stage_idx)
         samples = [s for s, k in zip(samples, keep) if k]
         theta, gt = theta[keep], gt[keep]
-        f_mat = np.stack([f for f in feats if f is not None])
+        f_mat = np.stack([f for f, k in zip(feats, keep) if k])
         if scale is None:
             scale = ParamScale.from_targets(gt - theta)
-        lam = config.lam
-        if lam is None:
-            lam = relative_lambda(f_mat - f_mat.mean(axis=0))
+        lam = relative_lambda(f_mat - f_mat.mean(axis=0))
         wr = train_stage(f_mat, scale.normalize(gt - theta), lam)
         theta = theta + predict_update(wr, f_mat, scale)
         residuals.append(float(np.mean(((gt - theta) / scale.std) ** 2)))
@@ -229,7 +228,7 @@ def fit(img, theta_init, reg, model, cam):
     planes = PlaneStore(img)
     for i, wr in enumerate(reg.stages):
         try:
-            f = assemble_feature(img, theta, model, cam, planes=planes)
+            f = assemble_feature(planes, theta, model, cam)
         except FeatureError as e:
             raise FitError(i, str(e)) from e
         theta = theta + predict_update(wr, f, reg.scale)

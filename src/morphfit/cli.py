@@ -115,8 +115,7 @@ def cmd_synth(args, seed):
 def cmd_train(args, seed):
     model, _ = _load_inputs(args)
     samples, pc = load_dataset(args.data)
-    config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages,
-                         lam=getattr(args, "lambda"), jobs=args.jobs)
+    config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages, jobs=args.jobs)
     reg = train_cascade(samples, config)
     save_regressor(reg, args.out)
     for i, res in enumerate(reg.train_residuals):
@@ -310,7 +309,6 @@ def build_parser():
                         help="train a cascade on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--stages", type=positive_int, default=TrainConfig.stages)
-    tr.add_argument("--lambda", type=nonnegative_float, default=TrainConfig.lam)
     tr.set_defaults(func=cmd_train)
 
     ft = sub.add_parser("fit", parents=[common, seed, model, focal],

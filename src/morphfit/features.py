@@ -13,9 +13,9 @@ Descriptors read the planes from a PlaneStore, which holds them over a box
 that only grows. A plane value is a function of the pixel alone (central
 differences of the zero-padded image), not of the box it was built over,
 so a held box is sliced and a larger one adds only its new edge strips,
-bit for bit equal to building it whole. A one-shot call makes its own
-store; `cascade.fit` keeps one for its stages, whose boxes overlap, so
-each pixel's planes are built once per fit.
+bit for bit equal to building it whole. `assemble_feature` reads the store
+its caller passes: `cascade.fit` keeps one for its stages, whose boxes
+overlap, so each pixel's planes are built once per fit.
 
 A GrayImage holds a uint8 array of 8-bit levels (renders and 8-bit PGMs)
 or a float array of pixels in [0, 1]. The planes read a zero-padded
@@ -207,25 +207,26 @@ def extract_descriptor(img, center, patch_size=DEFAULT_PATCH_SIZE):
     return _descriptors(PlaneStore(img), center, patch_size)[0][0]
 
 
-def assemble_feature(img, theta, model, cam, patch_size=DEFAULT_PATCH_SIZE, planes=None):
-    """Concatenated landmark descriptors for parameter vector theta.
+def assemble_feature(planes, theta, model, cam):
+    """Concatenated landmark descriptors for parameter vector theta, read
+    from the PlaneStore `planes` of the image at DEFAULT_PATCH_SIZE windows.
 
     theta is [rx ry rz tx ty tz alpha...], split by `split_theta`: missing
     trailing shape coefficients are treated as zero. Landmarks that fail to
     project or whose window lies off the image contribute a zero descriptor;
     if all do (the model is behind the camera or off the image),
-    FeatureError is raised. `planes` is a PlaneStore of `img` to read and
-    grow; without one the call builds its own.
+    FeatureError is raised. A camera whose frame is not the image's size is
+    a ValueError.
     """
-    if planes is None:
-        planes = PlaneStore(img)
-    elif planes.img is not img:
-        raise ValueError("the plane store holds another image")
+    img = planes.img
+    if (img.width, img.height) != (cam.width, cam.height):
+        raise ValueError("the image is %dx%d, but the camera's frame is %dx%d"
+                         % (img.width, img.height, cam.width, cam.height))
     pose, alpha = split_theta(model, theta)
     uv, valid = project_points(select_landmarks(model, alpha), pose, cam)
     if not np.any(valid):
         raise FeatureError("all landmark projections failed")
-    blocks, reads = _descriptors(planes, uv, patch_size)
+    blocks, reads = _descriptors(planes, uv, DEFAULT_PATCH_SIZE)
     if not np.any(reads):
         raise FeatureError("no landmark window overlaps the image")
     return blocks.reshape(-1)

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from morphfit import CascadeRegressor, EvalReport, FitError, FitResult, GrayImage, ParamScale, \
-    PositResult, TrainConfig, WeakRegressor, fit, load_regressor, make_procedural_model, \
-    predict_update, save_regressor, train_cascade, train_stage
+from morphfit import CameraConfig, CascadeRegressor, EvalReport, FitError, FitResult, GrayImage, \
+    ParamScale, PositResult, TrainConfig, WeakRegressor, fit, load_regressor, \
+    make_procedural_model, predict_update, save_regressor, train_cascade, train_stage
 from morphfit.cascade import relative_lambda
 from morphfit.synth import ProtocolConfig, TrainingSample, generate_set
 
@@ -134,16 +134,17 @@ def small_cam_mod():
 
 
 def test_single_stage_cascade_equals_train_stage(mini_training, small_model_mod):
-    from morphfit import assemble_feature
+    from morphfit import PlaneStore, assemble_feature
     samples, pc = mini_training
     cam = pc.camera()
-    cfg = TrainConfig(model=small_model_mod, cam=cam, stages=1, lam=0.7)
+    cfg = TrainConfig(model=small_model_mod, cam=cam, stages=1)
     reg = train_cascade(samples, cfg)
-    feats = np.stack([assemble_feature(s.image, s.theta_init, small_model_mod, cam)
+    feats = np.stack([assemble_feature(PlaneStore(s.image), s.theta_init, small_model_mod, cam)
                       for s in samples])
     deltas = np.stack([s.theta_gt - s.theta_init for s in samples])
     scale = ParamScale.from_targets(deltas)
-    direct = train_stage(feats, scale.normalize(deltas), 0.7)
+    direct = train_stage(feats, scale.normalize(deltas),
+                         relative_lambda(feats - feats.mean(axis=0)))
     np.testing.assert_array_equal(reg.stages[0].A, direct.A)
     np.testing.assert_array_equal(reg.stages[0].b, direct.b)
     np.testing.assert_array_equal(reg.scale.mean, scale.mean)
@@ -196,6 +197,10 @@ def test_fit_reports_failing_stage(mini_training, small_model_mod):
     assert exc.value.stage == 0
     with pytest.raises(ValueError):
         fit(samples[0].image, np.zeros(7), reg, small_model_mod, pc.camera())
+    # a camera frame unlike the image is the caller's error, not a failed stage
+    wide = CameraConfig(focal=pc.focal, width=320, height=240)
+    with pytest.raises(ValueError, match="the image is 160x120, but the camera's frame is 320x240"):
+        fit(samples[0].image, samples[0].theta_init, reg, small_model_mod, wide)
 
 
 def test_fit_fails_loudly_on_non_finite_theta(mini_training, small_model_mod):
@@ -240,7 +245,9 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
     cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=1)
     with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
         reg = train_cascade(list(samples) + [behind], cfg)
-    assert any("behind" in rec.getMessage() for rec in caplog.records)
+    # one warning per dropped sample, naming the stage and the reason
+    assert [rec.getMessage() for rec in caplog.records] == \
+        ["dropping sample behind at stage 0: all landmark projections failed"]
     # the survivors still trained a full-size stage
     assert reg.stages[0].A.shape == (6, 17 * 128)
     # samples whose every landmark window lies off the image are dropped too
@@ -250,10 +257,19 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
         train_cascade(list(samples) + [off_image], cfg)
-    assert any("off_image" in rec.getMessage() for rec in caplog.records)
+    assert [rec.getMessage() for rec in caplog.records] == \
+        ["dropping sample off_image at stage 0: no landmark window overlaps the image"]
     # all samples failing is a hard error
     with pytest.raises(RuntimeError):
         train_cascade([behind], cfg)
+    # a camera frame unlike the images stops training; no sample is dropped for it
+    caplog.clear()
+    wide = TrainConfig(model=small_model_mod, cam=CameraConfig(focal=pc.focal, width=320,
+                                                                height=240), stages=1, jobs=2)
+    with caplog.at_level(logging.WARNING, logger="morphfit.cascade"), \
+            pytest.raises(ValueError, match="the image is 160x120, but the camera's frame is"):
+        train_cascade(samples, wide)
+    assert not caplog.records
 
 
 def test_relative_lambda_scale_free():

@@ -144,8 +144,6 @@ def test_usage_errors_exit_2(workspace, tmp_path):
     for command, flag, value, problem in (
             ("posit", "--noise-px", "nan", negative + "nan"),
             ("posit", "--noise-px", "-2", negative + "-2"),
-            ("train", "--lambda", "nan", negative + "nan"),
-            ("train", "--lambda", "-1", negative + "-1"),
             ("train", "--stages", "0", "must be at least 1, got 0"),
             ("fit", "--init-noise", "nan", negative + "nan"),
             ("fit", "--init-noise", "-3", negative + "-3")):
@@ -191,7 +189,7 @@ def test_parsed_defaults_are_the_library_defaults():
         (pc.range_deg, pc.tz, pc.focal, pc.width, pc.height, pc.backgrounds, pc.n_shape,
          None, tc.jobs)
     train = parser.parse_args(["train", "--data", "d", "--model", "m", "--out", "o"])
-    assert (train.stages, getattr(train, "lambda"), train.jobs) == (tc.stages, tc.lam, tc.jobs)
+    assert (train.stages, train.jobs) == (tc.stages, tc.jobs)
     fit = parser.parse_args(["fit", "--image", "i", "--model", "m", "--regressor", "r",
                              "--out", "o", "--init", "0"])
     assert fit.focal == cam.focal
@@ -571,6 +569,7 @@ def test_posit_and_pose_take_only_their_own_flags(workspace, tmp_path):
             (pose, ["--noise-px", "0"], "unrecognized arguments: --noise-px 0"),
             (pose, ["--seed", "1"], "unrecognized arguments: --seed 1"),
             (train, ["--seed", "1"], "unrecognized arguments: --seed 1"),
+            (train, ["--lambda", "1"], "unrecognized arguments: --lambda 1"),
             (evaluate, ["--seed", "1"], "unrecognized arguments: --seed 1"),
             (posit[:3], [], "the following arguments are required: --model"),
             (posit[:1] + posit[3:], [], "the following arguments are required: --data"),

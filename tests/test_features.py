@@ -197,16 +197,16 @@ def test_assemble_order_length_and_zero_blocks():
     img = GrayImage(px)
     model = two_landmark_model()
     theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
-    f = assemble_feature(img, theta, model, cam, patch_size=32)
+    f = assemble_feature(PlaneStore(img), theta, model, cam)
     assert f.shape == (256,)
     # landmark 0 projects to u=195 (noise half), landmark 1 to u=445 (flat half)
     b0, b1 = f[:128], f[128:]
     assert np.linalg.norm(b0) == pytest.approx(1.0, abs=1e-9)
     assert np.array_equal(b1, np.zeros(128))
-    d0 = extract_descriptor(img, (195.0, 240.0), 32)
+    d0 = extract_descriptor(img, (195.0, 240.0))
     np.testing.assert_array_equal(b0, d0)
     # purity
-    assert np.array_equal(f, assemble_feature(img, theta, model, cam, patch_size=32))
+    assert np.array_equal(f, assemble_feature(PlaneStore(img), theta, model, cam))
 
 
 def pinned_landmark_model(uv, cam, depth=1200.0):
@@ -231,18 +231,18 @@ def test_assemble_blocks_equal_single_descriptors_at_edges():
     centers = [(80.3, 60.7),                                   # inside
                (2.5, 60.2), (158.2, 59.9), (80.1, 1.5), (79.6, 118.6),  # edges
                (0.4, 0.2), (159.7, 0.3), (0.1, 119.9), (159.5, 119.5),  # corners
-               (-16.5, 60.0), (176.0, 60.0),  # only the one-pixel gradient margin
-               (-40.0, 60.0), (220.0, 60.0), (80.0, -60.0)]  # entirely off-raster
+               (-48.5, 60.0), (208.0, 60.0),  # only the one-pixel gradient margin
+               (-60.0, 60.0), (220.0, 60.0), (80.0, -60.0)]  # entirely off-raster
     model = pinned_landmark_model(centers, cam)
-    f = assemble_feature(img, AHEAD, model, cam, patch_size=32)
+    f = assemble_feature(PlaneStore(img), AHEAD, model, cam)
     blocks = f.reshape(len(centers), 128)
     # the projection returns the centers up to round-off; compare at its output
     uv, _ = project_points(model.mean.reshape(-1, 3), AHEAD, cam)
     np.testing.assert_allclose(uv, centers, atol=1e-12)
     for block, center in zip(blocks, uv):
-        single = extract_descriptor(img, center, 32)
+        single = extract_descriptor(img, center)
         np.testing.assert_array_equal(block, single)
-        np.testing.assert_allclose(single, oracle_descriptor(img, center, 32), atol=1e-9)
+        np.testing.assert_allclose(single, oracle_descriptor(img, center, 96), atol=1e-9)
     assert all(np.linalg.norm(b) == pytest.approx(1.0, abs=1e-9) for b in blocks[:11])
     assert not np.any(blocks[11:])
 
@@ -254,7 +254,7 @@ def test_far_off_landmark_gives_zero_block_without_large_allocation():
     model = pinned_landmark_model([(70.2, 50.9), (1e7, 60.0)], cam)
     tracemalloc.start()
     try:
-        f = assemble_feature(img, AHEAD, model, cam, patch_size=96)
+        f = assemble_feature(PlaneStore(img), AHEAD, model, cam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,7 +270,7 @@ def test_assemble_fails_when_no_window_overlaps_the_image():
     img = GrayImage(np.full((120, 160), 0.5))
     model = pinned_landmark_model([(-60.0, 60.0), (300.0, 60.0)], cam)
     with pytest.raises(FeatureError, match="no landmark window overlaps the image"):
-        assemble_feature(img, AHEAD, model, cam, patch_size=32)
+        assemble_feature(PlaneStore(img), AHEAD, model, cam)
 
 
 def test_assemble_rejects_bad_theta_and_behind_camera():
@@ -278,9 +278,9 @@ def test_assemble_rejects_bad_theta_and_behind_camera():
     img = GrayImage(np.zeros((480, 640)))
     model = two_landmark_model()
     with pytest.raises(ValueError):
-        assemble_feature(img, np.zeros(9), model, cam)  # 6 + K' > 6 + K
+        assemble_feature(PlaneStore(img), np.zeros(9), model, cam)  # 6 + K' > 6 + K
     with pytest.raises(FeatureError):
-        assemble_feature(img, np.array([0, 0, 0, 0, 0, 1200.0]), model, cam)
+        assemble_feature(PlaneStore(img), np.array([0, 0, 0, 0, 0, 1200.0]), model, cam)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +340,11 @@ def test_levels_give_the_planes_of_their_float_twin(w, h, top, seed, data):
 
 
 def one_shot_trajectory(img, theta, reg, model, cam):
-    """fit's trajectory, each stage's features assembled without a store."""
+    """fit's trajectory, each stage's features assembled from a fresh store."""
     traj = [theta]
     for wr in reg.stages:
-        traj.append(traj[-1] + predict_update(wr, assemble_feature(img, traj[-1], model, cam),
-                                              reg.scale))
+        f = assemble_feature(PlaneStore(img), traj[-1], model, cam)
+        traj.append(traj[-1] + predict_update(wr, f, reg.scale))
     return np.stack(traj)
 
 
@@ -382,7 +382,7 @@ def test_fit_through_one_plane_store_equals_one_shot_features(case, monkeypatch)
         assert ax0 < bx0 and ay0 < by0 and bx1 < ax1 and by1 < ay1
     else:
         assert bx1 - bx0 < ax1 - ax0
-        blocks = assemble_feature(img, traj[1], model, cam).reshape(4, 128)
+        blocks = assemble_feature(PlaneStore(img), traj[1], model, cam).reshape(4, 128)
         assert np.any(blocks) and not np.all(np.any(blocks, axis=1))
 
 
@@ -395,8 +395,8 @@ def test_levels_give_the_features_and_fits_of_their_float_twin():
     stores = PlaneStore(levels), PlaneStore(twin)
     for b in STORE_CASES.values():  # windows that grow, stay inside and leave the image
         for theta in np.cumsum([AHEAD, *b], axis=0):
-            assert np.array_equal(assemble_feature(levels, theta, model, cam, planes=stores[0]),
-                                  assemble_feature(twin, theta, model, cam, planes=stores[1]))
+            assert np.array_equal(assemble_feature(stores[0], theta, model, cam),
+                                  assemble_feature(stores[1], theta, model, cam))
     assert stores[0].box == stores[1].box
     for b in STORE_CASES.values():
         reg = CascadeRegressor(stages=[WeakRegressor(A=rng.normal(scale=1e-3, size=(6, 640)),
@@ -429,14 +429,6 @@ def test_fit_sending_a_landmark_far_off_grows_no_large_store():
     # the store's box stays inside the image and its one-pixel margin:
     # 8 * 162 * 122 * 8 B = 1.3 MB at most
     assert peak < 8 * 1024 * 1024
-
-
-def test_assemble_rejects_a_store_of_another_image():
-    cam = CameraConfig(focal=500.0, width=160, height=120)
-    img = GrayImage(np.full((120, 160), 0.5))
-    model = pinned_landmark_model([(80.0, 60.0)], cam)
-    with pytest.raises(ValueError, match="another image"):
-        assemble_feature(img, AHEAD, model, cam, planes=PlaneStore(GrayImage(img.pixels)))
 
 
 def test_pgm_round_trip(tmp_path):
