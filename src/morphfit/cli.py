@@ -4,13 +4,13 @@ POSIT pose from a point file (`pose`).
 
 Each command's parser declares only the flags that command reads, so any other
 flag is an argparse usage error. Exit codes: 0 success, 1 runtime failure, 2
-usage error. `main` runs every command: it resolves the seed (null for `train`,
+usage error. `main` runs every command: it takes the seed (null for `train`,
 `eval` and `pose`, which draw no random number), calls the command and writes
 the JSON run manifest next to its output: the arguments, seed, input files,
 outputs and wall-clock timings. --log-level picks which of the library's log
 lines (each training stage's lambda and residual, dropped or failed samples)
-reach stderr. All randomness flows from one --seed (or MORPHFIT_SEED) through
-the sub-streams named in synth's tag table; outputs are byte-identical for any
+reach stderr. All randomness flows from one --seed (0 by default) through the
+sub-streams named in synth's tag table; outputs are byte-identical for any
 --jobs value. `_load_inputs` loads every command's model and regressor and checks
 them and the dataset's protocol.txt for agreeing shape modes and landmarks before
 any image is read.
@@ -41,19 +41,6 @@ from .util import ascii_lines, atomic_write, write_csv
 
 class UsageError(Exception):
     pass
-
-
-def _resolve_seed(args):
-    """--seed, else MORPHFIT_SEED, else 0; a UsageError unless a nonnegative integer."""
-    name, value = ("--seed", args.seed) if args.seed is not None else \
-        ("MORPHFIT_SEED", os.environ.get("MORPHFIT_SEED", "0"))
-    try:
-        seed = int(value)
-    except ValueError:
-        raise UsageError("%s must be an integer, got %r" % (name, value)) from None
-    if seed < 0:
-        raise UsageError("%s must be nonnegative, got %d" % (name, seed))
-    return seed
 
 
 def _load_inputs(args):
@@ -273,7 +260,7 @@ def build_parser():
     common.add_argument("--out", required=True)
     common.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
                         help="least severe library log line printed to stderr")
-    seed.add_argument("--seed", type=int)
+    seed.add_argument("--seed", type=at_least(0), default=0)
     jobs.add_argument("--jobs", type=positive_int, default=TrainConfig.jobs)
     model.add_argument("--model", required=True)
     focal.add_argument("--focal", type=positive_float, default=CameraConfig.focal)
@@ -364,7 +351,7 @@ def main(argv=None):
     logger.setLevel(args.log_level.upper())
     logger.addHandler(handler)
     try:
-        seed = _resolve_seed(args) if "seed" in args else None
+        seed = getattr(args, "seed", None)
         outputs, timings = args.func(args, seed)
         timings["total"] = time.perf_counter() - t0
         path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \

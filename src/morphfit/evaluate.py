@@ -17,7 +17,7 @@ import numpy as np
 from .camera import ANGLES, posit, project_points
 from .cascade import FitError, fit
 from .shape_model import SHAPE, init_theta, select_landmarks, split_theta
-from .synth import SEED_TAGS, ProtocolConfig, subseed
+from .synth import INIT_OFFSET, SEED_TAGS, subseed
 from .util import parallel_map, write_csv
 
 log = logging.getLogger(__name__)
@@ -62,22 +62,21 @@ class EvalReport:
     n_failures: int = 0
 
 
-def initial_theta(sample, regime, init_offset=ProtocolConfig.init_offset):
+def initial_theta(sample, regime):
     """A sample's initialization: "uniform" is its stored one, and "fixed" is
-    init_theta(theta_gt, init_offset), every angle offset by +init_offset."""
+    init_theta(theta_gt, INIT_OFFSET), every angle offset by +INIT_OFFSET."""
     if regime == "uniform":
         return sample.theta_init.copy()
     if regime == "fixed":
-        return init_theta(sample.theta_gt, init_offset)
+        return init_theta(sample.theta_gt, INIT_OFFSET)
     raise ValueError("unknown regime %r" % regime)
 
 
 def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
     """Run the cascade on every sample and aggregate per-stage metrics.
 
-    `pc` is the samples' ProtocolConfig: it gives the camera and the fixed
-    regime's init_offset. Per-sample fit failures are counted and excluded,
-    not fatal.
+    `pc` is the samples' ProtocolConfig, which gives the camera. Per-sample
+    fit failures are counted and excluded, not fatal.
     """
     cam = pc.camera()
     samples = list(samples)
@@ -85,7 +84,7 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
         raise ValueError("no samples to evaluate")
 
     def run(sample):
-        theta0 = initial_theta(sample, regime, pc.init_offset)
+        theta0 = initial_theta(sample, regime)
         try:
             return fit(sample.image, theta0, reg, model, cam).trajectory
         except FitError as e:

@@ -19,7 +19,7 @@ would; triangle and batch order do not matter.
 Set generation follows a fixed protocol: a yaw/pitch grid with Gaussian
 x/y translation noise on the ground truth, several backgrounds per
 training pose, and initializations that perturb every angle uniformly:
-within +/-init_offset in test sets, within twice that in training sets.
+within +/-INIT_OFFSET in test sets, within twice that in training sets.
 Everything is deterministic given the seeds.
 
 A render is a face pass (geometry, texture, shading) and a background pass
@@ -40,7 +40,7 @@ from .camera import CameraConfig, project_points, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_rows
 from .shape_model import init_theta, instance_shape, param_layout, split_theta
-from .util import ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
+from .util import TokenReader, ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
 
 
 class RenderError(RuntimeError):
@@ -96,9 +96,13 @@ class TrainingSample:
             raise ValueError("theta_gt and theta_init layouts differ")
 
 
+# Fixed settings of the protocol, which protocol.txt does not record.
+INIT_OFFSET = 11.0  # degrees, test-init half-width (train: x TRAIN_INIT_SPREAD)
+TRANS_SIGMA = 1.5   # mm, x/y ground-truth jitter
+
 # Lower bounds of ProtocolConfig fields; the CLI's flag types read them too.
-PROTOCOL_MINIMUMS = {"range_deg": 0, "trans_sigma": 0, "width": 1, "height": 1,
-                     "backgrounds": 1, "init_offset": 0, "n_shape": 0, "seed": 0}
+PROTOCOL_MINIMUMS = {"range_deg": 0, "width": 1, "height": 1, "backgrounds": 1,
+                     "n_shape": 0, "seed": 0}
 
 
 @dataclass
@@ -106,13 +110,11 @@ class ProtocolConfig:
     range_deg: float = 30.0
     step_train: float = 10.0
     step_test: float = 5.0
-    trans_sigma: float = 1.5   # mm, x/y ground-truth jitter
     tz: float = -1200.0        # mm
     focal: float = CameraConfig.focal  # px
     width: int = CameraConfig.width
     height: int = CameraConfig.height
     backgrounds: int = 5       # per training pose
-    init_offset: float = 11.0  # degrees, test-init half-width (train: x TRAIN_INIT_SPREAD)
     n_shape: int = 0           # fitted shape coefficients K'
     seed: int = 0
 
@@ -310,8 +312,8 @@ def render(model, theta, cam, texture_seed, background_seed):
 
 
 # Half-width of the training inits' angle perturbations, in units of
-# init_offset. Each cascade stage only learns to correct the init errors its
-# training set spans, and uniform draws within +/-init_offset almost never
+# INIT_OFFSET. Each cascade stage only learns to correct the init errors its
+# training set spans, and uniform draws within +/-INIT_OFFSET almost never
 # reach the cube's corners, where the fixed regime starts every angle; twice
 # the interval puts those corners well inside the training distribution.
 TRAIN_INIT_SPREAD = 2.0
@@ -323,9 +325,9 @@ def generate_set(model, pc, mode, jobs=1):
     Train mode: coarse yaw/pitch grid, `pc.backgrounds` backgrounds per
     pose. Test mode: fine grid, one background per pose. The stored
     initialization perturbs every angle uniformly, within
-    +/-`pc.init_offset` in test mode (the uniform regime; the fixed-offset
+    +/-INIT_OFFSET in test mode (the uniform regime; the fixed-offset
     regime is derived from the labels downstream) and within
-    +/-TRAIN_INIT_SPREAD * `pc.init_offset` in train mode.
+    +/-TRAIN_INIT_SPREAD * INIT_OFFSET in train mode.
     """
     if mode not in MODE_TAGS:
         raise ValueError("mode must be 'train' or 'test'")
@@ -339,11 +341,11 @@ def generate_set(model, pc, mode, jobs=1):
     cam = pc.camera()
 
     n_bg = pc.backgrounds if mode == "train" else 1
-    spread = pc.init_offset * (TRAIN_INIT_SPREAD if mode == "train" else 1.0)
+    spread = INIT_OFFSET * (TRAIN_INIT_SPREAD if mode == "train" else 1.0)
     specs = []
     for pitch in pc.grid(mode):
         for yaw in pc.grid(mode):
-            tx, ty = rng_trans.normal(0.0, pc.trans_sigma, size=2)
+            tx, ty = rng_trans.normal(0.0, TRANS_SIGMA, size=2)
             for b in range(n_bg):
                 # fresh identity per rendered sample
                 alpha = rng_alpha.standard_normal(pc.n_shape) if pc.n_shape else np.zeros(0)
@@ -385,35 +387,17 @@ def write_dataset(path, samples, pc):
     write_csv(os.path.join(path, "labels.csv"), header, [[s.id, *s.theta_gt] for s in samples])
     write_csv(os.path.join(path, "inits.csv"), header, [[s.id, *s.theta_init] for s in samples])
     fmt = {float: fmt_float, int: str}  # every field is one or the other
-    lines = ["%s %s" % (f.name, fmt[f.type](getattr(pc, f.name))) for f in fields(pc)]
+    lines = ["MFP 1"] + ["%s %s" % (f.name, fmt[f.type](getattr(pc, f.name))) for f in fields(pc)]
     atomic_write(os.path.join(path, "protocol.txt"), ("\n".join(lines) + "\n").encode())
 
 
 def load_protocol(path):
-    fname = os.path.join(path, "protocol.txt")
-    values = {}
-    for _, line in ascii_lines(fname):
-        parts = line.split(None, 1)
-        if len(parts) == 1:
-            raise ValueError("%s: field %r has no value" % (fname, parts[0]))
-        if parts[0] in values:
-            raise ValueError("%s: duplicate field %r" % (fname, parts[0]))
-        values[parts[0]] = parts[1]
-    kwargs = {}
-    for f in fields(ProtocolConfig):
-        if f.name not in values:
-            raise ValueError("%s: missing field %r" % (fname, f.name))
-        try:
-            kwargs[f.name] = f.type(values[f.name])  # every field is an int or a float
-        except ValueError as e:
-            raise ValueError("%s: field %r: %s" % (fname, f.name, e)) from None
-    unknown = [name for name in values if name not in kwargs]
-    if unknown:
-        raise ValueError("%s: unknown field %r" % (fname, unknown[0]))
-    try:
-        return ProtocolConfig(**kwargs)
-    except ValueError as e:
-        raise ValueError("%s: %s" % (fname, e)) from None
+    """The ProtocolConfig of a dataset's protocol.txt: `MFP 1`, then one
+    `name value` line per field, in field order."""
+    r = TokenReader(os.path.join(path, "protocol.txt"), "MFP")
+    kwargs = {f.name: r.value(f.name, f.type) for f in fields(ProtocolConfig)}
+    r.finish()
+    return r.make("protocol", ProtocolConfig, **kwargs)
 
 
 def _read_csv(path, header):

@@ -103,8 +103,16 @@ class TokenReader:
         except (ValueError, OverflowError) as e:
             raise self.error(e) from None
 
+    def value(self, label, kind):
+        """The token after `label` parsed by Python's int or float: an int of any size."""
+        token = self.take(label, 1)[0]
+        try:
+            return kind(token)
+        except ValueError as e:
+            raise self.error(e) from None
+
     def count(self, label):
-        n = int(self.array(label, int, 1)[0])
+        n = self.value(label, int)
         if n < 0:
             raise self.error("negative count %d" % n)
         return n
@@ -120,7 +128,7 @@ class TokenReader:
     def finish(self):
         self.field = "end"
         if self._pos != len(self._tokens) or self._end:
-            raise self.error(self._end or "trailing data")
+            raise self.error(self._end or "trailing data from %r" % self._tokens[self._pos])
 
 
 def parallel_map(fn, items, jobs=1):

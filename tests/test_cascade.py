@@ -423,7 +423,7 @@ def pipeline_digests(model, n_shape, tmp_path):
     path = tmp_path / ("reg%d.mfr" % n_shape)
     save_regressor(reg, path)
     test = generate_set(model, pc, "test")
-    traj = np.stack([fit(s.image, initial_theta(s, regime, pc.init_offset), reg, model,
+    traj = np.stack([fit(s.image, initial_theta(s, regime), reg, model,
                          cam).trajectory for regime in REGIMES for s in test])
     reports = [evaluate(test, reg, model, pc, regime=regime) for regime in REGIMES]
     text = "\n".join(fmt_row(row) for rep in reports

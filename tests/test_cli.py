@@ -24,10 +24,9 @@ from morphfit.synth import MODE_TAGS, load_protocol
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(morphfit.__file__)))
 
 
-def run_cli(*args, **env):
-    """Invoke the CLI in a subprocess with `env` added to this process's
-    environment; returns (exit code, stdout, stderr)."""
-    env = dict(os.environ, **env)
+def run_cli(*args):
+    """Invoke the CLI in a subprocess; returns (exit code, stdout, stderr)."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "morphfit.cli", *args],
                           capture_output=True, text=True, env=env)
@@ -100,18 +99,11 @@ def test_usage_errors_exit_2(workspace, tmp_path):
         "--model", workspace["model"], "--regressor", workspace["reg"],
         "--out", str(tmp_path / "out.csv"), "--init", "1,2,3")
     assert code == 2
-    # a seed from the environment that is not an integer; nothing is written
+    # a negative seed names its flag and value; nothing is written
     out = tmp_path / "m.mfm"
-    code, _, err = run_cli("make-model", "--out", str(out), MORPHFIT_SEED="abc")
-    assert code == 2
-    assert "MORPHFIT_SEED" in err and "'abc'" in err
+    code, _, err = run_cli("make-model", "--out", str(out), "--seed", "-1")
+    assert code == 2 and "argument --seed: must be at least 0, got -1" in err
     assert not out.exists()
-    # a negative seed names its source and value; nothing is written
-    for flags, env, name in ((["--seed", "-1"], {}, "--seed"),
-                             ([], {"MORPHFIT_SEED": "-1"}, "MORPHFIT_SEED")):
-        code, _, err = run_cli("make-model", "--out", str(out), *flags, **env)
-        assert code == 2 and "%s must be nonnegative, got -1" % name in err
-        assert not out.exists()
     # fit takes exactly one initialization
     img = os.path.join(workspace["test"], "images",
                        sorted(os.listdir(os.path.join(workspace["test"], "images")))[0])
@@ -657,39 +649,6 @@ def test_posit_malformed_csv_exits_2(tmp_path):
     assert code == 2 and "bad.csv: line 4: non-finite value" in err
 
 
-@pytest.mark.parametrize("command", ["pose", "train", "eval"])
-def test_command_draws_no_seed(workspace, tmp_path, command):
-    """pose, train and eval draw no random number, so a MORPHFIT_SEED that is not
-    an integer does not stop them, and each writes the same bytes with or without
-    one."""
-    _, _, rows = landmark_rows(workspace["model"], [10.0, -15.0, 4.0, 0.0, 0.0, -1200.0],
-                               CameraConfig())
-    points = tmp_path / "pts.csv"
-    points.write_text(rows)
-    args, output = {  # the command and the file it writes under --out
-        "pose": (["pose", "--points", str(points)], ""),
-        "train": (["train", "--data", workspace["train"], "--model", workspace["model"],
-                   "--stages", "2"], ""),
-        "eval": (["eval", "--data", workspace["test"], "--model", workspace["model"],
-                  "--regressor", workspace["reg"]], "report_uniform.csv"),
-    }[command]
-    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
-    assert run_cli(*args, "--out", str(plain))[0] == 0
-    assert run_cli(*args, "--out", str(seeded), MORPHFIT_SEED="abc")[0] == 0
-    assert Path(seeded, output).read_bytes() == Path(plain, output).read_bytes()
-
-
-def test_seed_env_fallback(workspace, tmp_path):
-    out_env = str(tmp_path / "ds_env")
-    code, _, _ = run_cli(
-        "synth", "--out", out_env, "--mode", "test", "--grid-step", "10",
-        "--model", workspace["model"], "--range-deg", "20", "--focal", "500",
-        "--width", "160", "--height", "120", MORPHFIT_SEED="5")
-    assert code == 0
-    assert Path(out_env, "labels.csv").read_text() == \
-        Path(workspace["test"], "labels.csv").read_text()
-
-
 def test_log_level_prints_the_library_log_lines(workspace, tmp_path, capsys):
     train = ["train", "--data", workspace["train"], "--model", workspace["model"],
              "--stages", "2"]
@@ -707,8 +666,7 @@ def test_log_level_prints_the_library_log_lines(workspace, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypatch):
-    monkeypatch.setenv("MORPHFIT_SEED", "13")
+def test_every_command_writes_one_manifest_schema(workspace, tmp_path):
     img_path = os.path.join(workspace["test"], "images",
                             sorted(os.listdir(os.path.join(workspace["test"], "images")))[0])
     fit_out = str(tmp_path / "traj.csv")
@@ -727,8 +685,8 @@ def test_every_command_writes_one_manifest_schema(workspace, tmp_path, monkeypat
     pose_out = str(tmp_path / "pose.csv")
     assert main(["pose", "--points", str(points), "--out", pose_out]) == 0
 
-    expected = [  # (manifest, command, resolved seed); MORPHFIT_SEED is set, but train,
-        # eval and pose, which draw no random number, take no seed
+    expected = [  # (manifest, command, seed); train, eval and pose, which draw no
+        # random number, take no seed
         (workspace["model"] + ".manifest.json", "make-model", 3),
         (os.path.join(workspace["train"], "manifest.json"), "synth", 5),
         (os.path.join(workspace["test"], "manifest.json"), "synth", 5),

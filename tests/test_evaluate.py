@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from morphfit import CascadeRegressor, ParamScale, WeakRegressor, angle_errors, 
     shape_cosine
 from morphfit.evaluate import initial_theta, write_report
 from morphfit.shape_model import init_theta
-from morphfit.synth import ProtocolConfig, generate_set
+from morphfit.synth import INIT_OFFSET, ProtocolConfig, generate_set
 
 
 def test_mae_examples():
@@ -95,10 +93,10 @@ def test_initial_theta_regimes():
 
 def test_fixed_regime_starts_from_init_theta(small_model):
     pc = ProtocolConfig(range_deg=20.0, step_test=20.0, width=160, height=120, focal=500.0,
-                        n_shape=1, init_offset=7.5, seed=4)
+                        n_shape=1, seed=4)
     for s in generate_set(small_model, pc, "test"):
-        assert initial_theta(s, "fixed", pc.init_offset).tobytes() == \
-            init_theta(s.theta_gt, pc.init_offset).tobytes()
+        assert initial_theta(s, "fixed").tobytes() == \
+            init_theta(s.theta_gt, INIT_OFFSET).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +121,10 @@ def test_zero_stage_cascade_reports_init_error(tiny_eval_setup):
     assert np.isnan(rep.cosine_per_stage).all()
 
 
-@pytest.mark.parametrize("init_offset", [11.0, 5.0])
+@pytest.mark.parametrize("init_offset", [INIT_OFFSET])
 def test_fixed_regime_stage0_is_eleven(tiny_eval_setup, init_offset):
-    # the fixed regime's offset is the one the set was generated with
-    model, pc, _ = tiny_eval_setup
-    pc = dataclasses.replace(pc, init_offset=init_offset)
-    samples = generate_set(model, pc, "test")
+    # every angle of the fixed regime's init is off by INIT_OFFSET
+    model, pc, samples = tiny_eval_setup
     reg = CascadeRegressor(stages=[], scale=ParamScale(np.zeros(6), np.ones(6)),
                            feature_dim=17 * 128)
     rep = evaluate(samples, reg, model, pc, regime="fixed")

@@ -546,6 +546,7 @@ def test_mfm_mfr_truncated_or_corrupt_raise_only_value_error(tmp_path_factory, n
     ("reg.mfr", lambda d: d.replace(b"\nb:\n", b"\nb:\n\xff", 1),
      "b: line 17: non-ASCII byte 0xff"),
     ("reg.mfr", lambda d: d[:d.index(b"A:") + 10], "A: unexpected end of file"),
+    ("reg.mfr", lambda d: d + b"extra\n", "end: trailing data from 'extra'"),
     ("model.mfm", lambda d: d.replace(b"landmarks 17", b"landmarks -2"),
      "landmarks: negative count -2"),
     ("model.mfm", lambda d: d.replace(b"\nsigmas:\n", b"\nsigmas:\n\xff"),

@@ -133,9 +133,9 @@ def test_generate_counts_and_init_contract(small_model):
     train_d = np.stack([s.theta_init - s.theta_gt for s in train])
     test_d = np.stack([s.theta_init - s.theta_gt for s in test])
     # training inits spread over twice the interval that test inits keep to
-    assert np.all(np.abs(train_d[:, :3]) <= 2.0 * pc.init_offset)
-    assert np.any(np.abs(train_d[:, :3]) > pc.init_offset)
-    assert np.all(np.abs(test_d[:, :3]) <= pc.init_offset)
+    assert np.all(np.abs(train_d[:, :3]) <= 2.0 * synth.INIT_OFFSET)
+    assert np.any(np.abs(train_d[:, :3]) > synth.INIT_OFFSET)
+    assert np.all(np.abs(test_d[:, :3]) <= synth.INIT_OFFSET)
     assert np.all(train_d[:, 3:] == 0.0) and np.all(test_d[:, 3:] == 0.0)
     for s in train + test:
         assert s.theta_gt[2] == 0.0  # roll fixed at zero in ground truth
@@ -440,9 +440,10 @@ def test_rasterize_matches_per_triangle_loop_on_small_frames(w, h, verts, corner
         assert_matches_loop(verts[:, :2], np.ones(len(verts), bool), verts[:, 2], tris, w, h)
 
 
-def test_train_and_test_share_surface_texture(small_model):
+def test_train_and_test_share_surface_texture(small_model, monkeypatch):
     # same pose rendered in train and test mode differs only by background
-    pc = ProtocolConfig(seed=7, trans_sigma=0.0, **SMALL_PC)
+    monkeypatch.setattr(synth, "TRANS_SIGMA", 0.0)
+    pc = ProtocolConfig(seed=7, **SMALL_PC)
     train = generate_set(small_model, pc, "train")
     test = generate_set(small_model, pc, "test")
     t0 = [s for s in train if s.id == "train_p+0_y+0_b0"][0]
@@ -452,11 +453,12 @@ def test_train_and_test_share_surface_texture(small_model):
 
 
 def test_dataset_round_trip(tmp_path, small_model):
-    pc = ProtocolConfig(seed=8, n_shape=1, **SMALL_PC)
+    # protocol.txt's seed is read as a Python int, which holds any size, not as a C long
+    pc = ProtocolConfig(seed=10 ** 20, n_shape=1, **SMALL_PC)
     samples = generate_set(small_model, pc, "train")
     out = tmp_path / "ds"
     write_dataset(out, samples, pc)
-    assert (out / "protocol.txt").exists()
+    assert (out / "protocol.txt").read_text().startswith("MFP 1\nrange_deg 20\n")
     back, pc2 = load_dataset(out)
     assert pc2 == pc
     by_id = {s.id: s for s in samples}
@@ -529,29 +531,39 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
     (out / "inits.csv").write_text(inits)
 
     (out / "protocol.txt").write_bytes(protocol.encode().replace(b"focal 5", b"focal \xff5"))
-    with pytest.raises(ValueError, match="protocol.txt: line 6: non-ASCII byte 0xff"):
+    with pytest.raises(ValueError, match="protocol.txt: focal: line 6: non-ASCII byte 0xff"):
         load_dataset(out)
     (out / "protocol.txt").write_text(protocol.replace("focal ", "focus ", 1))
-    with pytest.raises(ValueError, match="protocol.txt.*missing field 'focal'"):
+    with pytest.raises(ValueError, match="protocol.txt: focal: expected 'focal', found 'focus'"):
         load_dataset(out)
     (out / "protocol.txt").write_text(protocol.replace("width 160", "width many", 1))
-    with pytest.raises(ValueError, match="protocol.txt.*'width'"):
+    with pytest.raises(ValueError, match="protocol.txt: width: invalid literal .* 'many'"):
         load_dataset(out)
     (out / "protocol.txt").write_text(protocol + "seed\n")
-    with pytest.raises(ValueError, match="protocol.txt.*'seed' has no value"):
+    with pytest.raises(ValueError, match="protocol.txt: end: trailing data from 'seed'"):
         load_dataset(out)
-    for name in ("trans_sigma", "focal", "range_deg"):
+    for name in ("tz", "focal", "range_deg"):
         edited = "".join(name + " nan\n" if ln.split()[0] == name else ln + "\n"
                          for ln in protocol.splitlines())
         (out / "protocol.txt").write_text(edited)
-        with pytest.raises(ValueError, match="protocol.txt: field '%s' is not finite" % name):
+        with pytest.raises(ValueError,
+                           match="protocol.txt: protocol: field '%s' is not finite" % name):
             load_dataset(out)
     for old, new in (("range_deg 20", "range_deg -20"), ("width 160", "width 0")):
         (out / "protocol.txt").write_text(protocol.replace(old, new, 1))
-        with pytest.raises(ValueError, match="protocol.txt: field '%s' is below" % old.split()[0]):
+        with pytest.raises(ValueError,
+                           match="protocol.txt: protocol: field '%s' is below" % old.split()[0]):
             load_dataset(out)
     (out / "protocol.txt").write_text(protocol.replace("focal 500", "focal 0", 1))
-    with pytest.raises(ValueError, match="protocol.txt: focal must be finite and positive"):
+    with pytest.raises(ValueError, match="protocol.txt: protocol: focal must be finite"):
+        load_dataset(out)
+    # the fields come in the order write_dataset writes them, under the MFP 1 header
+    (out / "protocol.txt").write_text(protocol.replace("width 160\nheight 120",
+                                                       "height 120\nwidth 160", 1))
+    with pytest.raises(ValueError, match="protocol.txt: width: expected 'width', found 'height'"):
+        load_dataset(out)
+    (out / "protocol.txt").write_text(protocol.replace("MFP 1\n", "", 1))
+    with pytest.raises(ValueError, match="protocol.txt: header: not a MFP1 file"):
         load_dataset(out)
 
 
@@ -631,11 +643,12 @@ def test_load_protocol_rejects_duplicate_and_unknown_fields(tmp_path, small_mode
     write_dataset(str(tmp_path), generate_set(small_model, pc, "test")[:1], pc)
     protocol = (tmp_path / "protocol.txt").read_text()
     assert synth.load_protocol(str(tmp_path)) == pc
-    # a repeated field used to load silently, the last value winning
-    for extra, problem in (("backgrounds 7\n", "duplicate field 'backgrounds'"),
-                           ("bogus 3\n", "unknown field 'bogus'"),
-                           ("bogus 3\nbackgrounds 7\n", "duplicate field 'backgrounds'"),
-                           ("zeta 1\nbogus 3\n", "unknown field 'zeta'")):
+    # a repeated or unknown field after the last one is named as the first
+    # token left unread
+    for extra, problem in (("backgrounds 7\n", "end: trailing data from 'backgrounds'"),
+                           ("bogus 3\n", "end: trailing data from 'bogus'"),
+                           ("bogus 3\nbackgrounds 7\n", "end: trailing data from 'bogus'"),
+                           ("zeta 1\nbogus 3\n", "end: trailing data from 'zeta'")):
         (tmp_path / "protocol.txt").write_text(protocol + extra)
         with pytest.raises(ValueError, match="protocol.txt: %s" % problem):
             synth.load_protocol(str(tmp_path))
@@ -654,8 +667,7 @@ def test_protocol_validation():
     # a bound violation names the field; a negative range used to pass here and
     # fail later in grid(), a zero size only in camera()
     for field, bad in (("range_deg", -10.0), ("width", 0), ("height", 0), ("backgrounds", 0),
-                       ("n_shape", -1), ("trans_sigma", -1.0), ("init_offset", -1.0),
-                       ("seed", -1)):
+                       ("n_shape", -1), ("seed", -1)):
         with pytest.raises(ValueError, match="field '%s' is below" % field):
             ProtocolConfig(**{field: bad})
     # the camera's own rule, at construction, not first in camera()
