@@ -9,6 +9,9 @@ h = mix(mix(mix(seed ^ x*k1) ^ y*k2) ^ z*k3), with coordinates taken mod
 2**32 and every step computed in uint32, where products wrap mod 2**32.
 `value_noise3` shares the chain's prefixes among the 8 corners of a cell:
 2 x-prefixes, 4 xy-prefixes, then 8 z-rounds, 14 rounds instead of 24.
+It runs one such chain per run of consecutive points in one cell, not per
+point, and gathers its corner values: a face's pixels come in row-major
+order, so neighbours mostly share a cell.
 """
 
 import numpy as np
@@ -45,9 +48,9 @@ def _lattice_hash(ix, iy, iz, seed):
 
 def _cell(t):
     """Lattice cell and smoothstep weight of coordinates t (lattice units)."""
-    i = np.floor(t).astype(np.int64)
+    i = np.floor(t)
     f = t - i
-    return i, f * f * (3.0 - 2.0 * f)
+    return i.astype(np.int64), f * f * (3.0 - 2.0 * f)
 
 
 def value_noise3(points, seed):
@@ -56,18 +59,28 @@ def value_noise3(points, seed):
     Returns values in [0, 1). Smoothstep fade between lattice corners.
     """
     p0, w = _cell(np.asarray(points, dtype=np.float64).T.copy())  # (3, n), contiguous rows
+    n = p0.shape[1]
+    # consecutive points mostly share a cell: each run of equal cells is hashed once
+    new_cell = np.ones(n, dtype=bool)
+    np.any(p0[:, 1:] != p0[:, :-1], axis=0, out=new_cell[1:])
+    run = np.cumsum(new_cell)
+    run -= 1
+    cells = p0[:, new_cell]
     wts = [(1.0 - c, c) for c in w]
-    terms = [(_axis_terms(c, k), _axis_terms(c + 1, k)) for c, k in zip(p0, _AXIS_MULT)]
+    terms = [(_axis_terms(c, k), _axis_terms(c + 1, k)) for c, k in zip(cells, _AXIS_MULT)]
     seed = np.uint32(int(seed) & 0xFFFFFFFF)
-    total = np.zeros(p0.shape[1])
+    total = np.zeros(n)
     # corners summed in (dx, dy, dz) order, the order that fixes the rounding
     for dx in (0, 1):
         hx = _chain(seed, terms[0][dx])
         for dy in (0, 1):
             hxy = _chain(hx, terms[1][dy])
             for dz in (0, 1):
-                total += (_chain(hxy, terms[2][dz]) / 4294967296.0
-                          * wts[0][dx] * wts[1][dy] * wts[2][dz])
+                term = (_chain(hxy, terms[2][dz]) / 4294967296.0).take(run)
+                term *= wts[0][dx]
+                term *= wts[1][dy]
+                term *= wts[2][dz]
+                total += term
     return total
 
 
@@ -115,7 +128,11 @@ def _grid_noise2(width, height, scale, seed):
     # pixel 0 lies in lattice cell 0, so the covered lattice starts there
     lattice = _lattice_hash(np.arange(ix[-1] + 2)[None, :], np.arange(iy[-1] + 2)[:, None],
                             0, seed)
-    rows = lattice[:, ix] * (1.0 - wx) + lattice[:, ix + 1] * wx
+    rows = lattice.take(ix, axis=1)
+    rows *= 1.0 - wx
+    right = lattice.take(ix + 1, axis=1)
+    right *= wx
+    rows += right
     wy = wy[:, None]
 
     def block(y0, y1):

@@ -22,12 +22,13 @@ training pose, and initializations that perturb every angle uniformly:
 within +/-INIT_OFFSET in test sets, within twice that in training sets.
 Everything is deterministic given the seeds.
 
-A render is a face pass (geometry, texture, shading) and a background pass
-(noise, paste, quantization, a block of rows at a time). Consecutive
-samples with one ground truth share a face pass: without shape draws, a
-training pose's face is shaded once per set and laid over each of its
-backgrounds. Every image equals the one `render` gives for its sample
-alone.
+A render is a face pass and a background pass. The face pass rasterizes
+into a depth buffer over the face's box, not the frame, then textures and
+shades FACE_BLOCK covered pixels at a time. The background pass (noise,
+paste, quantization) makes a block of rows at a time. Consecutive samples
+with one ground truth share a face pass: without shape draws, a training
+pose's face is shaded once per set and laid over each of its backgrounds.
+Every image equals the one `render` gives for its sample alone.
 """
 
 import math
@@ -78,6 +79,8 @@ BACKGROUND_SCALE = 18.0       # px
 # Candidate (span) pixels the geometry pass holds at once; a longer span
 # forms a batch by itself.
 RASTER_BATCH = 1 << 15
+# Covered pixels the face pass textures and shades at once.
+FACE_BLOCK = 8192
 # Frame rows the background pass holds as floats at once.
 BACKGROUND_BLOCK_ROWS = 32
 
@@ -167,7 +170,8 @@ def _rasterize(uv, visible, depth, tris, w, h):
     pixels, RASTER_BATCH at most at a time. A pixel's depth is the minimum
     over its candidates, and its owner the minimum triangle index among
     those at that depth; a nearer depth first resets the owner to the
-    sentinel n.
+    sentinel n. The depth and owner buffers cover the bounding box of the
+    kept triangles' boxes, whose row-major order is the frame's.
     """
     tri_ids = np.flatnonzero(visible[tris].all(axis=1))
     corners = uv[tris[tri_ids]]
@@ -212,9 +216,11 @@ def _rasterize(uv, visible, depth, tris, w, h):
     ends = np.cumsum(size)
     starts = ends - size
     shift = starts - span_x
-    zbuf = np.full(h * w, np.inf)
     n = len(tri_ids)
-    owner = np.full(h * w, n, dtype=np.int64)
+    bx, by = lo.min(axis=0) if n else (0, 0)
+    bw, bh = hi.max(axis=0) + 1 - (bx, by) if n else (0, 0)
+    zbuf = np.full(bh * bw, np.inf)
+    owner = np.full(bh * bw, n, dtype=np.int64)
     i = 0
     while i < len(ends):
         j = max(int(np.searchsorted(ends, starts[i] + RASTER_BATCH, side="right")), i + 1)
@@ -224,14 +230,16 @@ def _rasterize(uv, visible, depth, tris, w, h):
         l0, l1, l2 = _barycentric(coef.take(t, axis=1), col, row)
         z = l0 * tri_depth[0, t] + l1 * tri_depth[1, t] + l2 * tri_depth[2, t]
         hit = (l0 >= 0) & (l1 >= 0) & (l2 >= 0)
-        pix, z, t = (row * w + col)[hit], z[hit], t[hit]
+        pix, z, t = ((row - by) * bw + (col - bx))[hit], z[hit], t[hit]
         owner[pix[z < zbuf[pix]]] = n  # a nearer candidate clears the old owner
         np.minimum.at(zbuf, pix, z)
         won = z == zbuf[pix]
         np.minimum.at(owner, pix[won], t[won])
 
     pix = np.flatnonzero(owner < n)
-    rows, cols = np.divmod(pix, w)
+    rows, cols = np.divmod(pix, bw)
+    rows += by
+    cols += bx
     lam = np.stack(_barycentric(coef.take(owner[pix], axis=1), cols, rows), axis=1)
     return rows, cols, tri_ids[owner[pix]], lam
 
@@ -269,16 +277,22 @@ def _render_face(model, theta, cam, texture_seed):
     vert_n = vert_n / np.where(vn > 0, vn, 1.0)[:, None]
     vert_shade = 0.35 + 0.65 * np.maximum(0.0, vert_n @ light)
 
-    # gather each triangle's corners once, then pick the covering triangles
-    mean_pts = model.mean.reshape(-1, 3)
-    surf = np.einsum("ni,nij->nj", lam, mean_pts[tris][hit_tris])
+    # gather each triangle's corners and shades once, then texture and shade
+    # FACE_BLOCK covered pixels at a time, picking their covering triangles
+    tri_pts = model.mean.reshape(-1, 3)[tris]
+    tri_shade = vert_shade[tris]
     dw = TEXTURE_DETAIL_WEIGHT
-    albedo = (1.0 - dw) * fbm3(surf * np.asarray(TEXTURE_ANISO),
-                               TEXTURE_SCALE, texture_seed, octaves=1) \
-        + dw * fbm3(surf, TEXTURE_DETAIL_SCALE, texture_seed + 777, octaves=2)
-    tex = 0.35 + 0.6 * albedo
-    shade = np.einsum("ni,ni->n", lam, vert_shade[tris][hit_tris])
-    return rows, cols, tex * shade
+    values = np.empty(len(rows))
+    for i in range(0, len(rows), FACE_BLOCK):
+        block = slice(i, i + FACE_BLOCK)
+        t, l = hit_tris[block], lam[block]
+        surf = np.einsum("ni,nij->nj", l, tri_pts[t])
+        albedo = (1.0 - dw) * fbm3(surf * np.asarray(TEXTURE_ANISO),
+                                   TEXTURE_SCALE, texture_seed, octaves=1) \
+            + dw * fbm3(surf, TEXTURE_DETAIL_SCALE, texture_seed + 777, octaves=2)
+        tex = 0.35 + 0.6 * albedo
+        values[block] = tex * np.einsum("ni,ni->n", l, tri_shade[t])
+    return rows, cols, values
 
 
 def _over_background(face, cam, background_seed):

@@ -260,18 +260,50 @@ def test_standard_renders_match_golden_digest(standard_model):
     assert h.hexdigest() == GOLDEN_RENDER_SHA256
 
 
-def test_close_range_render_memory_is_bounded(standard_model):
-    # at tz = -400 triangle boxes cover much of the frame; the geometry pass
-    # must not hold every candidate pixel of every triangle at once
-    theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -400.0])
+def traced_peak(fn):
     tracemalloc.start()
     try:
-        render(standard_model, theta, STANDARD_CAM, 11, 12)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the per-triangle loop peaked at 83.3 MiB here, mostly in the shading pass
-    assert peak <= 87 * 1024 * 1024
+
+
+def test_close_range_render_memory_is_bounded(standard_model):
+    # at tz = -400 triangle boxes cover much of the frame; the geometry pass
+    # must not hold every candidate pixel of every triangle at once, nor the
+    # texture pass every covered pixel's noise temporaries
+    theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -400.0])
+    peak = traced_peak(lambda: render(standard_model, theta, STANDARD_CAM, 11, 12))
+    # the per-triangle loop peaked at 83.3 MiB here, mostly in the shading
+    # pass; the unblocked texture pass over a frame-sized z-buffer at 69.1 MiB
+    assert peak <= 48 * 1024 * 1024
+
+
+def test_face_pass_memory_is_bounded(standard_model):
+    # a frontal face covers ~41 k pixels; a frame-sized z-buffer and texture
+    # temporaries over every covered pixel at once peaked at 10.8 MiB
+    theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0])
+    peak = traced_peak(lambda: synth._render_face(standard_model, theta, STANDARD_CAM, 11))
+    assert peak <= 8 * 1024 * 1024
+
+
+@pytest.mark.parametrize("block", [1, 97, synth.FACE_BLOCK])
+def test_face_pass_blocks_match_one_block(block, standard_model, monkeypatch):
+    # bit for bit: the same pixels and values whether the texture and shading
+    # run over one covered pixel at a time or over all of them at once. A
+    # one-pixel block costs ~0.6 ms, so that case renders the centre 48 x 36
+    # of the standard view.
+    cam = STANDARD_CAM if block > 1 else CameraConfig(focal=STANDARD_CAM.focal, width=48,
+                                                       height=36)
+    for theta in ([0.0, 0.0, 0.0, 0.0, 0.0, -1200.0], [0.0, 0.0, 10.0, 0.0, 0.0, -400.0]):
+        monkeypatch.setattr(synth, "FACE_BLOCK", 1 << 30)
+        want = synth._render_face(standard_model, np.array(theta), cam, 11)
+        monkeypatch.setattr(synth, "FACE_BLOCK", block)
+        got = synth._render_face(standard_model, np.array(theta), cam, 11)
+        assert want[0].size > block
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def loop_rasterize(uv, visible, depth, tris, w, h):
@@ -707,6 +739,24 @@ def test_noise_matches_golden_digests():
             for key, v in got.items()} == NOISE_SHA256
     with pytest.raises(ValueError, match="octaves must be at least 1, got 0"):
         fbm3(pts, 60.0, 0, octaves=0)
+
+
+def test_value_noise3_does_not_depend_on_neighbouring_points():
+    # value_noise3 hashes a cell's corners once per run of consecutive points
+    # in that cell; runs of one point and of hundreds, points sorted into runs
+    # or shuffled, must give every point the same value
+    rng = np.random.default_rng(17)
+    cells = rng.integers(-5, 5, size=(60, 3))
+    counts = rng.choice([1, 1, 2, 40, 400], size=len(cells))
+    pts = np.repeat(cells, counts, axis=0) + rng.random((counts.sum(), 3))
+    perm = rng.permutation(len(pts))
+    for seed in (0, 2718):
+        runs = noise.value_noise3(pts, seed)
+        assert np.array_equal(noise.value_noise3(pts[perm], seed), runs[perm])
+        one_by_one = [noise.value_noise3(pts[i:i + 1], seed)[0] for i in range(0, len(pts), 97)]
+        assert runs[::97].tolist() == one_by_one
+    empty = noise.value_noise3(np.zeros((0, 3)), 1)
+    assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 def _lowbias32_chain(ix, iy, iz, seed):
