@@ -104,13 +104,16 @@ def to_camera(points, pose):
 
 
 def project_points(points, pose, cam):
-    """Project (n, 3) model points to pixel coordinates.
+    """(n, 3) model points to pixels: perspective(to_camera(points, pose), cam)."""
+    return perspective(to_camera(points, pose), cam)
+
+
+def perspective(pc, cam):
+    """The perspective divide of (n, 3) camera-space points.
 
     Returns (uv, valid): uv is (n, 2); rows with camera z >= -1e-6 (at or
-    behind the camera plane) are NaN and flagged invalid. A non-finite
-    pose raises ValueError.
+    behind the camera plane) are NaN and flagged invalid.
     """
-    pc = to_camera(points, pose)
     depth = -pc[:, 2]
     valid = depth > 1e-6
     uv = np.full((pc.shape[0], 2), np.nan)

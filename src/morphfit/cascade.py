@@ -5,6 +5,9 @@ Each stage is an affine map delta = A f + b fitted by ridge regression
 z-scored per dimension, with the statistics taken from the first stage's
 targets and reused by every later stage, so a single scale travels with
 the trained cascade.
+
+A stage whose features cannot be assembled is FitError(stage, reason) in
+`fit` and in training, which drops the sample by `util.drop_failed`.
 """
 
 import logging
@@ -14,7 +17,7 @@ import numpy as np
 
 from .features import FeatureError, PlaneStore, assemble_feature
 from .shape_model import POSE_NAMES, param_layout
-from .util import TokenReader, atomic_write, fmt_row, parallel_map
+from .util import TokenReader, atomic_write, drop_failed, fmt_row, parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +79,7 @@ class CascadeRegressor:
     scale: ParamScale
     feature_dim: int
     train_residuals: list = field(default_factory=list)
+    train_dropped: list = field(default_factory=list)  # per stage, the ids training dropped
 
     def __post_init__(self):
         if self.n_shape < 0:
@@ -155,11 +159,20 @@ class TrainConfig:
     jobs: int = 1
 
 
+def _stage_features(planes, theta, stage, model, cam):
+    """assemble_feature for cascade stage `stage`; features that cannot be
+    assembled are a FitError(stage, reason), in fit and in training alike."""
+    try:
+        return assemble_feature(planes, theta, model, cam)
+    except FeatureError as e:
+        raise FitError(stage, str(e)) from e
+
+
 def train_cascade(samples, config):
     """Train `config.stages` weak regressors, updating every sample's
     parameter estimate after each stage, by ridge with `relative_lambda`'s
-    penalty. Samples whose features cannot be assembled are dropped with a
-    warning; training fails if none remain.
+    penalty. A sample whose features cannot be assembled is dropped, its id
+    kept in `train_dropped`; training fails if none remain.
     """
     if config.stages < 1:
         raise ValueError("need at least one stage")
@@ -171,22 +184,17 @@ def train_cascade(samples, config):
 
     def assemble(i):
         try:
-            return assemble_feature(PlaneStore(samples[i].image), theta[i], config.model,
-                                    config.cam)
-        except FeatureError as e:
+            return _stage_features(PlaneStore(samples[i].image), theta[i], stage_idx,
+                                   config.model, config.cam)
+        except FitError as e:
             return e
 
     scale = None
-    stages = []
-    residuals = []
+    stages, residuals, dropped = [], [], []
     for stage_idx in range(config.stages):
         feats = parallel_map(assemble, range(len(samples)), config.jobs)
-        keep = np.array([not isinstance(f, FeatureError) for f in feats])
-        for i in np.flatnonzero(~keep):
-            log.warning("dropping sample %s at stage %d: %s",
-                        getattr(samples[i], "id", i), stage_idx, feats[i])
-        if not keep.any():
-            raise RuntimeError("all training samples dropped at stage %d" % stage_idx)
+        keep = drop_failed(samples, feats, log, "train stage %d" % stage_idx)
+        dropped.append([s.id for s, k in zip(samples, keep) if not k])
         samples = [s for s, k in zip(samples, keep) if k]
         theta, gt = theta[keep], gt[keep]
         f_mat = np.stack([f for f, k in zip(feats, keep) if k])
@@ -201,7 +209,7 @@ def train_cascade(samples, config):
                  stage_idx, lam, residuals[-1], len(samples))
 
     return CascadeRegressor(stages=stages, scale=scale, feature_dim=f_mat.shape[1],
-                            train_residuals=residuals)
+                            train_residuals=residuals, train_dropped=dropped)
 
 
 @dataclass(eq=False)
@@ -214,9 +222,10 @@ class FitResult:
 def fit(img, theta_init, reg, model, cam):
     """Apply every cascade stage to refine theta_init on one image.
 
-    A non-finite theta_init is a ValueError; a stage whose update leaves
-    theta non-finite raises FitError for that stage. The stages read one
-    PlaneStore of `img`, so a pixel's orientation planes are built once.
+    A non-finite theta_init is a ValueError; a stage whose features cannot
+    be assembled, or whose update leaves theta non-finite, raises FitError
+    for that stage. The stages read one PlaneStore of `img`, so a pixel's
+    orientation planes are built once.
     """
     theta = np.asarray(theta_init, dtype=np.float64).reshape(-1).copy()
     if theta.shape[0] != reg.param_dim:
@@ -227,11 +236,8 @@ def fit(img, theta_init, reg, model, cam):
     traj = [theta.copy()]
     planes = PlaneStore(img)
     for i, wr in enumerate(reg.stages):
-        try:
-            f = assemble_feature(planes, theta, model, cam)
-        except FeatureError as e:
-            raise FitError(i, str(e)) from e
-        theta = theta + predict_update(wr, f, reg.scale)
+        theta = theta + predict_update(wr, _stage_features(planes, theta, i, model, cam),
+                                       reg.scale)
         if not np.all(np.isfinite(theta)):
             raise FitError(i, "update made the parameters non-finite")
         traj.append(theta.copy())

@@ -8,8 +8,9 @@ usage error. `main` runs every command: it takes the seed (null for `train`,
 `eval` and `pose`, which draw no random number), calls the command and writes
 the JSON run manifest next to its output: the arguments, seed, input files,
 outputs and wall-clock timings. --log-level picks which of the library's log
-lines (each training stage's lambda and residual, dropped or failed samples)
-reach stderr. All randomness flows from one --seed (0 by default) through the
+lines (each training stage's lambda and residual, each dropped sample) reach
+stderr; `train`, `eval` and `posit` count their dropped samples in the manifest
+whatever it is. All randomness flows from one --seed (0 by default) through the
 sub-streams named in synth's tag table; outputs are byte-identical for any
 --jobs value. `_load_inputs` loads every command's model and regressor and checks
 them and the dataset's protocol.txt for agreeing shape modes and landmarks before
@@ -105,11 +106,12 @@ def cmd_train(args, seed):
     config = TrainConfig(model=model, cam=pc.camera(), stages=args.stages, jobs=args.jobs)
     reg = train_cascade(samples, config)
     save_regressor(reg, args.out)
-    for i, res in enumerate(reg.train_residuals):
-        print("stage %d: residual %.6g" % (i, res))
+    for i, (res, dropped) in enumerate(zip(reg.train_residuals, reg.train_dropped)):
+        print("stage %d: residual %.6g, dropped %d" % (i, res, len(dropped)))
     print("wrote regressor (%d stages, pdim %d, fdim %d) -> %s"
           % (reg.n_stages, reg.param_dim, reg.feature_dim, args.out))
-    return {"regressor": args.out, "train_residuals": reg.train_residuals}, {}
+    return {"regressor": args.out, "train_residuals": reg.train_residuals,
+            "train_dropped": reg.train_dropped}, {}
 
 
 def _parse_inline_theta(text, pdim):
@@ -206,9 +208,10 @@ def cmd_posit(args, seed):
                          "iters", "converged"],
               [[sid, *res.pose, *err, res.iters, int(res.converged)]
                for sid, res, err in baseline])
-    print("POSIT over %d samples (noise %.3g px): MAE %.4f deg"
-          % (len(baseline), args.noise_px, mae))
-    return {"report": args.out, "mae_deg": mae}, {}
+    failures = len(samples) - len(baseline)
+    print("POSIT over %d samples (noise %.3g px, failures=%d): MAE %.4f deg"
+          % (len(baseline), args.noise_px, failures, mae))
+    return {"report": args.out, "mae_deg": mae, "failures": failures}, {}
 
 
 def cmd_pose(args, seed):

@@ -6,6 +6,8 @@ every angle stays far from +/-180 degrees: test sets reach +/-41 degrees,
 training sets (whose inits spread twice as wide) +/-52. Shape accuracy is
 the cosine between estimated and true coefficient vectors over the fitted
 modes.
+
+`evaluate` and `posit_baseline` drop a failed sample by `util.drop_failed`.
 """
 
 import logging
@@ -18,7 +20,7 @@ from .camera import ANGLES, posit, project_points
 from .cascade import FitError, fit
 from .shape_model import SHAPE, init_theta, select_landmarks, split_theta
 from .synth import INIT_OFFSET, SEED_TAGS, subseed
-from .util import parallel_map, write_csv
+from .util import drop_failed, parallel_map, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +77,8 @@ def initial_theta(sample, regime):
 def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
     """Run the cascade on every sample and aggregate per-stage metrics.
 
-    `pc` is the samples' ProtocolConfig, which gives the camera. Per-sample
-    fit failures are counted and excluded, not fatal.
+    `pc` is the samples' ProtocolConfig, which gives the camera. A sample
+    whose fit raises FitError is dropped and counted in n_failures.
     """
     cam = pc.camera()
     samples = list(samples)
@@ -88,15 +90,12 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
         try:
             return fit(sample.image, theta0, reg, model, cam).trajectory
         except FitError as e:
-            log.warning("sample %s failed: %s", sample.id, e)
-            return None
+            return e
 
     trajectories = parallel_map(run, samples, jobs)
-    used = [(s.theta_gt, t) for s, t in zip(samples, trajectories) if t is not None]
-    if not used:
-        raise RuntimeError("every sample failed to evaluate")
-    gt = np.stack([g for g, _ in used])          # (N, p)
-    traj = np.stack([t for _, t in used])        # (N, S+1, p)
+    used = np.flatnonzero(drop_failed(samples, trajectories, log, "evaluate"))
+    gt = np.stack([samples[i].theta_gt for i in used])          # (N, p)
+    traj = np.stack([trajectories[i] for i in used])            # (N, S+1, p)
 
     # stage-major, so each stage's mean sums its samples as one contiguous row
     cosines = shape_cosine(traj[..., SHAPE].swapaxes(0, 1), gt[:, SHAPE])
@@ -106,10 +105,10 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
 
     return EvalReport(
         regime=regime,
-        n_samples=len(used),
+        n_samples=len(gt),
         mae_per_stage=angle_errors(traj, gt[:, None]).mean(axis=0),
         cosine_per_stage=cos_mean,
-        n_failures=len(samples) - len(used),
+        n_failures=len(samples) - len(gt),
     )
 
 
@@ -119,25 +118,26 @@ def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
     deviation `noise_px`, drawn from the sample index's "posit_noise" sub-seed.
 
     Returns (id, PositResult, absolute rx/ry/rz errors) per sample. A sample
-    whose landmarks do not all project is left out; a RuntimeError if none
-    is left.
+    whose landmarks do not all project is dropped by `drop_failed`.
     """
     cam = pc.camera()
-    results = []
-    for idx, s in enumerate(samples):
+    samples = list(samples)
+
+    def one(idx, s):
         pose, alpha = split_theta(model, s.theta_gt)
         pts3d = select_landmarks(model, alpha)
         uv, valid = project_points(pts3d, pose, cam)
         if not valid.all():
-            continue
+            return RuntimeError("%d landmarks lie at or behind the camera" % np.sum(~valid))
         if noise_px > 0:
             rng = np.random.Generator(np.random.PCG64(subseed(seed, SEED_TAGS["posit_noise"], idx)))
             uv = uv + rng.normal(0.0, noise_px, size=uv.shape)
         res = posit(uv, pts3d, cam)
-        results.append((s.id, res, np.abs(res.pose[ANGLES] - s.theta_gt[ANGLES])))
-    if not results:
-        raise RuntimeError("no sample produced a valid POSIT estimate")
-    return results
+        return s.id, res, np.abs(res.pose[ANGLES] - s.theta_gt[ANGLES])
+
+    results = [one(idx, s) for idx, s in enumerate(samples)]
+    keep = drop_failed(samples, results, log, "give a POSIT estimate")
+    return [r for r, k in zip(results, keep) if k]
 
 
 def write_report(report, path):

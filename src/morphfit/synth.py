@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import CameraConfig, project_points, to_camera
+from .camera import CameraConfig, perspective, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_rows
 from .shape_model import init_theta, instance_shape, param_layout, split_theta
@@ -253,8 +253,8 @@ def _render_face(model, theta, cam, texture_seed):
     pose, alpha = split_theta(model, theta)
 
     verts = instance_shape(model, alpha).reshape(-1, 3)
-    uv, visible = project_points(verts, pose, cam)
     vc = to_camera(verts, pose)
+    uv, visible = perspective(vc, cam)
     tris = model.triangles
 
     rows, cols, hit_tris, lam = _rasterize(uv, visible, -vc[:, 2], tris, cam.width, cam.height)

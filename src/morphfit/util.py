@@ -1,4 +1,5 @@
-"""Shared helpers: text formats, atomic writes, ordered parallel map.
+"""Shared helpers: text formats, atomic writes, ordered parallel map and
+the rule for a batch's failed samples.
 
 Floats are printed with 17 significant digits, which round-trips IEEE
 doubles exactly. Writes go to a temporary file in the target directory and
@@ -141,3 +142,16 @@ def parallel_map(fn, items, jobs=1):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def drop_failed(samples, results, log, task):
+    """Keep mask of a batch: results[i] is samples[i]'s value, or the exception
+    it failed with. Each failure is one WARNING on `log`, in sample order,
+    naming the sample's id and the reason; a RuntimeError "every sample failed
+    to <task>" if none is kept."""
+    keep = np.array([not isinstance(r, Exception) for r in results], dtype=bool)
+    for i in np.flatnonzero(~keep):
+        log.warning("dropping sample %s: %s", samples[i].id, results[i])
+    if not keep.any():
+        raise RuntimeError("every sample failed to %s" % task)
+    return keep

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -234,33 +235,31 @@ def test_fit_fails_loudly_when_windows_leave_the_image(mini_training, small_mode
     assert exc.value.stage == 1
 
 
+def with_init(sample, theta_init, sid):
+    return TrainingSample(image=sample.image, theta_gt=sample.theta_gt,
+                          theta_init=np.asarray(theta_init, dtype=np.float64), id=sid)
+
+
 def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, caplog):
-    import logging
-    from morphfit.synth import TrainingSample
     samples, pc = mini_training
-    behind = TrainingSample(image=samples[0].image,
-                            theta_gt=samples[0].theta_gt,
-                            theta_init=np.array([0, 0, 0, 0, 0, 2000.0]),
-                            id="behind")
+    behind = with_init(samples[0], [0, 0, 0, 0, 0, 2000.0], "behind")
     cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=1)
     with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
         reg = train_cascade(list(samples) + [behind], cfg)
     # one warning per dropped sample, naming the stage and the reason
     assert [rec.getMessage() for rec in caplog.records] == \
-        ["dropping sample behind at stage 0: all landmark projections failed"]
+        ["dropping sample behind: stage 0: all landmark projections failed"]
     # the survivors still trained a full-size stage
     assert reg.stages[0].A.shape == (6, 17 * 128)
     # samples whose every landmark window lies off the image are dropped too
-    off_image = TrainingSample(image=samples[0].image, theta_gt=samples[0].theta_gt,
-                               theta_init=np.array([0, 0, 0, 1e9, 0, -1200.0]),
-                               id="off_image")
+    off_image = with_init(samples[0], [0, 0, 0, 1e9, 0, -1200.0], "off_image")
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
         train_cascade(list(samples) + [off_image], cfg)
     assert [rec.getMessage() for rec in caplog.records] == \
-        ["dropping sample off_image at stage 0: no landmark window overlaps the image"]
+        ["dropping sample off_image: stage 0: no landmark window overlaps the image"]
     # all samples failing is a hard error
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^every sample failed to train stage 0$"):
         train_cascade([behind], cfg)
     # a camera frame unlike the images stops training; no sample is dropped for it
     caplog.clear()
@@ -270,6 +269,43 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
             pytest.raises(ValueError, match="the image is 160x120, but the camera's frame is"):
         train_cascade(samples, wide)
     assert not caplog.records
+
+
+def test_training_drops_in_sample_order_at_any_jobs(mini_training, small_model_mod, caplog):
+    samples, pc = mini_training
+    batch = list(samples)
+    batch.insert(7, with_init(samples[0], [0, 0, 0, 1e9, 0, -1200.0], "off_image"))
+    batch.insert(2, with_init(samples[0], [0, 0, 0, 0, 0, 2000.0], "behind"))
+    records, cascades = [], []
+    for jobs in (1, 3):
+        caplog.clear()
+        cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=2, jobs=jobs)
+        with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
+            cascades.append(train_cascade(batch, cfg))
+        records.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
+    assert records[0] == records[1] == [
+        ("morphfit.cascade", "WARNING",
+         "dropping sample behind: stage 0: all landmark projections failed"),
+        ("morphfit.cascade", "WARNING",
+         "dropping sample off_image: stage 0: no landmark window overlaps the image")]
+    # the ids dropped at each stage travel with the cascade
+    assert cascades[0].train_dropped == cascades[1].train_dropped == [["behind", "off_image"], []]
+
+
+def test_fit_and_training_give_one_failure_reason(mini_training, small_model_mod, caplog):
+    samples, pc = mini_training
+    p = 6
+    zero = WeakRegressor(A=np.zeros((p, 17 * 128)), b=np.zeros(p))
+    reg = CascadeRegressor(stages=[zero], scale=ParamScale(np.zeros(p), np.ones(p)),
+                           feature_dim=17 * 128)
+    cfg = TrainConfig(model=small_model_mod, cam=pc.camera(), stages=1)
+    for theta in ([0, 0, 0, 0, 0, 2000.0], [0, 0, 0, 1e9, 0, -1200.0]):
+        with pytest.raises(FitError) as exc:
+            fit(samples[0].image, np.array(theta), reg, small_model_mod, pc.camera())
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
+            train_cascade(list(samples) + [with_init(samples[0], theta, "bad")], cfg)
+        assert [r.getMessage() for r in caplog.records] == ["dropping sample bad: %s" % exc.value]
 
 
 def test_relative_lambda_scale_free():

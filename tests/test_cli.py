@@ -462,18 +462,25 @@ def test_eval_both_regimes(workspace, tmp_path):
     np.testing.assert_array_equal(rep.mae_per_stage, uni["mae_deg"])
 
 
+def edited_set(src, dst, csv_name, column, value, rows):
+    """A copy of the data set `src` at `dst` whose `csv_name` (labels.csv or
+    inits.csv) reads `value` in `column` on the data rows `rows` (0 is the first
+    after the header); returns the ids of those rows."""
+    shutil.copytree(src, dst)
+    path = Path(dst) / csv_name
+    lines = [ln.split(",") for ln in path.read_text().splitlines()]
+    col = lines[0].index(column)
+    for i in rows:
+        lines[i + 1][col] = value
+    path.write_text("".join(",".join(ln) + "\n" for ln in lines))
+    return [lines[i + 1][0] for i in rows]
+
+
 def test_eval_reports_failed_fits(workspace, tmp_path, capsys):
     # two stored inits start off the image, so the uniform regime loses those fits;
     # the fixed regime starts from the labels and loses none
     data = tmp_path / "set"
-    shutil.copytree(workspace["test"], data)
-    lines = (data / "inits.csv").read_text().splitlines()
-    tx = lines[0].split(",").index("tx")
-    for i in (1, 2):
-        row = lines[i].split(",")
-        row[tx] = "1e9"
-        lines[i] = ",".join(row)
-    (data / "inits.csv").write_text("\n".join(lines) + "\n")
+    edited_set(workspace["test"], data, "inits.csv", "tx", "1e9", [0, 1])
     out = tmp_path / "reports"
     assert main(["eval", "--data", str(data), "--model", workspace["model"],
                  "--regressor", workspace["reg"], "--out", str(out), "--regime", "both"]) == 0
@@ -497,12 +504,7 @@ def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
     # and a copy of the test set whose labels put the fixed regime's inits off the image,
     # so --regime both fails in its second regime after the first succeeded
     data = tmp_path / "set"
-    shutil.copytree(workspace["test"], data)
-    lines = (data / "labels.csv").read_text().splitlines()
-    tx = lines[0].split(",").index("tx")
-    (data / "labels.csv").write_text("\n".join(
-        [lines[0]] + [",".join(v if i != tx else "1e9" for i, v in enumerate(ln.split(",")))
-                      for ln in lines[1:]]) + "\n")
+    edited_set(workspace["test"], data, "labels.csv", "tx", "1e9", range(25))
     out = tmp_path / "reports"
     for regressor, dataset, regime in ((off, workspace["test"], "uniform"),
                                        (workspace["reg"], str(data), "both")):
@@ -510,6 +512,36 @@ def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
                      "--regressor", regressor, "--out", str(out), "--regime", regime]) == 1
         assert "error: every sample failed to evaluate" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_posit_warns_names_and_counts_a_failed_sample(workspace, tmp_path, capsys):
+    # one label puts the face behind the camera, so its landmarks do not project
+    data = tmp_path / "set"
+    (bad,) = edited_set(workspace["test"], data, "labels.csv", "tz", "2000", [3])
+    out = str(tmp_path / "posit.csv")
+    assert main(["posit", "--data", str(data), "--model", workspace["model"], "--out", out]) == 0
+    std = capsys.readouterr()
+    assert std.err == "WARNING morphfit.evaluate: dropping sample %s: 17 landmarks lie at or " \
+        "behind the camera\n" % bad
+    assert "POSIT over 24 samples (noise 0 px, failures=1)" in std.out
+    assert json.loads(Path(out + ".manifest.json").read_text())["outputs"]["failures"] == 1
+    ids = [ln.split(",")[0] for ln in Path(out).read_text().splitlines()[1:]]
+    assert len(ids) == 24 and bad not in ids
+
+
+def test_train_records_dropped_samples_in_its_manifest(workspace, tmp_path, capsys):
+    # one stored init starts off the image; --log-level error prints no warning,
+    # so the manifest is the record of the drop
+    data = tmp_path / "set"
+    (bad,) = edited_set(workspace["train"], data, "inits.csv", "tx", "1e9", [4])
+    out = str(tmp_path / "cascade.mfr")
+    assert main(["train", "--data", str(data), "--model", workspace["model"], "--out", out,
+                 "--stages", "2", "--log-level", "error"]) == 0
+    std = capsys.readouterr()
+    assert std.err == ""
+    assert [ln.split(", ")[1] for ln in std.out.splitlines()[:2]] == ["dropped 1", "dropped 0"]
+    outputs = json.loads(Path(out + ".manifest.json").read_text())["outputs"]
+    assert outputs["train_dropped"] == [[bad], []]
 
 
 def test_posit_single_pose(workspace, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from morphfit import CascadeRegressor, ParamScale, WeakRegressor, angle_errors, evaluate, \
     shape_cosine
-from morphfit.evaluate import initial_theta, write_report
+from morphfit.evaluate import initial_theta, posit_baseline, write_report
 from morphfit.shape_model import init_theta
 from morphfit.synth import INIT_OFFSET, ProtocolConfig, generate_set
 
@@ -129,6 +129,43 @@ def test_fixed_regime_stage0_is_eleven(tiny_eval_setup, init_offset):
                            feature_dim=17 * 128)
     rep = evaluate(samples, reg, model, pc, regime="fixed")
     assert rep.mae_per_stage[0] == pytest.approx(init_offset)
+
+
+def test_evaluate_and_posit_drop_failed_samples_in_order(tiny_eval_setup, caplog):
+    import logging
+    from morphfit.synth import TrainingSample
+    model, pc, samples = tiny_eval_setup
+    zero = WeakRegressor(A=np.zeros((6, 17 * 128)), b=np.zeros(6))
+    reg = CascadeRegressor(stages=[zero], scale=ParamScale(np.zeros(6), np.ones(6)),
+                           feature_dim=17 * 128)
+    behind = [0, 0, 0, 0, 0, 2000.0]  # both the truth and the init
+    bad = [TrainingSample(image=samples[0].image, theta_gt=behind, theta_init=behind, id=sid)
+           for sid in ("behind_a", "behind_b")]
+    batch = list(samples)
+    batch.insert(5, bad[1])
+    batch.insert(1, bad[0])
+
+    def records():
+        return [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+    for jobs in (1, 3):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="morphfit.evaluate"):
+            rep = evaluate(batch, reg, model, pc, regime="uniform", jobs=jobs)
+        assert (rep.n_samples, rep.n_failures) == (len(samples), 2)
+        assert records() == [("morphfit.evaluate", "WARNING", "dropping sample %s: stage 0: "
+                              "all landmark projections failed" % s.id) for s in bad]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="morphfit.evaluate"):
+        baseline = posit_baseline(batch, model, pc)
+    assert [sid for sid, _, _ in baseline] == [s.id for s in samples]
+    assert records() == [("morphfit.evaluate", "WARNING", "dropping sample %s: 17 landmarks lie "
+                          "at or behind the camera" % s.id) for s in bad]
+    # a batch with no sample left is an error
+    with pytest.raises(RuntimeError, match="^every sample failed to evaluate$"):
+        evaluate(bad, reg, model, pc, regime="uniform", jobs=3)
+    with pytest.raises(RuntimeError, match="^every sample failed to give a POSIT estimate$"):
+        posit_baseline(bad, model, pc)
 
 
 def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
