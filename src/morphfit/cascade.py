@@ -7,7 +7,7 @@ targets and reused by every later stage, so a single scale travels with
 the trained cascade.
 
 A stage whose features cannot be assembled is FitError(stage, reason) in
-`fit` and in training, which drops the sample by `util.drop_failed`.
+`fit` and in training, where each stage is one `util.map_samples` batch.
 """
 
 import logging
@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FeatureError, PlaneStore, assemble_feature
 from .shape_model import POSE_NAMES, param_layout
-from .util import TokenReader, atomic_write, drop_failed, fmt_row, parallel_map
+from .util import TokenReader, atomic_write, fmt_row, map_samples
 
 log = logging.getLogger(__name__)
 
@@ -177,27 +177,22 @@ def train_cascade(samples, config):
     if config.stages < 1:
         raise ValueError("need at least one stage")
     samples = list(samples)
-    if not samples:
-        raise ValueError("no training samples")
     theta = np.array([s.theta_init for s in samples], dtype=np.float64)  # (M, p)
     gt = np.array([s.theta_gt for s in samples], dtype=np.float64)
 
-    def assemble(i):
-        try:
-            return _stage_features(PlaneStore(samples[i].image), theta[i], stage_idx,
-                                   config.model, config.cam)
-        except FitError as e:
-            return e
+    def assemble(i, sample):
+        return sample, _stage_features(PlaneStore(sample.image), theta[i], stage_idx,
+                                       config.model, config.cam)
 
     scale = None
     stages, residuals, dropped = [], [], []
     for stage_idx in range(config.stages):
-        feats = parallel_map(assemble, range(len(samples)), config.jobs)
-        keep = drop_failed(samples, feats, log, "train stage %d" % stage_idx)
+        kept, keep = map_samples(assemble, samples, config.jobs, log,
+                                 "train stage %d" % stage_idx, FitError)
         dropped.append([s.id for s, k in zip(samples, keep) if not k])
-        samples = [s for s, k in zip(samples, keep) if k]
+        samples, feats = zip(*kept)
         theta, gt = theta[keep], gt[keep]
-        f_mat = np.stack([f for f, k in zip(feats, keep) if k])
+        f_mat = np.stack(feats)
         if scale is None:
             scale = ParamScale.from_targets(gt - theta)
         lam = relative_lambda(f_mat - f_mat.mean(axis=0))

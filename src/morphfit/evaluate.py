@@ -7,7 +7,7 @@ training sets (whose inits spread twice as wide) +/-52. Shape accuracy is
 the cosine between estimated and true coefficient vectors over the fitted
 modes.
 
-`evaluate` and `posit_baseline` drop a failed sample by `util.drop_failed`.
+`evaluate` (a batch per regime) and `posit_baseline` are `util.map_samples` batches.
 """
 
 import logging
@@ -20,7 +20,7 @@ from .camera import ANGLES, posit, project_points
 from .cascade import FitError, fit
 from .shape_model import SHAPE, init_theta, select_landmarks, split_theta
 from .synth import INIT_OFFSET, SEED_TAGS, subseed
-from .util import drop_failed, parallel_map, write_csv
+from .util import map_samples, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -81,21 +81,12 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
     whose fit raises FitError is dropped and counted in n_failures.
     """
     cam = pc.camera()
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples to evaluate")
 
-    def run(sample):
-        theta0 = initial_theta(sample, regime)
-        try:
-            return fit(sample.image, theta0, reg, model, cam).trajectory
-        except FitError as e:
-            return e
+    def run(i, s):
+        return s.theta_gt, fit(s.image, initial_theta(s, regime), reg, model, cam).trajectory
 
-    trajectories = parallel_map(run, samples, jobs)
-    used = np.flatnonzero(drop_failed(samples, trajectories, log, "evaluate"))
-    gt = np.stack([samples[i].theta_gt for i in used])          # (N, p)
-    traj = np.stack([trajectories[i] for i in used])            # (N, S+1, p)
+    kept, keep = map_samples(run, samples, jobs, log, "evaluate the %s regime" % regime, FitError)
+    gt, traj = (np.stack(a) for a in zip(*kept))  # (N, p), (N, S+1, p)
 
     # stage-major, so each stage's mean sums its samples as one contiguous row
     cosines = shape_cosine(traj[..., SHAPE].swapaxes(0, 1), gt[:, SHAPE])
@@ -108,8 +99,12 @@ def evaluate(samples, reg, model, pc, regime="uniform", jobs=1):
         n_samples=len(gt),
         mae_per_stage=angle_errors(traj, gt[:, None]).mean(axis=0),
         cosine_per_stage=cos_mean,
-        n_failures=len(samples) - len(gt),
+        n_failures=len(keep) - len(gt),
     )
+
+
+class BehindCameraError(RuntimeError):
+    """Landmarks that lie at or behind the camera: POSIT has no pixels for them."""
 
 
 def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
@@ -118,26 +113,23 @@ def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
     deviation `noise_px`, drawn from the sample index's "posit_noise" sub-seed.
 
     Returns (id, PositResult, absolute rx/ry/rz errors) per sample. A sample
-    whose landmarks do not all project is dropped by `drop_failed`.
+    whose landmarks do not all project is a BehindCameraError, and dropped.
     """
     cam = pc.camera()
-    samples = list(samples)
 
     def one(idx, s):
         pose, alpha = split_theta(model, s.theta_gt)
         pts3d = select_landmarks(model, alpha)
         uv, valid = project_points(pts3d, pose, cam)
         if not valid.all():
-            return RuntimeError("%d landmarks lie at or behind the camera" % np.sum(~valid))
+            raise BehindCameraError("%d landmarks lie at or behind the camera" % np.sum(~valid))
         if noise_px > 0:
             rng = np.random.Generator(np.random.PCG64(subseed(seed, SEED_TAGS["posit_noise"], idx)))
             uv = uv + rng.normal(0.0, noise_px, size=uv.shape)
         res = posit(uv, pts3d, cam)
         return s.id, res, np.abs(res.pose[ANGLES] - s.theta_gt[ANGLES])
 
-    results = [one(idx, s) for idx, s in enumerate(samples)]
-    keep = drop_failed(samples, results, log, "give a POSIT estimate")
-    return [r for r, k in zip(results, keep) if k]
+    return map_samples(one, samples, 1, log, "give a POSIT estimate", BehindCameraError)[0]
 
 
 def write_report(report, path):

@@ -2,10 +2,10 @@
 
 The renderer is a minimal z-buffered triangle rasterizer: per-pixel value
 noise anchored to the mean-shape surface (so texture sticks to the mesh
-across pose and identity), flat Lambertian shading from a fixed light in
-camera space, and a procedural noise background. Output images are
-quantized to 8-bit levels and held as them, one byte per pixel, so a PGM
-round-trip is lossless.
+across pose and identity), Gouraud Lambertian shading (smooth per-vertex
+normals) from a fixed light in camera space, and a procedural noise
+background. Output images are quantized to 8-bit levels and held as them,
+one byte per pixel, so a PGM round-trip is lossless.
 
 Coverage needs no loop over triangles. Each row of a front face's clipped
 bounding box is cut to the x-span its three edge functions allow (Pineda,
@@ -415,26 +415,26 @@ def load_protocol(path):
 
 
 def _read_csv(path, header):
-    """Parameter rows keyed by id of a CSV that must be headed `header`."""
-    lines = [ln for _, ln in ascii_lines(path)]
+    """Parameter rows keyed by id of a CSV headed `header`; errors name the file line."""
+    lines = ascii_lines(path)
     if not lines:
         raise ValueError("%s: empty file" % path)
-    if lines[0].split(",") != header:
-        raise ValueError("%s: header %r, expected %r" % (path, lines[0], ",".join(header)))
+    if lines[0][1].split(",") != header:
+        raise ValueError("%s: header %r, expected %r" % (path, lines[0][1], ",".join(header)))
     rows = {}
-    for row, ln in enumerate(lines[1:], 1):
+    for n, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
-            raise ValueError("%s: row %d has %d fields, header has %d"
-                             % (path, row, len(parts), len(header)))
+            raise ValueError("%s: line %d has %d fields, header has %d"
+                             % (path, n, len(parts), len(header)))
         if parts[0] in rows:
-            raise ValueError("%s: row %d: duplicate id %r" % (path, row, parts[0]))
+            raise ValueError("%s: line %d: duplicate id %r" % (path, n, parts[0]))
         try:
             rows[parts[0]] = np.array([float(x) for x in parts[1:]])
         except ValueError as e:
-            raise ValueError("%s: row %d: %s" % (path, row, e)) from None
+            raise ValueError("%s: line %d: %s" % (path, n, e)) from None
         if not np.all(np.isfinite(rows[parts[0]])):
-            raise ValueError("%s: row %d: non-finite value" % (path, row))
+            raise ValueError("%s: line %d: non-finite value" % (path, n))
     return rows
 
 

@@ -1,5 +1,5 @@
 """Shared helpers: text formats, atomic writes, ordered parallel map and
-the rule for a batch's failed samples.
+the one batch over samples, which drops and names the samples that fail.
 
 Floats are printed with 17 significant digits, which round-trips IEEE
 doubles exactly. Writes go to a temporary file in the target directory and
@@ -9,6 +9,7 @@ are renamed into place, so interrupted runs never leave partial files.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import compress
 
 import numpy as np
 
@@ -144,14 +145,26 @@ def parallel_map(fn, items, jobs=1):
         return list(pool.map(fn, items))
 
 
-def drop_failed(samples, results, log, task):
-    """Keep mask of a batch: results[i] is samples[i]'s value, or the exception
-    it failed with. Each failure is one WARNING on `log`, in sample order,
-    naming the sample's id and the reason; a RuntimeError "every sample failed
-    to <task>" if none is kept."""
-    keep = np.array([not isinstance(r, Exception) for r in results], dtype=bool)
+def map_samples(fn, samples, jobs, log, task, errors):
+    """fn(i, samples[i]) over a batch in sample order at any `jobs`; returns
+    the kept results and the keep mask. A call raising `errors` drops its
+    sample: one WARNING on `log`, in sample order, `dropping sample <id>, failed
+    to <task>: <reason>`. Other exceptions propagate. No sample is ValueError
+    "no samples to <task>"; none kept, RuntimeError "every sample failed to <task>"."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("no samples to %s" % task)
+
+    def one(i):
+        try:
+            return True, fn(i, samples[i])
+        except errors as e:
+            return False, e
+
+    ok, results = zip(*parallel_map(one, range(len(samples)), jobs))
+    keep = np.array(ok)
     for i in np.flatnonzero(~keep):
-        log.warning("dropping sample %s: %s", samples[i].id, results[i])
+        log.warning("dropping sample %s, failed to %s: %s", samples[i].id, task, results[i])
     if not keep.any():
         raise RuntimeError("every sample failed to %s" % task)
-    return keep
+    return list(compress(results, keep)), keep

@@ -248,7 +248,8 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
         reg = train_cascade(list(samples) + [behind], cfg)
     # one warning per dropped sample, naming the stage and the reason
     assert [rec.getMessage() for rec in caplog.records] == \
-        ["dropping sample behind: stage 0: all landmark projections failed"]
+        ["dropping sample behind, failed to train stage 0: stage 0: all landmark projections "
+         "failed"]
     # the survivors still trained a full-size stage
     assert reg.stages[0].A.shape == (6, 17 * 128)
     # samples whose every landmark window lies off the image are dropped too
@@ -257,7 +258,8 @@ def test_failing_samples_dropped_with_warning(mini_training, small_model_mod, ca
     with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
         train_cascade(list(samples) + [off_image], cfg)
     assert [rec.getMessage() for rec in caplog.records] == \
-        ["dropping sample off_image: stage 0: no landmark window overlaps the image"]
+        ["dropping sample off_image, failed to train stage 0: stage 0: no landmark window overlaps "
+         "the image"]
     # all samples failing is a hard error
     with pytest.raises(RuntimeError, match="^every sample failed to train stage 0$"):
         train_cascade([behind], cfg)
@@ -285,9 +287,11 @@ def test_training_drops_in_sample_order_at_any_jobs(mini_training, small_model_m
         records.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
     assert records[0] == records[1] == [
         ("morphfit.cascade", "WARNING",
-         "dropping sample behind: stage 0: all landmark projections failed"),
+         "dropping sample behind, failed to train stage 0: stage 0: all landmark projections "
+         "failed"),
         ("morphfit.cascade", "WARNING",
-         "dropping sample off_image: stage 0: no landmark window overlaps the image")]
+         "dropping sample off_image, failed to train stage 0: stage 0: no landmark window "
+         "overlaps the image")]
     # the ids dropped at each stage travel with the cascade
     assert cascades[0].train_dropped == cascades[1].train_dropped == [["behind", "off_image"], []]
 
@@ -305,7 +309,8 @@ def test_fit_and_training_give_one_failure_reason(mini_training, small_model_mod
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="morphfit.cascade"):
             train_cascade(list(samples) + [with_init(samples[0], theta, "bad")], cfg)
-        assert [r.getMessage() for r in caplog.records] == ["dropping sample bad: %s" % exc.value]
+        assert [r.getMessage() for r in caplog.records] == \
+            ["dropping sample bad, failed to train stage 0: %s" % exc.value]
 
 
 def test_relative_lambda_scale_free():

@@ -462,17 +462,18 @@ def test_eval_both_regimes(workspace, tmp_path):
     np.testing.assert_array_equal(rep.mae_per_stage, uni["mae_deg"])
 
 
-def edited_set(src, dst, csv_name, column, value, rows):
-    """A copy of the data set `src` at `dst` whose `csv_name` (labels.csv or
-    inits.csv) reads `value` in `column` on the data rows `rows` (0 is the first
-    after the header); returns the ids of those rows."""
+def edited_set(src, dst, csv_names, column, value, rows):
+    """A copy of the data set `src` at `dst` whose files `csv_names` (of
+    labels.csv and inits.csv) read `value` in `column` on the data rows `rows`
+    (0 is the first after the header); returns the ids of those rows."""
     shutil.copytree(src, dst)
-    path = Path(dst) / csv_name
-    lines = [ln.split(",") for ln in path.read_text().splitlines()]
-    col = lines[0].index(column)
-    for i in rows:
-        lines[i + 1][col] = value
-    path.write_text("".join(",".join(ln) + "\n" for ln in lines))
+    for name in csv_names:
+        path = Path(dst) / name
+        lines = [ln.split(",") for ln in path.read_text().splitlines()]
+        col = lines[0].index(column)
+        for i in rows:
+            lines[i + 1][col] = value
+        path.write_text("".join(",".join(ln) + "\n" for ln in lines))
     return [lines[i + 1][0] for i in rows]
 
 
@@ -480,7 +481,7 @@ def test_eval_reports_failed_fits(workspace, tmp_path, capsys):
     # two stored inits start off the image, so the uniform regime loses those fits;
     # the fixed regime starts from the labels and loses none
     data = tmp_path / "set"
-    edited_set(workspace["test"], data, "inits.csv", "tx", "1e9", [0, 1])
+    edited_set(workspace["test"], data, ["inits.csv"], "tx", "1e9", [0, 1])
     out = tmp_path / "reports"
     assert main(["eval", "--data", str(data), "--model", workspace["model"],
                  "--regressor", workspace["reg"], "--out", str(out), "--regime", "both"]) == 0
@@ -489,6 +490,36 @@ def test_eval_reports_failed_fits(workspace, tmp_path, capsys):
     assert "regime fixed (n=25, failures=0)" in stdout
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert (outputs["failures_uniform"], outputs["failures_fixed"]) == (2, 0)
+
+
+def test_eval_both_names_the_regime_of_each_drop(workspace, tmp_path, capsys):
+    # one sample's label and stored init both put the face 1e9 mm to the side,
+    # so its fit fails in both regimes: one warning each, told apart by regime
+    data = tmp_path / "set"
+    (bad,) = edited_set(workspace["test"], data, ["labels.csv", "inits.csv"], "tx", "1e9", [6])
+    out = tmp_path / "reports"
+    assert main(["eval", "--data", str(data), "--model", workspace["model"],
+                 "--regressor", workspace["reg"], "--out", str(out), "--regime", "both"]) == 0
+    assert capsys.readouterr().err == "".join(
+        "WARNING morphfit.evaluate: dropping sample %s, failed to evaluate the %s regime: "
+        "stage 0: no landmark window overlaps the image\n" % (bad, regime) for regime in REGIMES)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert (outputs["failures_uniform"], outputs["failures_fixed"]) == (1, 1)
+
+
+def test_empty_set_is_one_error_in_train_eval_and_posit(workspace, tmp_path, capsys):
+    # labels.csv and inits.csv hold their header alone
+    data = tmp_path / "set"
+    shutil.copytree(workspace["test"], data)
+    for name in ("labels.csv", "inits.csv"):
+        (data / name).write_text((data / name).read_text().splitlines()[0] + "\n")
+    for cmd, task in ((["train"], "train stage 0"),
+                      (["eval", "--regressor", workspace["reg"]], "evaluate the uniform regime"),
+                      (["posit"], "give a POSIT estimate")):
+        assert main([*cmd, "--data", str(data), "--model", workspace["model"],
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: no samples to %s\n" % task
+    assert os.listdir(tmp_path) == ["set"]
 
 
 def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
@@ -504,7 +535,7 @@ def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
     # and a copy of the test set whose labels put the fixed regime's inits off the image,
     # so --regime both fails in its second regime after the first succeeded
     data = tmp_path / "set"
-    edited_set(workspace["test"], data, "labels.csv", "tx", "1e9", range(25))
+    edited_set(workspace["test"], data, ["labels.csv"], "tx", "1e9", range(25))
     out = tmp_path / "reports"
     for regressor, dataset, regime in ((off, workspace["test"], "uniform"),
                                        (workspace["reg"], str(data), "both")):
@@ -517,12 +548,12 @@ def test_failed_eval_writes_nothing(workspace, tmp_path, capsys):
 def test_posit_warns_names_and_counts_a_failed_sample(workspace, tmp_path, capsys):
     # one label puts the face behind the camera, so its landmarks do not project
     data = tmp_path / "set"
-    (bad,) = edited_set(workspace["test"], data, "labels.csv", "tz", "2000", [3])
+    (bad,) = edited_set(workspace["test"], data, ["labels.csv"], "tz", "2000", [3])
     out = str(tmp_path / "posit.csv")
     assert main(["posit", "--data", str(data), "--model", workspace["model"], "--out", out]) == 0
     std = capsys.readouterr()
-    assert std.err == "WARNING morphfit.evaluate: dropping sample %s: 17 landmarks lie at or " \
-        "behind the camera\n" % bad
+    assert std.err == "WARNING morphfit.evaluate: dropping sample %s, failed to give a POSIT " \
+        "estimate: 17 landmarks lie at or behind the camera\n" % bad
     assert "POSIT over 24 samples (noise 0 px, failures=1)" in std.out
     assert json.loads(Path(out + ".manifest.json").read_text())["outputs"]["failures"] == 1
     ids = [ln.split(",")[0] for ln in Path(out).read_text().splitlines()[1:]]
@@ -533,7 +564,7 @@ def test_train_records_dropped_samples_in_its_manifest(workspace, tmp_path, caps
     # one stored init starts off the image; --log-level error prints no warning,
     # so the manifest is the record of the drop
     data = tmp_path / "set"
-    (bad,) = edited_set(workspace["train"], data, "inits.csv", "tx", "1e9", [4])
+    (bad,) = edited_set(workspace["train"], data, ["inits.csv"], "tx", "1e9", [4])
     out = str(tmp_path / "cascade.mfr")
     assert main(["train", "--data", str(data), "--model", workspace["model"], "--out", out,
                  "--stages", "2", "--log-level", "error"]) == 0

@@ -153,16 +153,18 @@ def test_evaluate_and_posit_drop_failed_samples_in_order(tiny_eval_setup, caplog
         with caplog.at_level(logging.WARNING, logger="morphfit.evaluate"):
             rep = evaluate(batch, reg, model, pc, regime="uniform", jobs=jobs)
         assert (rep.n_samples, rep.n_failures) == (len(samples), 2)
-        assert records() == [("morphfit.evaluate", "WARNING", "dropping sample %s: stage 0: "
-                              "all landmark projections failed" % s.id) for s in bad]
+        assert records() == [("morphfit.evaluate", "WARNING", "dropping sample %s, failed to "
+                              "evaluate the uniform regime: stage 0: all landmark projections "
+                              "failed" % s.id) for s in bad]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="morphfit.evaluate"):
         baseline = posit_baseline(batch, model, pc)
     assert [sid for sid, _, _ in baseline] == [s.id for s in samples]
-    assert records() == [("morphfit.evaluate", "WARNING", "dropping sample %s: 17 landmarks lie "
-                          "at or behind the camera" % s.id) for s in bad]
+    assert records() == [("morphfit.evaluate", "WARNING", "dropping sample %s, failed to give a "
+                          "POSIT estimate: 17 landmarks lie at or behind the camera" % s.id)
+                         for s in bad]
     # a batch with no sample left is an error
-    with pytest.raises(RuntimeError, match="^every sample failed to evaluate$"):
+    with pytest.raises(RuntimeError, match="^every sample failed to evaluate the uniform regime$"):
         evaluate(bad, reg, model, pc, regime="uniform", jobs=3)
     with pytest.raises(RuntimeError, match="^every sample failed to give a POSIT estimate$"):
         posit_baseline(bad, model, pc)

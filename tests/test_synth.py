@@ -531,7 +531,12 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
     with pytest.raises(ValueError, match="labels.csv.*empty"):
         load_dataset(out)
     (out / "labels.csv").write_text(labels.replace(",-1200", "", 1))
-    with pytest.raises(ValueError, match="labels.csv.*row 1"):
+    with pytest.raises(ValueError, match="labels.csv: line 2 has 6 fields"):
+        load_dataset(out)
+    # errors name the file line, blank lines counted
+    head, first, second = labels.splitlines()
+    (out / "labels.csv").write_text("\n".join([head, "", first, second.replace(",", ",x", 1)]))
+    with pytest.raises(ValueError, match="labels.csv: line 4: could not convert string to float"):
         load_dataset(out)
     (out / "labels.csv").write_bytes(labels.encode().replace(b"\n", b"\n\xff", 1))
     with pytest.raises(ValueError, match="labels.csv: line 2: non-ASCII byte 0xff"):
@@ -541,14 +546,14 @@ def test_dataset_readers_name_file_and_problem(tmp_path, small_model):
     inits = (out / "inits.csv").read_text()
     rx = inits.splitlines()[1].split(",")[1]
     (out / "inits.csv").write_text(inits.replace("," + rx + ",", ",nan,", 1))
-    with pytest.raises(ValueError, match="inits.csv: row 1: non-finite"):
+    with pytest.raises(ValueError, match="inits.csv: line 2: non-finite"):
         load_dataset(out)
     (out / "inits.csv").write_text(inits)
 
     # a repeated id, an extra column, and shape columns that protocol.txt's
     # n_shape 0 does not have
     (out / "labels.csv").write_text(labels + labels.splitlines()[1] + "\n")
-    with pytest.raises(ValueError, match="labels.csv: row 3: duplicate id"):
+    with pytest.raises(ValueError, match="labels.csv: line 4: duplicate id"):
         load_dataset(out)
     (out / "labels.csv").write_text(labels.replace("\n", ",0\n").replace("tz,0", "tz,extra", 1))
     with pytest.raises(ValueError, match="labels.csv: header 'id,rx,ry,rz,tx,ty,tz,extra'"):
