@@ -12,9 +12,9 @@ lines (each training stage's lambda and residual, each dropped sample) reach
 stderr; `train`, `eval` and `posit` count their dropped samples in the manifest
 whatever it is. All randomness flows from one --seed (0 by default) through the
 sub-streams named in synth's tag table; outputs are byte-identical for any
---jobs value. `_load_inputs` loads every command's model and regressor and checks
-them and the dataset's protocol.txt for agreeing shape modes and landmarks before
-any image is read.
+--jobs value. Checks live in two places: a flag's parser type checks its own
+value, and `_load_inputs` loads the model and regressor and checks them against
+each other, the flags and the dataset's protocol.txt before any image is read.
 """
 
 import argparse
@@ -46,9 +46,15 @@ class UsageError(Exception):
 
 def _load_inputs(args):
     """The command's model, and its regressor if it declares --regressor (else None),
-    checked against each other and the --data set's protocol.txt before any image is read."""
+    checked against each other, --data's protocol.txt and the flags before any image is read."""
     model = load_model(args.model)
+    if "shape_modes" in args and args.shape_modes > model.num_modes:
+        raise UsageError("--shape-modes %d: the model has %d modes"
+                         % (args.shape_modes, model.num_modes))
     reg = load_regressor(args.regressor) if "regressor" in args else None
+    if getattr(args, "init", None) is not None and len(args.init) != reg.param_dim:
+        raise UsageError("--init needs %d values for this regressor, got %d"
+                         % (reg.param_dim, len(args.init)))
     counts = [] if reg is None else [(args.regressor, reg.n_shape)]
     if "data" in args:
         counts.append((args.data, load_protocol(args.data).n_shape))
@@ -89,8 +95,6 @@ def cmd_synth(args, seed):
     except ValueError as e:  # the flag types check the rest; not whether the step divides
         raise UsageError("--grid-step, --range-deg: %s" % e) from None
     model, _ = _load_inputs(args)
-    if pc.n_shape > model.num_modes:
-        raise UsageError("--shape-modes %d: the model has %d modes" % (pc.n_shape, model.num_modes))
     t_render = time.perf_counter()
     samples = generate_set(model, pc, args.mode, jobs=args.jobs)
     t_write = time.perf_counter()
@@ -112,19 +116,6 @@ def cmd_train(args, seed):
           % (reg.n_stages, reg.param_dim, reg.feature_dim, args.out))
     return {"regressor": args.out, "train_residuals": reg.train_residuals,
             "train_dropped": reg.train_dropped}, {}
-
-
-def _parse_inline_theta(text, pdim):
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError as e:
-        raise UsageError("--init must be comma-separated numbers: %s" % e)
-    if not np.all(np.isfinite(values)):
-        raise UsageError("--init values must be finite, got %s" % text)
-    if len(values) != pdim:
-        raise UsageError("--init needs %d values for this regressor, got %d"
-                         % (pdim, len(values)))
-    return np.array(values)
 
 
 def _read_point_rows(path):
@@ -158,7 +149,7 @@ def cmd_fit(args, seed):
     cam = CameraConfig(focal=args.focal, width=img.width, height=img.height)
 
     if args.init is not None:
-        theta0 = _parse_inline_theta(args.init, reg.param_dim)
+        theta0 = np.array(args.init)
     else:
         theta0 = np.zeros(reg.param_dim)
         theta0[POSE] = posit(*_read_point_rows(args.init_landmarks), cam).pose
@@ -253,6 +244,14 @@ nonnegative_float = _number(float, lambda v: v >= 0, "finite and nonnegative")
 positive_float = _number(float, lambda v: v > 0, "finite and positive")
 
 
+def finite_floats(text):
+    """argparse type: comma-separated finite numbers, as a list."""
+    try:
+        return [finite_float(v) for v in text.split(",")]
+    except ValueError:  # finite_float's own error names a non-finite value
+        raise argparse.ArgumentTypeError("must be comma-separated numbers, got %s" % text) from None
+
+
 LOG_LEVELS = ["debug", "info", "warning", "error"]
 
 
@@ -306,7 +305,7 @@ def build_parser():
     ft.add_argument("--image", required=True)
     ft.add_argument("--regressor", required=True)
     init = ft.add_mutually_exclusive_group(required=True)
-    init.add_argument("--init", help="inline theta, comma-separated")
+    init.add_argument("--init", type=finite_floats, help="inline theta, comma-separated")
     init.add_argument("--init-landmarks",
                       help="CSV of u,v,X,Y,Z rows for POSIT pose initialization")
     ft.add_argument("--init-noise", type=nonnegative_float, default=0.0,

@@ -393,7 +393,23 @@ def generate_set(model, pc, mode, jobs=1):
 # Dataset directory layout
 # ---------------------------------------------------------------------------
 
+def _plain_id(sid):
+    """Whether `sid` can be a sample id: it names images/<id>.pgm and leads its
+    labels.csv and inits.csv rows, so it must be a file name other than . and ..,
+    with no path separator or comma, of printable ASCII with no surrounding space."""
+    return (sid not in ("", ".", "..") and sid.isascii() and sid.isprintable()
+            and sid == sid.strip() and not set(sid) & set("/\\,"))
+
+
 def write_dataset(path, samples, pc):
+    """Write `samples` as a dataset directory that `load_dataset` reads back;
+    an id that breaks `_plain_id` or repeats is a ValueError before anything is made."""
+    seen = set()
+    for s in samples:
+        if not _plain_id(s.id) or s.id in seen:
+            raise ValueError("%s: sample id %r is repeated or not a plain ASCII file name"
+                             % (path, s.id))
+        seen.add(s.id)
     os.makedirs(os.path.join(path, "images"), exist_ok=True)
     for s in samples:
         write_pgm(s.image, os.path.join(path, "images", s.id + ".pgm"))
@@ -449,7 +465,7 @@ def load_dataset(path):
     samples = []
     for sid in sorted(labels):
         image = os.path.join(path, "images", sid + ".pgm")
-        if sid in ("", ".", "..") or os.path.basename(sid) != sid or not os.path.isfile(image):
+        if not (_plain_id(sid) and os.path.isfile(image)):
             raise ValueError("%s: images/%s.pgm: no image for id %r" % (path, sid, sid))
         img = read_pgm(image)
         if (img.width, img.height) != (pc.width, pc.height):

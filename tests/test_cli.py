@@ -92,13 +92,13 @@ def test_usage_errors_exit_2(workspace, tmp_path):
     assert code == 2  # missing --model
     code, _, err = run_cli("definitely-not-a-command")
     assert code == 2
-    # fit with wrong --init arity
-    code, _, err = run_cli(
-        "fit", "--image", os.path.join(workspace["test"], "images",
-                                       sorted(os.listdir(os.path.join(workspace["test"], "images")))[0]),
-        "--model", workspace["model"], "--regressor", workspace["reg"],
-        "--out", str(tmp_path / "out.csv"), "--init", "1,2,3")
-    assert code == 2
+    # fit with wrong --init arity is found against the regressor, before the image is read
+    missing = tmp_path / "missing"
+    code, _, err = run_cli("fit", "--image", str(missing / "i.pgm"), "--model", workspace["model"],
+                           "--regressor", workspace["reg"], "--out", str(tmp_path / "out.csv"),
+                           "--init", "1,2,3")
+    assert code == 2 and "--init needs 6 values for this regressor, got 3" in err, err
+    assert not (tmp_path / "out.csv").exists()
     # a negative seed names its flag and value; nothing is written
     out = tmp_path / "m.mfm"
     code, _, err = run_cli("make-model", "--out", str(out), "--seed", "-1")
@@ -142,12 +142,13 @@ def test_usage_errors_exit_2(workspace, tmp_path):
         init = ["--init", "0,0,0,0,0,-1200"] if command == "fit" else []
         code, _, err = run_cli(*commands[command], *init, flag, value)
         assert code == 2 and "%s: %s" % (flag, problem) in err, (flag, value, err)
-    code, _, err = run_cli(*commands["fit"], "--init", "nan,0,0,0,0,-1200")
-    assert code == 2 and "--init values must be finite" in err
     assert not (posit_out.exists() or train_out.exists() or fit_out.exists())
-    # the protocol's, camera's and procedural model's limits, before the model loads
+    # the protocol's, camera's and procedural model's limits and fit's inline theta,
+    # before the model loads: fit_cmd's model, regressor and image do not exist
     synth_cmd = ["synth", "--model", workspace["model"], "--out", str(synth_out)]
     model_cmd = ["make-model", "--out", str(out)]
+    fit_cmd = ["fit", "--model", str(missing / "m.mfm"), "--regressor", str(missing / "r.mfr"),
+               "--image", str(missing / "i.pgm"), "--out", str(fit_out)]
     for cmd, flag, value, problem in (
             (synth_cmd, "--backgrounds", "0", "must be at least 1, got 0"),
             (synth_cmd, "--shape-modes", "-1", "must be at least 0, got -1"),
@@ -164,12 +165,14 @@ def test_usage_errors_exit_2(workspace, tmp_path):
              "must be finite and positive, got -2"),
             (model_cmd, "--vertices", "0", "must be at least 50, got 0"),
             (model_cmd, "--modes", "0", "must be in [1, 20], got 0"),
-            (model_cmd, "--modes", "21", "must be in [1, 20], got 21")):
+            (model_cmd, "--modes", "21", "must be in [1, 20], got 21"),
+            (fit_cmd, "--init", "0,0,x", "must be comma-separated numbers, got 0,0,x"),
+            (fit_cmd, "--init", "nan,0,0,0,0,-1200", "must be finite, got nan")):
         code, _, err = run_cli(*cmd, flag, value)
-        assert code == 2 and "%s: %s" % (flag, problem) in err, (flag, value, err)
+        assert code == 2 and "argument %s: %s" % (flag, problem) in err, (flag, value, err)
     code, _, err = run_cli(*model_cmd, "--vertices", "5e2")
     assert code == 2 and "--vertices: invalid int value: '5e2'" in err
-    assert not (synth_out.exists() or posit_out.exists() or out.exists())
+    assert not (synth_out.exists() or posit_out.exists() or out.exists() or fit_out.exists())
 
 
 def test_parsed_defaults_are_the_library_defaults():

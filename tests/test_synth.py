@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -637,6 +639,33 @@ def test_load_dataset_rejects_ids_that_name_no_image(tmp_path, small_model, bad_
     with pytest.raises(ValueError) as exc:
         load_dataset(tmp_path)
     assert str(exc.value) == "%s: images/%s.pgm: no image for id %r" % (tmp_path, bad_id, bad_id)
+
+
+@pytest.mark.parametrize("bad_id", [
+    "", ".", "..", "../escaped", "../../escaped", "sub/x", "sub\\x", "a,b", "a\nb", "a\rb",
+    "caf\xe9", "a\tb", " x", "x ", "repeated"])
+def test_write_dataset_rejects_ids_it_cannot_read_back(tmp_path, small_model, bad_id):
+    # written, ../escaped would land outside images/ and a,b would split its CSV
+    # rows into 8 fields under a 7-field header; each is refused before anything is made
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    samples = generate_set(small_model, pc, "test")[:2]
+    sid = samples[0].id if bad_id == "repeated" else bad_id
+    samples[1] = dataclasses.replace(samples[1], id=sid)
+    out = tmp_path / "set"
+    with pytest.raises(ValueError) as exc:
+        write_dataset(out, samples, pc)
+    assert str(exc.value) == "%s: sample id %r is repeated or not a plain ASCII file name" \
+        % (out, sid)
+    assert os.listdir(tmp_path) == []
+
+
+def test_plain_ids_round_trip(tmp_path, small_model):
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    ids = ["a b", "x.y", "p+1_y-2", "..a"]
+    samples = [dataclasses.replace(s, id=sid)
+               for s, sid in zip(generate_set(small_model, pc, "test"), ids)]
+    write_dataset(tmp_path, samples, pc)
+    assert [s.id for s in load_dataset(tmp_path)[0]] == sorted(ids)
 
 
 @pytest.fixture(scope="module")
