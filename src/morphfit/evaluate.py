@@ -110,21 +110,23 @@ class BehindCameraError(RuntimeError):
 def posit_baseline(samples, model, pc, noise_px=0.0, seed=0):
     """POSIT from each sample's landmarks, projected at its ground truth (pose
     and shape) through `pc`'s camera, plus Gaussian pixel noise of standard
-    deviation `noise_px`, drawn from the sample index's "posit_noise" sub-seed.
+    deviation `noise_px`, drawn from the "posit_noise" sub-seed of the sample's
+    id, so a sample's draws do not depend on the batch around it.
 
     Returns (id, PositResult, absolute rx/ry/rz errors) per sample. A sample
     whose landmarks do not all project is a BehindCameraError, and dropped.
     """
     cam = pc.camera()
 
-    def one(idx, s):
+    def one(_, s):
         pose, alpha = split_theta(model, s.theta_gt)
         pts3d = select_landmarks(model, alpha)
         uv, valid = project_points(pts3d, pose, cam)
         if not valid.all():
             raise BehindCameraError("%d landmarks lie at or behind the camera" % np.sum(~valid))
         if noise_px > 0:
-            rng = np.random.Generator(np.random.PCG64(subseed(seed, SEED_TAGS["posit_noise"], idx)))
+            rng = np.random.Generator(np.random.PCG64(
+                subseed(seed, SEED_TAGS["posit_noise"], *s.id.encode())))
             uv = uv + rng.normal(0.0, noise_px, size=uv.shape)
         res = posit(uv, pts3d, cam)
         return s.id, res, np.abs(res.pose[ANGLES] - s.theta_gt[ANGLES])

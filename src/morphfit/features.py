@@ -22,6 +22,8 @@ or a float array of pixels in [0, 1]. The planes read a zero-padded
 float64 box of it, so levels become floats only where windows read them.
 """
 
+import re
+
 import numpy as np
 
 from .camera import project_points
@@ -241,21 +243,13 @@ def write_pgm(img, path):
     atomic_write(path, header + img.levels.tobytes())
 
 
+# netpbm tokens are separated by whitespace; '#' starts a comment line
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_pgm_token(buf, pos):
-    # netpbm tokens are separated by whitespace; '#' starts a comment line
-    while pos < len(buf):
-        c = buf[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < len(buf) and buf[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(buf) and not buf[pos:pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
+    m = _PGM_TOKEN.match(buf, pos)
+    return m.group(1), m.end()
 
 
 def read_pgm(path):

@@ -7,11 +7,12 @@ touched anywhere.
 The lattice hash is a chain of lowbias32 rounds, one per axis:
 h = mix(mix(mix(seed ^ x*k1) ^ y*k2) ^ z*k3), with coordinates taken mod
 2**32 and every step computed in uint32, where products wrap mod 2**32.
-`value_noise3` shares the chain's prefixes among the 8 corners of a cell:
-2 x-prefixes, 4 xy-prefixes, then 8 z-rounds, 14 rounds instead of 24.
-It runs one such chain per run of consecutive points in one cell, not per
-point, and gathers its corner values: a face's pixels come in row-major
-order, so neighbours mostly share a cell.
+`_lattice_hash` is the one chain; its callers share the chain's prefixes by
+broadcasting. `value_noise3` passes a cell's x, y and z corners on separate
+axes, so 2 x-rounds, 4 xy-rounds and 8 z-rounds hash the cell's 8 corners,
+14 rounds instead of 24. It hashes once per run of consecutive points in one
+cell, not per point, and gathers its corner values: a face's pixels come in
+row-major order, so neighbours mostly share a cell.
 """
 
 import numpy as np
@@ -33,16 +34,12 @@ def _chain(h, ik):
     return h
 
 
-def _axis_terms(i, k):
-    """Lattice coordinates i (integers, mod 2**32) times the multiplier k."""
-    return np.asarray(i, dtype=np.int64).astype(np.uint32) * k
-
-
 def _lattice_hash(ix, iy, iz, seed):
-    """Hash integer lattice coordinate arrays to floats in [0, 1)."""
+    """Hash integer lattice coordinate arrays, broadcast together, to floats
+    in [0, 1)."""
     h = np.uint32(int(seed) & 0xFFFFFFFF)
     for i, k in zip((ix, iy, iz), _AXIS_MULT):
-        h = _chain(h, _axis_terms(i, k))
+        h = _chain(h, np.asarray(i, dtype=np.int64).astype(np.uint32) * k)
     return h / 4294967296.0
 
 
@@ -65,22 +62,19 @@ def value_noise3(points, seed):
     np.any(p0[:, 1:] != p0[:, :-1], axis=0, out=new_cell[1:])
     run = np.cumsum(new_cell)
     run -= 1
-    cells = p0[:, new_cell]
+    cx, cy, cz = p0[:, new_cell]
+    d = np.arange(2)
+    corners = _lattice_hash(cx + d[:, None, None, None], cy + d[:, None, None], cz + d[:, None],
+                            seed)  # (2, 2, 2, runs), by (dx, dy, dz)
     wts = [(1.0 - c, c) for c in w]
-    terms = [(_axis_terms(c, k), _axis_terms(c + 1, k)) for c, k in zip(cells, _AXIS_MULT)]
-    seed = np.uint32(int(seed) & 0xFFFFFFFF)
     total = np.zeros(n)
     # corners summed in (dx, dy, dz) order, the order that fixes the rounding
-    for dx in (0, 1):
-        hx = _chain(seed, terms[0][dx])
-        for dy in (0, 1):
-            hxy = _chain(hx, terms[1][dy])
-            for dz in (0, 1):
-                term = (_chain(hxy, terms[2][dz]) / 4294967296.0).take(run)
-                term *= wts[0][dx]
-                term *= wts[1][dy]
-                term *= wts[2][dz]
-                total += term
+    for dx, dy, dz in np.ndindex(2, 2, 2):
+        term = corners[dx, dy, dz].take(run)
+        term *= wts[0][dx]
+        term *= wts[1][dy]
+        term *= wts[2][dz]
+        total += term
     return total
 
 

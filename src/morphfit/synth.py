@@ -56,11 +56,12 @@ def subseed(*parts):
 
 
 # Every random stream is subseed(seed, tag, ...): a SEED_TAGS tag, or a set's
-# MODE_TAGS tag and then a SET_STREAM_TAGS tag; a sample index may follow. Every
-# tag is nonzero and each family's first tag is unique (a set's stream tags are
-# distinct), so no two streams alias, even after an index is appended.
+# MODE_TAGS tag and then a SET_STREAM_TAGS tag; a sample index or a sample id's
+# bytes may follow. Every tag is nonzero and each family's first tag is unique (a
+# set's stream tags are distinct), so no two streams alias, even after an index or
+# a sample id's bytes are appended.
 SEED_TAGS = {"texture": 5,        # one texture for the train and test sets
-             "posit_noise": 3,    # posit --noise-px, per sample
+             "posit_noise": 3,    # posit --noise-px, per sample id
              "init_noise": 4}     # fit --init-noise
 MODE_TAGS = {"train": 1, "test": 2}  # set modes
 SET_STREAM_TAGS = {"translation": 11, "identity": 12, "init": 13, "background": 20}

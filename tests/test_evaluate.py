@@ -170,6 +170,24 @@ def test_evaluate_and_posit_drop_failed_samples_in_order(tiny_eval_setup, caplog
         posit_baseline(bad, model, pc)
 
 
+def test_posit_noise_does_not_depend_on_the_batch(tiny_eval_setup):
+    # a sample's pixel noise is keyed by its id, not its place in the list: over
+    # the set reversed and over a subset, each id gets the pose and errors it gets
+    # over the whole set
+    model, pc, samples = tiny_eval_setup
+
+    def by_id(batch, noise_px=2.0):
+        return {sid: (res.pose.tolist(), err.tolist())
+                for sid, res, err in posit_baseline(batch, model, pc, noise_px, seed=4)}
+    full = by_id(samples)
+    assert len(full) == len(samples) > 2
+    assert by_id(samples[::-1]) == full
+    subset = by_id(samples[1::2])
+    assert subset == {sid: full[sid] for sid in subset} and len(subset) == len(samples[1::2])
+    clean = by_id(samples, noise_px=0.0)
+    assert all(clean[sid][0] != full[sid][0] for sid in full)  # the noise is on
+
+
 def test_evaluate_counts_non_finite_fits_as_failures(tiny_eval_setup):
     from morphfit import GrayImage
     from morphfit.synth import TrainingSample
