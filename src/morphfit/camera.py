@@ -41,27 +41,12 @@ class CameraConfig:
     cy = property(lambda self: self.height / 2.0)
 
 
-def rot_x(deg):
-    a = np.radians(deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=np.float64)
-
-
-def rot_y(deg):
-    a = np.radians(deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=np.float64)
-
-
-def rot_z(deg):
-    a = np.radians(deg)
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=np.float64)
-
-
 def rotation_from_angles(rx, ry, rz):
     """Combined rotation Ry(ry) @ Rx(rx) @ Rz(rz), degrees."""
-    return rot_y(ry) @ rot_x(rx) @ rot_z(rz)
+    (cx, sx), (cy, sy), (cz, sz) = ((np.cos(a), np.sin(a)) for a in np.radians([rx, ry, rz]))
+    return (np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]], dtype=np.float64)
+            @ np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]], dtype=np.float64)
+            @ np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]], dtype=np.float64))
 
 
 def euler_from_rotation(rot):

@@ -305,7 +305,10 @@ def _over_background(face, cam, background_seed):
     # the frame is made a block of rows at a time, straight into the levels
     # that outlive the pass: a block's float temporaries (160 kB at 640 px)
     # stay in the allocator's free lists for the next block and render, where
-    # frame-sized ones would fault in fresh pages on every render
+    # frame-sized ones would fault in fresh pages on every render. No value
+    # leaves [0, 1], so none is clipped: the background is 0.8 * noise + 0.1
+    # with noise in [0, 1), and a face pixel is tex * shade with tex in
+    # [0.35, 0.95) and shade a barycentric mix of vertex shades in [0.35, 1]
     levels = np.empty((h, w), dtype=np.uint8)
     starts = range(0, h, BACKGROUND_BLOCK_ROWS)
     cuts = np.searchsorted(rows, [*starts, h])  # face pixels come in row-major order
@@ -315,7 +318,6 @@ def _over_background(face, cam, background_seed):
         block *= 0.8
         block += 0.1
         block[rows[i0:i1] - y0, cols[i0:i1]] = values[i0:i1]
-        np.clip(block, 0.0, 1.0, out=block)
         block *= 255.0
         levels[y0:y1] = np.rint(block, out=block)
     return GrayImage(levels)
@@ -403,18 +405,28 @@ def _plain_id(sid):
 
 
 def write_dataset(path, samples, pc):
-    """Write `samples` as a dataset directory that `load_dataset` reads back;
-    an id that breaks `_plain_id` or repeats is a ValueError before anything is made."""
+    """Write `samples` as a dataset directory that `load_dataset` reads back.
+    A sample it would refuse (an id that breaks `_plain_id` or repeats, an
+    image not of the protocol's size, a theta not of its layout or not
+    finite) is a ValueError before anything is made."""
+    header = ["id", *param_layout(pc.n_shape)]
     seen = set()
     for s in samples:
         if not _plain_id(s.id) or s.id in seen:
             raise ValueError("%s: sample id %r is repeated or not a plain ASCII file name"
                              % (path, s.id))
         seen.add(s.id)
+        if (s.image.width, s.image.height) != (pc.width, pc.height):
+            raise ValueError("%s: sample %r: image is %dx%d, the protocol says %dx%d"
+                             % (path, s.id, s.image.width, s.image.height, pc.width, pc.height))
+        if len(s.theta_gt) != len(header) - 1:
+            raise ValueError("%s: sample %r: theta has %d entries; the protocol takes %d"
+                             % (path, s.id, len(s.theta_gt), len(header) - 1))
+        if not np.all(np.isfinite([s.theta_gt, s.theta_init])):
+            raise ValueError("%s: sample %r: theta has a non-finite entry" % (path, s.id))
     os.makedirs(os.path.join(path, "images"), exist_ok=True)
     for s in samples:
         write_pgm(s.image, os.path.join(path, "images", s.id + ".pgm"))
-    header = ["id", *param_layout(pc.n_shape)]
     write_csv(os.path.join(path, "labels.csv"), header, [[s.id, *s.theta_gt] for s in samples])
     write_csv(os.path.join(path, "inits.csv"), header, [[s.id, *s.theta_init] for s in samples])
     fmt = {float: fmt_float, int: str}  # every field is one or the other

@@ -73,6 +73,24 @@ def test_rotation_order_pinned():
         @ rotation_from_angles(0, 20, 0)
     assert np.max(np.abs(got - other)) > 1e-3
 
+    # bit for bit: the three elementary rotations written out here and
+    # multiplied (Ry @ Rx) @ Rz, for seeded triples and at +-90 and +-180 degrees,
+    # given as Python floats and as numpy scalars
+    def reference(rx, ry, rz):
+        (cx, sx), (cy, sy), (cz, sz) = [(np.cos(a), np.sin(a))
+                                        for a in (np.radians(rx), np.radians(ry), np.radians(rz))]
+        r_x = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]], dtype=np.float64)
+        r_y = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]], dtype=np.float64)
+        r_z = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]], dtype=np.float64)
+        return (r_y @ r_x) @ r_z
+
+    edges = [0.0, 90.0, -90.0, 180.0, -180.0]
+    triples = np.concatenate([np.random.default_rng(39).uniform(-200.0, 200.0, (10000, 3)),
+                              np.array(np.meshgrid(edges, edges, edges)).reshape(3, -1).T])
+    for triple in triples:
+        for angles in (tuple(triple), tuple(float(a) for a in triple)):
+            assert np.array_equal(rotation_from_angles(*angles), reference(*angles))
+
 
 def test_point_behind_camera_flagged():
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1300.0]])

@@ -262,6 +262,15 @@ def test_standard_renders_match_golden_digest(standard_model):
     assert h.hexdigest() == GOLDEN_RENDER_SHA256
 
 
+def test_render_levels_need_no_clip(standard_model):
+    # the background pass clips nothing: background values lie in [0.1, 0.9)
+    # and face values in [0.1225, 0.95), so every level lies between rint(255 * 0.1)
+    # and rint(255 * 0.95), close range included
+    for theta in GOLDEN_RENDER_POSES + [[0.0, 0.0, 0.0, 0.0, 0.0, -400.0]]:
+        levels = render(standard_model, np.array(theta), STANDARD_CAM, 11, 12).levels
+        assert 26 <= levels.min() and levels.max() <= 242
+
+
 def traced_peak(fn):
     tracemalloc.start()
     try:
@@ -656,6 +665,35 @@ def test_write_dataset_rejects_ids_it_cannot_read_back(tmp_path, small_model, ba
         write_dataset(out, samples, pc)
     assert str(exc.value) == "%s: sample id %r is repeated or not a plain ASCII file name" \
         % (out, sid)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("case, message", [
+    ("size", "image is 12x10, the protocol says 160x120"),
+    ("layout", "theta has 7 entries; the protocol takes 6"),
+    ("nan-label", "theta has a non-finite entry"),
+    ("inf-init", "theta has a non-finite entry"),
+], ids=["size", "layout", "nan-label", "inf-init"])
+def test_write_dataset_rejects_samples_load_dataset_refuses(tmp_path, small_model, case,
+                                                             message):
+    # load_dataset refuses an image of another size, a row of the wrong field
+    # count and a nan or inf field, so write_dataset writes none of them
+    pc = ProtocolConfig(seed=8, **SMALL_PC)
+    samples = generate_set(small_model, pc, "test")[:2]
+    s = samples[1]
+    if case == "size":
+        s = dataclasses.replace(s, image=GrayImage(s.image.levels[:10, :12]))
+    elif case == "layout":
+        s = dataclasses.replace(s, theta_gt=[*s.theta_gt, 0.0], theta_init=[*s.theta_init, 0.0])
+    elif case == "nan-label":
+        s.theta_gt[3] = np.nan
+    else:
+        s.theta_init[0] = np.inf
+    samples[1] = s
+    out = tmp_path / "set"
+    with pytest.raises(ValueError) as exc:
+        write_dataset(out, samples, pc)
+    assert str(exc.value) == "%s: sample %r: %s" % (out, s.id, message)
     assert os.listdir(tmp_path) == []
 
 
