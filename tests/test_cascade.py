@@ -456,7 +456,7 @@ GOLDEN_PIPELINE_SHA256 = {
 
 def pipeline_digests(model, n_shape, tmp_path):
     from morphfit.evaluate import REGIMES, evaluate, initial_theta
-    from morphfit.util import fmt_row
+    from morphfit.util import fmt_float
     pc = ProtocolConfig(range_deg=20.0, step_train=10.0, step_test=10.0, backgrounds=2,
                         width=160, height=120, focal=500.0, n_shape=n_shape, seed=21)
     cam = pc.camera()
@@ -467,7 +467,7 @@ def pipeline_digests(model, n_shape, tmp_path):
     traj = np.stack([fit(s.image, initial_theta(s, regime), reg, model,
                          cam).trajectory for regime in REGIMES for s in test])
     reports = [evaluate(test, reg, model, pc, regime=regime) for regime in REGIMES]
-    text = "\n".join(fmt_row(row) for rep in reports
+    text = "\n".join(" ".join(map(fmt_float, row)) for rep in reports
                      for row in (rep.mae_per_stage, rep.cosine_per_stage))
     return {"mfr": hashlib.sha256(path.read_bytes()).hexdigest(),
             "trajectories": hashlib.sha256(traj.astype("<f8").tobytes()).hexdigest(),

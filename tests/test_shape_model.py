@@ -154,6 +154,17 @@ def test_procedural_model_arrays_are_pinned(args):
     assert h.hexdigest() == MODEL_ARRAYS_SHA256[args]
 
 
+# SHA-256 of the MFM1 file save_model writes for make_procedural_model(42, 500, 10):
+# the header counts, the arrays above as 17-digit text and the triangles
+MODEL_FILE_SHA256 = "147c42227b951302bc3be50c6e6e292d7bfeb2bde6f0f2a8cec67335e2de05e4"
+
+
+def test_saved_model_file_is_pinned(tmp_path):
+    path = tmp_path / "model.mfm"
+    save_model(make_procedural_model(42, 500, 10), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_FILE_SHA256
+
+
 def test_sphere_triangles_are_qhulls_facets_wound_outward():
     spatial = pytest.importorskip("scipy.spatial")
     for n in [*range(MIN_VERTICES, 301), 500, 997, 2000, 5000]:

@@ -496,14 +496,18 @@ def test_train_and_test_share_surface_texture(small_model, monkeypatch):
 
 
 def test_dataset_round_trip(tmp_path, small_model):
-    # protocol.txt's seed is read as a Python int, which holds any size, not as a C long
-    pc = ProtocolConfig(seed=10 ** 20, n_shape=1, **SMALL_PC)
+    # protocol.txt's seed is read as a Python int, which holds any size, not as a C long;
+    # float fields given as ints print as the floats they are read back as
+    pc = ProtocolConfig(seed=10 ** 20, n_shape=1, **{**SMALL_PC, "range_deg": 20, "focal": 500})
     samples = generate_set(small_model, pc, "train")
     out = tmp_path / "ds"
     write_dataset(out, samples, pc)
     assert (out / "protocol.txt").read_text().startswith("MFP 1\nrange_deg 20\n")
     back, pc2 = load_dataset(out)
     assert pc2 == pc
+    write_dataset(tmp_path / "again", back, pc2)
+    assert (tmp_path / "again" / "protocol.txt").read_bytes() == \
+        (out / "protocol.txt").read_bytes()
     by_id = {s.id: s for s in samples}
     assert len(back) == len(samples)
     for s in back:
