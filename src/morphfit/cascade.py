@@ -17,7 +17,7 @@ import numpy as np
 
 from .features import FeatureError, PlaneStore, assemble_feature
 from .shape_model import POSE_NAMES, param_layout
-from .util import TokenReader, atomic_write, fmt_row, map_samples
+from .util import TokenReader, map_samples, write_fields
 
 log = logging.getLogger(__name__)
 
@@ -244,22 +244,10 @@ def fit(img, theta_init, reg, model, cam):
 # ---------------------------------------------------------------------------
 
 def save_regressor(reg, path):
-    lines = [
-        "MFR 1",
-        "stages %d" % reg.n_stages,
-        "pdim %d" % reg.param_dim,
-        "fdim %d" % reg.feature_dim,
-        "layout %s" % " ".join(reg.layout),
-        "scale:",
-        fmt_row(reg.scale.mean),
-        fmt_row(reg.scale.std),
-    ]
-    for wr in reg.stages:
-        lines.append("A:")
-        lines.extend(fmt_row(row) for row in wr.A)
-        lines.append("b:")
-        lines.append(fmt_row(wr.b))
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    write_fields(path, "MFR", [
+        ("stages", [reg.n_stages]), ("pdim", [reg.param_dim]), ("fdim", [reg.feature_dim]),
+        ("layout", reg.layout), ("scale:", [reg.scale.mean, reg.scale.std]),
+        *[field for wr in reg.stages for field in (("A:", wr.A), ("b:", [wr.b]))]])
 
 
 def load_regressor(path):

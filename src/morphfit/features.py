@@ -22,6 +22,7 @@ or a float array of pixels in [0, 1]. The planes read a zero-padded
 float64 box of it, so levels become floats only where windows read them.
 """
 
+import operator
 import re
 
 import numpy as np
@@ -166,9 +167,12 @@ def _descriptors(store, centers, patch_size):
     centers too) get the zero vector and are left out of the planes' box,
     which is clipped to it.
     """
-    patch_size = int(patch_size)
+    try:
+        patch_size = operator.index(patch_size)
+    except TypeError:
+        raise ValueError("patch_size must be an integer, got %r" % (patch_size,)) from None
     if patch_size <= 0 or patch_size % 4 != 0:
-        raise ValueError("patch_size must be a positive multiple of 4")
+        raise ValueError("patch_size must be a positive multiple of 4, got %d" % patch_size)
     h, w = store.img.height, store.img.width
     half = patch_size / 2.0
     corners = np.ceil(centers - half)

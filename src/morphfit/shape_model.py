@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import ANGLES, POSE_NAMES
-from .util import TokenReader, atomic_write, fmt_row
+from .util import TokenReader, write_fields
 
 
 @dataclass(eq=False)
@@ -386,25 +386,11 @@ def make_procedural_model(seed, vertex_count=DEFAULT_VERTICES, modes=DEFAULT_MOD
 # ---------------------------------------------------------------------------
 
 def save_model(model, path):
-    v = model.vertex_count
-    k = model.num_modes
-    lines = [
-        "MFM 1",
-        "vertices %d" % v,
-        "modes %d" % k,
-        "landmarks %d %s" % (len(model.landmark_ids), " ".join(str(i) for i in model.landmark_ids)),
-        "triangles %d" % len(model.triangles),
-        "mean:",
-    ]
-    mean = model.mean.reshape(-1, 3)
-    lines.extend(fmt_row(row) for row in mean)
-    lines.append("sigmas:")
-    lines.append(fmt_row(model.sigmas))
-    lines.append("basis:")
-    lines.extend(fmt_row(row) for row in model.basis)
-    lines.append("tris:")
-    lines.extend("%d %d %d" % tuple(t) for t in model.triangles)
-    atomic_write(path, ("\n".join(lines) + "\n").encode())
+    write_fields(path, "MFM", [
+        ("vertices", [model.vertex_count]), ("modes", [model.num_modes]),
+        ("landmarks", [len(model.landmark_ids), *model.landmark_ids]),
+        ("triangles", [len(model.triangles)]), ("mean:", model.mean.reshape(-1, 3)),
+        ("sigmas:", [model.sigmas]), ("basis:", model.basis), ("tris:", model.triangles)])
 
 
 def load_model(path):

@@ -41,7 +41,7 @@ from .camera import CameraConfig, perspective, to_camera
 from .features import GrayImage, read_pgm, write_pgm
 from .noise import fbm3, noise_rows
 from .shape_model import init_theta, instance_shape, param_layout, split_theta
-from .util import TokenReader, ascii_lines, atomic_write, fmt_float, parallel_map, write_csv
+from .util import TokenReader, ascii_lines, parallel_map, write_csv, write_fields
 
 
 class RenderError(RuntimeError):
@@ -429,9 +429,8 @@ def write_dataset(path, samples, pc):
         write_pgm(s.image, os.path.join(path, "images", s.id + ".pgm"))
     write_csv(os.path.join(path, "labels.csv"), header, [[s.id, *s.theta_gt] for s in samples])
     write_csv(os.path.join(path, "inits.csv"), header, [[s.id, *s.theta_init] for s in samples])
-    fmt = {float: fmt_float, int: str}  # every field is one or the other
-    lines = ["MFP 1"] + ["%s %s" % (f.name, fmt[f.type](getattr(pc, f.name))) for f in fields(pc)]
-    atomic_write(os.path.join(path, "protocol.txt"), ("\n".join(lines) + "\n").encode())
+    write_fields(os.path.join(path, "protocol.txt"), "MFP",
+                 [(f.name, [getattr(pc, f.name)]) for f in fields(pc)])
 
 
 def load_protocol(path):

@@ -18,8 +18,12 @@ def fmt_float(x):
     return "%.17g" % float(x)
 
 
-def fmt_row(values):
-    return " ".join(fmt_float(v) for v in values)
+def fmt_values(values, sep=" "):
+    """values joined by sep, each by the one rule of every CSV and field file:
+    a float (numpy's float64 is one) through fmt_float, else str. A
+    numpy array is read through tolist(), which gives Python floats and ints."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    return sep.join([fmt_float(v) if isinstance(v, float) else str(v) for v in values])
 
 
 def atomic_write(path, data):
@@ -39,11 +43,19 @@ def atomic_write(path, data):
 
 
 def write_csv(path, header, rows):
-    """Write a comma-separated file atomically: the header names, then one
-    line per row, floats through fmt_float and other values through str."""
-    lines = [header] + [[fmt_float(v) if isinstance(v, float) else str(v) for v in row]
-                        for row in rows]
-    atomic_write(path, "".join(",".join(ln) + "\n" for ln in lines).encode())
+    """Write a CSV atomically: the header names, then one line per row, through fmt_values."""
+    atomic_write(path, "".join(fmt_values(ln, ",") + "\n" for ln in [header, *rows]).encode())
+
+
+def write_fields(path, magic, fields):
+    """Write atomically the fields TokenReader reads: `MAGIC 1`, then per (label,
+    values) field the line `label v1 v2 ...`, or for a label ending in `:` the
+    label alone and one line per row of values."""
+    lines = [magic + " 1"]
+    for label, values in fields:
+        colon = label.endswith(":")
+        lines += [label, *map(fmt_values, values)] if colon else [label + " " + fmt_values(values)]
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_ascii(path):

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -180,6 +181,13 @@ def test_patch_size_validation():
         extract_descriptor(img, (8, 8), 30)
     with pytest.raises(ValueError):
         extract_descriptor(img, (8, 8), 0)
+    # an integer or an error: neither a float nor a string is cut or parsed to one
+    img = GrayImage(np.zeros((120, 160)))
+    for bad in (96.7, "96"):
+        with pytest.raises(ValueError, match="must be an integer, got " + re.escape(repr(bad))):
+            extract_descriptor(img, (80, 60), bad)
+    for good in (96, np.int64(96)):
+        assert extract_descriptor(img, (80, 60), good).shape == (128,)
 
 
 def two_landmark_model():
